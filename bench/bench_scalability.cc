@@ -14,10 +14,6 @@
 // sees argv):
 //   --cross_backend_rows=a,b,c   comma-separated sweep sizes
 //   --cross_backend_targets=N    explained targets per backend (default 4)
-//   --cross_backend_sealed       run engines with sealed-target memo
-//                                compaction (EngineOptions::seal_targets;
-//                                bit-identical results, compact memo —
-//                                CI A/Bs this against the default run)
 //   --cross_backend_only         skip the google-benchmark cases (CI smoke)
 //   --no_cross_backend           skip the sweep
 //
@@ -214,7 +210,7 @@ BENCHMARK(RuleRepairCost)->RangeMultiplier(2)->Range(32, 256)
 
 /// One harness invocation per sweep size; one JSON line per backend.
 void RunCrossBackendSweep(const std::vector<std::size_t>& sizes,
-                          std::size_t num_targets, bool sealed) {
+                          std::size_t num_targets) {
   for (std::size_t rows : sizes) {
     workload::ComparisonOptions options;
     options.world.num_rows = rows;
@@ -226,7 +222,6 @@ void RunCrossBackendSweep(const std::vector<std::size_t>& sizes,
     // scales with noisy cells, not rows).
     options.errors.max_errors = 256;
     options.num_targets = num_targets;
-    options.engine.seal_targets = sealed;
     auto report = workload::RunComparison(options);
     if (!report.ok()) {
       std::fprintf(stderr, "cross-backend sweep failed at %zu rows: %s\n",
@@ -262,7 +257,6 @@ int main(int argc, char** argv) {
   std::size_t num_targets = 4;
   bool sweep = true;
   bool gbench = true;
-  bool sealed = false;
 
   // Strip the sweep's own flags so google-benchmark never sees them.
   std::vector<char*> passthrough = {argv[0]};
@@ -290,8 +284,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       num_targets = static_cast<std::size_t>(*parsed);
-    } else if (arg == "--cross_backend_sealed") {
-      sealed = true;
     } else if (arg == "--cross_backend_only") {
       gbench = false;
     } else if (arg == "--no_cross_backend") {
@@ -301,7 +293,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (sweep) RunCrossBackendSweep(sizes, num_targets, sealed);
+  if (sweep) RunCrossBackendSweep(sizes, num_targets);
   if (gbench) {
     int pass_argc = static_cast<int>(passthrough.size());
     benchmark::Initialize(&pass_argc, passthrough.data());

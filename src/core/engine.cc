@@ -86,12 +86,8 @@ Status Engine::EnsureRepair() {
   if (box_.has_value()) return Status::Ok();
   // The box *shares* the engine's dirty table (one resident copy, not
   // three across session/engine/box).
-  TREX_ASSIGN_OR_RETURN(
-      BlackBoxRepair box,
-      BlackBoxRepair::MakeMultiTarget(algorithm_.get(), dcs_, dirty_, {}));
-  box.set_max_memo_entries(options_.max_memo_entries);
-  box.set_use_strong_table_hash(options_.use_strong_table_hash);
-  box_ = std::move(box);
+  TREX_ASSIGN_OR_RETURN(box_, BlackBoxRepair::MakeMultiTarget(
+                                  algorithm_.get(), dcs_, dirty_, {}));
   return Status::Ok();
 }
 
@@ -110,10 +106,6 @@ std::size_t Engine::num_cache_hits() const {
 
 std::size_t Engine::num_cross_request_hits() const {
   return box_.has_value() ? box_->num_cross_request_hits() : 0;
-}
-
-std::size_t Engine::num_cache_evictions() const {
-  return box_.has_value() ? box_->num_memo_evictions() : 0;
 }
 
 std::size_t Engine::approx_memo_bytes() const {
@@ -298,26 +290,9 @@ Result<BatchResult> Engine::ExplainBatch(
   const std::size_t calls_before = num_algorithm_calls();
   const std::size_t hits_before = num_cache_hits();
   const std::size_t cross_before = num_cross_request_hits();
-  const std::size_t evictions_before = num_cache_evictions();
   // One reference repair for the whole batch, however many targets.
   TREX_RETURN_NOT_OK(EnsureRepair());
   batch.stats.reference_repairs = had_repair ? 0 : 1;
-
-  if (options_.seal_targets) {
-    // Register the batch's full target set up front, then seal: memo
-    // entries written while serving the batch store per-target outcome
-    // bitsets instead of repaired tables. Out-of-range targets are
-    // skipped here — their slots fail with the same status as before
-    // when their request executes.
-    for (const ExplainRequest& request : requests) {
-      if (request.target.row < dirty_->num_rows() &&
-          request.target.col < dirty_->num_columns()) {
-        auto added = box_->AddTarget(request.target);
-        TREX_CHECK(added.ok()) << added.status().ToString();
-      }
-    }
-    box_->SealTargets();
-  }
 
   batch.results.reserve(requests.size());
   for (const ExplainRequest& request : requests) {
@@ -353,7 +328,6 @@ Result<BatchResult> Engine::ExplainBatch(
   batch.stats.algorithm_calls = num_algorithm_calls() - calls_before;
   batch.stats.cache_hits = num_cache_hits() - hits_before;
   batch.stats.cross_request_hits = num_cross_request_hits() - cross_before;
-  batch.stats.cache_evictions = num_cache_evictions() - evictions_before;
   batch.stats.approx_memo_bytes = approx_memo_bytes();
   return batch;
 }
@@ -689,11 +663,6 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
       config.stop = EffectiveStopRule(request);
       config.check_interval = anytime.check_interval;
       if (anytime.max_sweeps > 0) config.num_samples = anytime.max_sweeps;
-    } else if (options.target_std_error.has_value()) {
-      // Legacy shorthand: equivalent normal-theory rule (z·se ≤ z·target
-      // ⇔ se ≤ target), checked every shard like before.
-      config.stop.target_half_width =
-          config.stop.z * *options.target_std_error;
     }
     config.stop.soften =
         CancelToken::AnyOf(config.stop.soften, request.soften);

@@ -36,8 +36,9 @@
 // for every other target, so a batch of constraint explanations over k
 // targets costs one sweep of the 2^|C| subsets instead of k sweeps.
 // `BatchStats::cross_request_hits` reports exactly how much work was
-// amortized; `EngineOptions::max_memo_entries` bounds the table memo
-// (full repaired tables) with LRU eviction for large workloads.
+// amortized. A memo entry stores only where its repair's output differs
+// from T^c, so it answers every target, registered before or after it
+// was written, in O(cells the output gets wrong) bytes.
 // Permutation sweeps shard across a small thread pool with
 // deterministic per-shard seeds (see shapley_sampling.h), so results
 // are bit-identical for every `EngineOptions::num_threads`, between
@@ -65,8 +66,8 @@
 //     internal mutex.
 //   * `BlackBoxRepair` — internally synchronized for concurrent
 //     evaluations (the sweep shards rely on this). The shared memo in
-//     `repair::CacheState` is GUARDED_BY a `SharedMutex`: shared for
-//     memo hits, exclusive for inserts, sealing, and extension.
+//     `BlackBoxRepair::CacheState` is GUARDED_BY a `SharedMutex`: shared
+//     for memo hits, exclusive for inserts.
 //   * `serving::EngineRouter` / `serving::ExplainService` — fully
 //     thread-safe; all guarded state is annotated, and the lock-order
 //     and stats-deadlock rules are documented in their file comments.
@@ -229,12 +230,8 @@ struct BatchStats {
   /// Hits on memo entries written by an *earlier* request — the work the
   /// batch amortized across targets.
   std::size_t cross_request_hits = 0;
-  /// Table-memo entries evicted while serving this batch (only non-zero
-  /// when `EngineOptions::max_memo_entries` caps the memo).
-  std::size_t cache_evictions = 0;
   /// Estimated resident bytes of the engine's memo caches after the
-  /// batch (`BlackBoxRepair::approx_memo_bytes`) — the number
-  /// `EngineOptions::seal_targets` compacts.
+  /// batch (`BlackBoxRepair::approx_memo_bytes`).
   std::size_t approx_memo_bytes = 0;
   /// Permutation sweeps consumed across the batch's sampled requests.
   std::size_t sweeps = 0;
@@ -263,27 +260,6 @@ struct EngineOptions {
   /// algorithm calls under concurrency when two shards miss the same
   /// memo key simultaneously.
   std::size_t num_threads = 1;
-  /// Entry cap for the `BlackBoxRepair` table memo (each entry stores an
-  /// input table plus its repaired output). 0 = unbounded. Evictions are
-  /// LRU and change only cost, never results; they are surfaced in
-  /// `BatchStats::cache_evictions` and `Engine::num_cache_evictions()`.
-  std::size_t max_memo_entries = 0;
-  /// Verify table-memo hits by 128-bit strong content hash instead of
-  /// retaining a full copy of every evaluated input — halves the memo's
-  /// table footprint at the cost of trusting the 128-bit comparison
-  /// over exact content equality (collision odds ~2^-64 per pair; see
-  /// BlackBoxRepair::set_use_strong_table_hash). Default off.
-  bool use_strong_table_hash = false;
-  /// Seal the target set at each `ExplainBatch`: the batch's targets
-  /// are registered up front and `BlackBoxRepair::SealTargets()` turns
-  /// every memo entry into a per-target outcome bitset — O(targets)
-  /// bytes per entry instead of O(table) (see repair_game.h). Results
-  /// are bit-identical to the unsealed engine; targets added *after* a
-  /// seal (a later `Explain`/`ExplainBatch` on the same engine) stay
-  /// correct via recompute-on-miss and may re-run some repairs. Sealed
-  /// entries are verified by 128-bit fingerprint, the same trust model
-  /// as `use_strong_table_hash`. Default off.
-  bool seal_targets = false;
   /// Engine-wide anytime estimation default for sampled paths; each
   /// request can override it via `ExplainRequest::anytime`.
   AnytimeOptions anytime;
@@ -360,7 +336,6 @@ class Engine {
   std::size_t num_algorithm_calls() const;
   std::size_t num_cache_hits() const;
   std::size_t num_cross_request_hits() const;
-  std::size_t num_cache_evictions() const;
   /// Estimated resident bytes of the memo caches right now (0 before
   /// the reference repair). See `BlackBoxRepair::approx_memo_bytes`.
   std::size_t approx_memo_bytes() const;

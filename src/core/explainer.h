@@ -159,8 +159,6 @@ struct CellExplainerOptions {
   /// (#players + 1) black-box evaluations.
   std::size_t num_samples = 300;
   std::uint64_t seed = Rng::kDefaultSeed;
-  /// Early stop once all std errors reach this level (optional).
-  std::optional<double> target_std_error;
   /// Restrict players to cells that can influence the target under the
   /// algorithm's influence graph (falls back to the conservative DC
   /// graph when the algorithm exposes none). Cells outside the player

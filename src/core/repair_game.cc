@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "common/fault.h"
@@ -10,21 +11,6 @@
 
 namespace trex {
 namespace {
-
-bool GetOutcomeBit(const std::vector<std::uint64_t>& bits, std::size_t index) {
-  return (bits[index / 64] >> (index % 64)) & 1u;
-}
-
-void SetOutcomeBit(std::vector<std::uint64_t>* bits, std::size_t index,
-                   bool value) {
-  if (value) (*bits)[index / 64] |= std::uint64_t{1} << (index % 64);
-}
-
-/// Heap payload of a table, excluding the object header (which is
-/// already counted inside the owning struct's sizeof).
-std::size_t TableHeapBytes(const Table& table) {
-  return table.ApproxMemoryBytes() - sizeof(Table);
-}
 
 /// The per-thread evaluation scratch: one resident dirty-table copy per
 /// thread, owned by whichever box evaluated last on this thread
@@ -49,8 +35,9 @@ struct EvalScratch {
 };
 
 /// Bit-level value equality, stricter than `Value::operator==` (which
-/// equates 1 with 1.0 and +0.0 with -0.0): skipping a scratch write is
-/// only sound when the resident bytes hash identically to the write.
+/// equates 1 with 1.0 and +0.0 with -0.0): skipping a write — in the
+/// scratch, or from a canonical write set — is only sound when the
+/// resident bytes hash identically to the write.
 bool ExactlyEqual(const Value& a, const Value& b) {
   if (a.type() != b.type()) return false;
   switch (a.type()) {
@@ -79,6 +66,13 @@ std::uint64_t NextScratchId() {
   return next.fetch_add(1);
 }
 
+/// One write of a lookup's canonical write set, by reference: lookups
+/// compare against stored entries without copying values.
+struct WriteRef {
+  std::uint32_t index;  // linear cell index
+  const Value* value;
+};
+
 }  // namespace
 
 BlackBoxRepair::CacheState::CacheState() : scratch_id(NextScratchId()) {}
@@ -100,6 +94,9 @@ Result<BlackBoxRepair> BlackBoxRepair::MakeMultiTarget(
   if (dirty == nullptr) {
     return Status::InvalidArgument("dirty table must not be null");
   }
+  if (dirty->num_cells() > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::InvalidArgument("tables past 2^32 cells are not supported");
+  }
   for (const CellRef& target : targets) {
     if (target.row >= dirty->num_rows() ||
         target.col >= dirty->num_columns()) {
@@ -117,6 +114,10 @@ Result<BlackBoxRepair> BlackBoxRepair::MakeMultiTarget(
   box.dirty_->DualFingerprint(&box.dirty_fp64_, &box.dirty_fp128_);
   TREX_ASSIGN_OR_RETURN(box.clean_,
                         algorithm->Repair(box.dcs_, *box.dirty_));
+  if (box.clean_.schema() != box.dirty_->schema() ||
+      box.clean_.num_rows() != box.dirty_->num_rows()) {
+    return Status::Internal("reference repair changed the table's shape");
+  }
   box.state_->calls.store(1);
   for (const CellRef& target : targets) {
     auto added = box.AddTarget(target);
@@ -141,18 +142,10 @@ Result<std::size_t> BlackBoxRepair::AddTarget(CellRef target) {
   if (std::optional<std::size_t> existing = FindTarget(target)) {
     return *existing;
   }
-  TargetInfo info;
-  info.cell = target;
-  info.clean_value = clean_.at(target);
-  const Value& dirty_value = dirty_->at(target);
-  const bool both_null = dirty_value.is_null() && info.clean_value.is_null();
-  info.was_repaired =
-      !both_null && (dirty_value.is_null() || info.clean_value.is_null() ||
-                     dirty_value != info.clean_value);
-  targets_.push_back(std::move(info));
-  // Post-seal registration is allowed: resident sealed entries keep
-  // their (now short) bitsets and this target's evaluations on them
-  // fall back to recompute-on-miss (see file comment).
+  targets_.push_back(
+      TargetInfo{target,
+                 static_cast<std::uint32_t>(dirty_->LinearIndex(target)),
+                 !CellRepairedTo(*dirty_, clean_, target)});
   target_index_.emplace(target, targets_.size() - 1);
   return targets_.size() - 1;
 }
@@ -183,10 +176,6 @@ std::size_t BlackBoxRepair::num_cache_hits() const {
 
 std::size_t BlackBoxRepair::num_cross_request_hits() const {
   return state_->cross_request_hits.load();
-}
-
-std::size_t BlackBoxRepair::num_memo_evictions() const {
-  return state_->evictions.load();
 }
 
 std::size_t BlackBoxRepair::num_table_memo_entries() const {
@@ -231,66 +220,47 @@ void BlackBoxRepair::RecordEvalError(const Status& status) const {
   abort.Cancel();
 }
 
-bool BlackBoxRepair::Outcome(const Table& repaired,
+void BlackBoxRepair::CountHit(const CacheEntry& entry) const {
+  state_->hits.fetch_add(1);
+  if (entry.request_id != state_->current_request.load()) {
+    state_->cross_request_hits.fetch_add(1);
+  }
+}
+
+bool BlackBoxRepair::Outcome(const std::vector<std::uint32_t>& diff,
                              std::size_t target_index) const {
   TREX_CHECK_LT(target_index, targets_.size());
-  const TargetInfo& info = targets_[target_index];
-  const Value& got = repaired.at(info.cell);
-  if (got.is_null() || info.clean_value.is_null()) {
-    return got.is_null() && info.clean_value.is_null();
-  }
-  return got == info.clean_value;
+  return !std::binary_search(diff.begin(), diff.end(),
+                             targets_[target_index].index);
 }
 
-std::size_t BlackBoxRepair::EntryPayloadBytes(const CacheEntry& entry) const {
-  return sizeof(CacheEntry) + TableHeapBytes(entry.input) +
-         TableHeapBytes(entry.repaired) +
-         entry.outcomes.capacity() * sizeof(std::uint64_t);
-}
-
-void BlackBoxRepair::SealEntry(CacheEntry* entry) const {
-  entry->outcomes.assign((targets_.size() + 63) / 64, 0);
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    SetOutcomeBit(&entry->outcomes, i, Outcome(entry->repaired, i));
+Result<std::vector<std::uint32_t>> BlackBoxRepair::DiffAgainstClean(
+    const Table& repaired) const {
+  if (repaired.schema() != clean_.schema() ||
+      repaired.num_rows() != clean_.num_rows()) {
+    return Status::Internal("repair output changed the table's shape");
   }
-  entry->covered_targets = targets_.size();
-  entry->sealed = true;
-  entry->input = Table();
-  entry->repaired = Table();
-}
-
-void BlackBoxRepair::PopulateEntry(CacheEntry* entry, const Table* input,
-                                   Table repaired,
-                                   const Hash128& fp128) const {
-  entry->fp128 = fp128;
-  entry->request_id = state_->current_request.load();
-  entry->repaired = std::move(repaired);
-  if (sealed_) {
-    SealEntry(entry);
-    return;
-  }
-  entry->sealed = false;
-  if (input != nullptr && !use_strong_table_hash_) {
-    entry->input = *input;
-  }
-}
-
-void BlackBoxRepair::SealTargets() {
-  if (sealed_) return;
-  sealed_ = true;
-  WriterLock lock(state_->mu);
-  std::size_t bytes = 0;
-  for (auto& [mask, entry] : state_->mask_cache) {
-    if (!entry.sealed) SealEntry(&entry);
-    bytes += EntryPayloadBytes(entry);
-  }
-  for (auto& [fingerprint, bucket] : state_->table_cache) {
-    for (CacheEntry& entry : bucket) {
-      if (!entry.sealed) SealEntry(&entry);
-      bytes += EntryPayloadBytes(entry);
+  std::vector<std::uint32_t> diff;
+  std::uint32_t index = 0;  // linear index of CellRef{r, c}
+  for (std::size_t r = 0; r < clean_.num_rows(); ++r) {
+    for (std::size_t c = 0; c < clean_.num_columns(); ++c, ++index) {
+      if (!CellRepairedTo(repaired, clean_, CellRef{r, c})) {
+        diff.push_back(index);
+      }
     }
   }
-  state_->approx_bytes.store(bytes);
+  diff.shrink_to_fit();
+  return diff;
+}
+
+std::size_t BlackBoxRepair::EntryPayloadBytes(const CacheEntry& entry) {
+  std::size_t bytes = sizeof(CacheEntry) +
+                      entry.writes.capacity() * sizeof(MemoWrite) +
+                      entry.diff.capacity() * sizeof(std::uint32_t);
+  for (const MemoWrite& write : entry.writes) {
+    if (write.value.is_string()) bytes += write.value.as_string().capacity();
+  }
+  return bytes;
 }
 
 bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
@@ -303,79 +273,36 @@ bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
     ReaderLock lock(state_->mu);
     auto it = state_->mask_cache.find(mask);
     if (it != state_->mask_cache.end()) {
-      const CacheEntry& entry = it->second;
-      // A sealed entry answers only the targets its bitset covers; a
-      // target registered after sealing falls through to a fresh repair
-      // run (never a silently wrong bit).
-      if (!entry.sealed || target_index < entry.covered_targets) {
-        state_->hits.fetch_add(1);
-        if (entry.request_id != state_->current_request.load()) {
-          state_->cross_request_hits.fetch_add(1);
-        }
-        return entry.sealed ? GetOutcomeBit(entry.outcomes, target_index)
-                            : Outcome(entry.repaired, target_index);
-      }
+      CountHit(it->second);
+      return Outcome(it->second.diff, target_index);
     }
   }
   const dc::DcSet subset = dcs_.Subset(mask);
-  auto repaired = [&]() -> Result<Table> {
+  auto diff = [&]() -> Result<std::vector<std::uint32_t>> {
     TREX_FAULT_INJECT("repair.eval_constraint_miss");
-    return algorithm_->Repair(subset, *dirty_);
+    TREX_ASSIGN_OR_RETURN(Table repaired, algorithm_->Repair(subset, *dirty_));
+    return DiffAgainstClean(repaired);
   }();
-  if (!repaired.ok()) {
+  if (!diff.ok()) {
     // Failure channel, not a crash: record + abort, cache nothing (the
     // memo must never hold an entry a failed repair touched), and let
     // the sweep stop at its next cancel poll.
-    RecordEvalError(
-        repaired.status().WithPrefix("constraint-subset repair"));
+    RecordEvalError(diff.status().WithPrefix("constraint-subset repair"));
     return false;
   }
   state_->calls.fetch_add(1);
-  const bool outcome = Outcome(*repaired, target_index);
+  const bool outcome = Outcome(*diff, target_index);
   if (cache_enabled_) {
     WriterLock lock(state_->mu);
+    // A concurrent miss may have filled this mask meanwhile; keep it.
     auto [it, inserted] = state_->mask_cache.try_emplace(mask);
-    if (!inserted) {
-      // A concurrent miss filled this mask, or it is the sealed entry
-      // that did not cover `target_index`: refresh only in the latter
-      // case, re-sealing over the now-larger target set.
-      if (!it->second.sealed || target_index < it->second.covered_targets) {
-        return outcome;
-      }
-      state_->approx_bytes.fetch_sub(EntryPayloadBytes(it->second));
+    if (inserted) {
+      it->second.diff = std::move(*diff);
+      it->second.request_id = state_->current_request.load();
+      state_->approx_bytes.fetch_add(EntryPayloadBytes(it->second));
     }
-    PopulateEntry(&it->second, nullptr, std::move(*repaired), Hash128{});
-    state_->approx_bytes.fetch_add(EntryPayloadBytes(it->second));
   }
   return outcome;
-}
-
-void BlackBoxRepair::EvictLruTableEntry() const {
-  // O(#entries) scan for the LRU victim. Eviction only runs after a cache
-  // miss, i.e. after a full repair run, which dwarfs a scan over at most
-  // `max_memo_entries_` entries.
-  auto victim_bucket = state_->table_cache.end();
-  std::size_t victim_index = 0;
-  std::uint64_t victim_tick = 0;
-  for (auto it = state_->table_cache.begin(); it != state_->table_cache.end();
-       ++it) {
-    for (std::size_t i = 0; i < it->second.size(); ++i) {
-      const std::uint64_t used = it->second[i].last_used;
-      if (victim_bucket == state_->table_cache.end() || used < victim_tick) {
-        victim_bucket = it;
-        victim_index = i;
-        victim_tick = used;
-      }
-    }
-  }
-  TREX_CHECK(victim_bucket != state_->table_cache.end());
-  std::vector<CacheEntry>& bucket = victim_bucket->second;
-  state_->approx_bytes.fetch_sub(EntryPayloadBytes(bucket[victim_index]));
-  bucket.erase(bucket.begin() +
-               static_cast<std::ptrdiff_t>(victim_index));
-  if (bucket.empty()) state_->table_cache.erase(victim_bucket);
-  --state_->table_entries;
-  state_->evictions.fetch_add(1);
 }
 
 const Table& BlackBoxRepair::MaterializeScratch(
@@ -414,52 +341,22 @@ const Table& BlackBoxRepair::MaterializeScratch(
   return scratch.table;
 }
 
-template <typename VerifyInput>
-std::optional<bool> BlackBoxRepair::LookupTableMemo(
-    std::uint64_t fp64, const Hash128& fp128, std::size_t target_index,
-    VerifyInput&& verify_input) const {
-  if (!cache_enabled_) return std::nullopt;
-  ReaderLock lock(state_->mu);
-  auto it = state_->table_cache.find(fp64);
-  if (it == state_->table_cache.end()) return std::nullopt;
-  for (CacheEntry& entry : it->second) {
-    // Never trust the 64-bit bucket fingerprint alone: a collision must
-    // fall through to a fresh repair run, never return another table's
-    // outcome. Verification is the 128-bit fingerprint, plus the
-    // caller's full-content check whenever the entry retains its input.
-    if (entry.fp128 != fp128) continue;
-    if (entry.input.num_columns() != 0 && !verify_input(entry.input)) {
-      continue;
-    }
-    if (entry.sealed && target_index >= entry.covered_targets) {
-      break;  // same input, uncovered target: recompute and extend
-    }
-    state_->hits.fetch_add(1);
-    if (entry.request_id != state_->current_request.load()) {
-      state_->cross_request_hits.fetch_add(1);
-    }
-    // Touch the LRU clock; atomic_ref because other readers may touch
-    // the same entry under the shared lock concurrently.
-    std::atomic_ref<std::uint64_t>(entry.last_used)
-        .store(state_->tick.fetch_add(1) + 1, std::memory_order_relaxed);
-    return entry.sealed ? GetOutcomeBit(entry.outcomes, target_index)
-                        : Outcome(entry.repaired, target_index);
-  }
-  return std::nullopt;
-}
-
 bool BlackBoxRepair::EvalTable(const Table& perturbed,
                                std::size_t target_index) const {
-  TREX_CHECK_LT(target_index, targets_.size());
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
-  perturbed.DualFingerprint(&fp64, &fp128);
-  if (table_bucket_fn_) fp64 = table_bucket_fn_(perturbed);
-  const std::optional<bool> hit =
-      LookupTableMemo(fp64, fp128, target_index,
-                      [&](const Table& input) { return input == perturbed; });
-  if (hit.has_value()) return *hit;
-  return EvalTableMiss(perturbed, fp64, fp128, target_index);
+  TREX_CHECK(perturbed.schema() == dirty_->schema() &&
+             perturbed.num_rows() == dirty_->num_rows())
+      << "EvalTable needs a table shaped like the dirty table";
+  // The write set against T^d: every cell whose bytes differ, so the
+  // delta fingerprint equals the table's own.
+  thread_local std::vector<CellWrite> writes;
+  writes.clear();
+  for (std::size_t i = 0; i < perturbed.num_cells(); ++i) {
+    const CellRef cell = perturbed.FromLinearIndex(i);
+    if (!ExactlyEqual(perturbed.at(cell), dirty_->at(cell))) {
+      writes.push_back({cell, perturbed.at(cell)});
+    }
+  }
+  return EvalPerturbation(writes, target_index);
 }
 
 bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
@@ -471,70 +368,87 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
 }
 
 bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
-                                      std::uint64_t fp64,
-                                      const Hash128& fp128,
+                                      std::uint64_t fp64, Hash128 fp128,
                                       std::size_t target_index) const {
   TREX_CHECK_LT(target_index, targets_.size());
-  if (table_bucket_fn_) {
-    // The test-only bucket override takes a table; materialize eagerly.
-    return EvalTable(MaterializeScratch(writes), target_index);
+  if (fingerprint_fn_) fingerprint_fn_(&fp64, &fp128);
+  // The input's canonical write set: writes that change a cell's bytes,
+  // sorted by linear index. Two inputs are equal iff these are.
+  thread_local std::vector<WriteRef> canonical;
+  canonical.clear();
+  for (const CellWrite& write : writes) {
+    if (!ExactlyEqual(dirty_->at(write.cell), write.value)) {
+      canonical.push_back(
+          {static_cast<std::uint32_t>(dirty_->LinearIndex(write.cell)),
+           &write.value});
+    }
   }
-  // Entries retaining their input verify in full against dirty+writes —
-  // an overlay comparison, nothing materialized.
-  const std::optional<bool> hit =
-      LookupTableMemo(fp64, fp128, target_index, [&](const Table& input) {
-        return input.EqualsWithWrites(*dirty_, writes);
-      });
-  if (hit.has_value()) return *hit;
-  // Only a miss materializes, into the per-thread scratch.
-  return EvalTableMiss(MaterializeScratch(writes), fp64, fp128, target_index);
-}
+  std::sort(canonical.begin(), canonical.end(),
+            [](const WriteRef& a, const WriteRef& b) {
+              return a.index < b.index;
+            });
+  // Never trust the 64-bit bucket fingerprint alone: a hit needs the
+  // 128-bit fingerprint and the exact write set, so a collision falls
+  // through to a fresh repair run instead of another input's outcome.
+  const auto same_input = [&](const CacheEntry& entry) {
+    if (entry.fp128 != fp128 || entry.writes.size() != canonical.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < canonical.size(); ++i) {
+      if (entry.writes[i].index != canonical[i].index ||
+          entry.writes[i].value != *canonical[i].value) {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (cache_enabled_) {
+    ReaderLock lock(state_->mu);
+    auto it = state_->table_cache.find(fp64);
+    if (it != state_->table_cache.end()) {
+      for (const CacheEntry& entry : it->second) {
+        if (!same_input(entry)) continue;
+        CountHit(entry);
+        return Outcome(entry.diff, target_index);
+      }
+    }
+  }
 
-bool BlackBoxRepair::EvalTableMiss(const Table& perturbed, std::uint64_t fp64,
-                                   const Hash128& fp128,
-                                   std::size_t target_index) const {
-  auto repaired = [&]() -> Result<Table> {
+  // Only a miss materializes, into the per-thread scratch.
+  const Table& perturbed = MaterializeScratch(writes);
+  auto diff = [&]() -> Result<std::vector<std::uint32_t>> {
     TREX_FAULT_INJECT("repair.eval_table_miss");
-    return algorithm_->Repair(dcs_, perturbed);
+    TREX_ASSIGN_OR_RETURN(Table repaired, algorithm_->Repair(dcs_, perturbed));
+    return DiffAgainstClean(repaired);
   }();
-  if (!repaired.ok()) {
+  if (!diff.ok()) {
     // See EvalConstraintSubset: record + abort, and return before any
-    // cache write so no CacheEntry (sealed or unsealed) is poisoned.
-    RecordEvalError(repaired.status().WithPrefix("perturbed-table repair"));
+    // cache write so no CacheEntry is poisoned.
+    RecordEvalError(diff.status().WithPrefix("perturbed-table repair"));
     return false;
   }
   state_->calls.fetch_add(1);
-  const bool outcome = Outcome(*repaired, target_index);
+  const bool outcome = Outcome(*diff, target_index);
   if (!cache_enabled_) return outcome;
   WriterLock lock(state_->mu);
   std::vector<CacheEntry>& bucket = state_->table_cache[fp64];
   // Re-check under the exclusive lock: a concurrent miss on the same
-  // table may have inserted while we ran the repair — don't retain a
-  // duplicate entry. A resident sealed entry that does not cover
-  // `target_index` is extended in place instead.
-  for (CacheEntry& entry : bucket) {
-    if (entry.fp128 != fp128) continue;
-    if (entry.input.num_columns() != 0 && entry.input != perturbed) continue;
-    if (entry.sealed && target_index >= entry.covered_targets) {
-      state_->approx_bytes.fetch_sub(EntryPayloadBytes(entry));
-      PopulateEntry(&entry, &perturbed, std::move(*repaired), fp128);
-      state_->approx_bytes.fetch_add(EntryPayloadBytes(entry));
-      // The rebuilt entry is the freshest — bump its LRU clock so a
-      // capped memo does not evict the repair run we just paid for.
-      entry.last_used = state_->tick.fetch_add(1) + 1;
-    }
-    return outcome;
+  // input may have inserted while we ran the repair — don't retain a
+  // duplicate entry.
+  for (const CacheEntry& entry : bucket) {
+    if (same_input(entry)) return outcome;
   }
   CacheEntry entry;
-  PopulateEntry(&entry, &perturbed, std::move(*repaired), fp128);
-  entry.last_used = state_->tick.fetch_add(1) + 1;
+  entry.fp128 = fp128;
+  entry.writes.reserve(canonical.size());
+  for (const WriteRef& write : canonical) {
+    entry.writes.push_back({write.index, *write.value});
+  }
+  entry.diff = std::move(*diff);
+  entry.request_id = state_->current_request.load();
   state_->approx_bytes.fetch_add(EntryPayloadBytes(entry));
   bucket.push_back(std::move(entry));
   ++state_->table_entries;
-  while (max_memo_entries_ > 0 &&
-         state_->table_entries > max_memo_entries_) {
-    EvictLruTableEntry();
-  }
   return outcome;
 }
 

@@ -16,61 +16,53 @@
 //
 // Two memo caches answer repeat evaluations: constraint subsets are
 // keyed by bitmask, perturbed tables by XOR-combinable content
-// fingerprint (64-bit bucket key, 128-bit verification hash; see
-// `Table::Fingerprint`). One cached repair run answers the
-// characteristic function for *every* registered target — this is what
-// lets `Engine::ExplainBatch` share one box across a multi-target
-// batch. Entries live in one of two representations:
+// fingerprint (64-bit bucket key; see `Table::Fingerprint`). Every entry
+// in both memos has one format: the cells where the repair's output
+// fails `CellRepairedTo` (table/diff.h) against T^c, as sorted linear
+// indices. A target's outcome is "its index is not in the list", so one
+// cached repair run answers the characteristic function for *every*
+// target — including one registered after the entry was written. This
+// is what lets `Engine::ExplainBatch` share one box across a
+// multi-target batch, and what keeps an entry O(cells the output gets
+// wrong) instead of O(table) (Bertossi & Schwind: a repair is the set of
+// cells it changes).
 //
-//   * UNSEALED (the default): an entry retains the full repaired
-//     `Table` (plus, under full-content verification, the input copy),
-//     so targets registered *after* the entry was written can still
-//     read their outcome from it. O(table) bytes per entry.
-//   * SEALED (`SealTargets()`): once the target set is closed, an entry
-//     stores only a per-target outcome bitset (1 bit per registered
-//     target) — O(targets) bytes per entry; the repaired table is
-//     dropped. `Engine::ExplainBatch` seals after registering a batch's
-//     full target set. An `AddTarget` *after* sealing stays correct by
-//     falling back to recompute-on-miss: resident entries do not cover
-//     the new target, so its evaluations re-run the repair once and
-//     extend the entry's bitset — results never go silently wrong, only
-//     cost counters move. Sealed entries are verified by the 128-bit
-//     fingerprint (there is no stored input to compare against), the
-//     same trust model as `use_strong_table_hash`.
+// A table-memo entry also stores its input's 128-bit fingerprint and
+// canonical write set against T^d (the cells whose bytes differ from
+// T^d, sorted by linear index). A hit needs the 128-bit fingerprint to
+// match *and* the write sets to be equal, value by value — exact content
+// equality of the two inputs, checked in O(#writes) with no stored table.
+// A bare 64-bit bucket fingerprint is never trusted alone.
 //
 // ## Delta evaluation
 //
 // `EvalPerturbation(writes, target)` evaluates a perturbed table
 // described as (dirty table, write set) without materializing it: the
 // memo key comes from `Table::DeltaFingerprint` over the dirty table's
-// cached base fingerprints in O(#writes), and full-content verification
-// (when entries retain inputs) compares via `Table::EqualsWithWrites` —
-// no copy, no allocation. Only a memo *miss* materializes the table,
-// into a per-thread scratch reused across evaluations (reset from the
-// dirty table by undoing the previous writes, then applying the new
-// ones) instead of a fresh copy per coalition. `CellGame::Value` and
-// the engine's permutation-sweep loops sit on this path; warm-cache
-// evaluations make zero full-table copies
-// (`num_eval_table_copies()` counts the scratch (re)initializations).
+// cached base fingerprints in O(#writes). Only a memo *miss*
+// materializes the table, into a per-thread scratch reused across
+// evaluations (reset from the dirty table by undoing the previous
+// writes, then applying the new ones) instead of a fresh copy per
+// coalition. `EvalTable` is a thin wrapper that derives the write set
+// against T^d and takes the same path. `CellGame::Value` and the
+// engine's permutation-sweep loops sit on this path; warm-cache
+// evaluations make zero full-table copies (`num_eval_table_copies()`
+// counts the scratch (re)initializations).
 //
 // `approx_memo_bytes()` estimates the resident payload of both memos
-// (entries × payload estimate) so compaction wins are observable; the
+// (entries × payload estimate) so the memo footprint is observable; the
 // engine surfaces it through `BatchStats` and the benches' JSON lines.
 //
 // Thread safety: `EvalConstraintSubset` / `EvalTable` /
 // `EvalPerturbation` may be called concurrently (the caches are
 // mutex-guarded; concurrent misses on the same key may duplicate a
-// repair run but never corrupt results). `AddTarget`, `SealTargets`,
-// and `BeginRequest` must not race with evaluations.
+// repair run but never corrupt results). `AddTarget` and `BeginRequest`
+// must not race with evaluations.
 //
 // The memo's reader/writer discipline is machine-checked under Clang's
 // -Wthread-safety (common/thread_annotations.h): both memo maps are
-// `GUARDED_BY(CacheState::mu)` — hit scans hold it shared, inserts,
-// sealing, and the sealed-entry extension path hold it exclusive
-// (`EvictLruTableEntry` carries the `REQUIRES` pre-condition). The
-// analysis is shallow: fields of entries *inside* the maps are past its
-// horizon, which is why the in-place LRU touch under the shared lock
-// goes through `std::atomic_ref` and stays TSan-covered.
+// `GUARDED_BY(CacheState::mu)` — hit scans hold it shared, inserts hold
+// it exclusive. Entries are immutable once inserted.
 //
 // `ConstraintGame` (players = DCs, table fixed) and `CellGame` (players =
 // cells nulled in/out, DCs fixed) adapt one target's characteristic
@@ -130,22 +122,13 @@ class BlackBoxRepair {
 
   /// Registers another target cell against the cached reference repair —
   /// no additional algorithm call — and returns its index. Returns the
-  /// existing index when the cell is already registered. Allowed after
-  /// `SealTargets()`: resident sealed entries do not cover the new
-  /// target and fall back to recompute-on-miss (see file comment).
-  /// Must not race with concurrent evaluations.
+  /// existing index when the cell is already registered. Resident memo
+  /// entries answer the new target too (see file comment). Must not
+  /// race with concurrent evaluations.
   [[nodiscard]] Result<std::size_t> AddTarget(CellRef target);
 
   /// Index of a registered target cell, if any. O(1).
   std::optional<std::size_t> FindTarget(CellRef target) const;
-
-  /// Seals the current target set: both memos switch to per-target
-  /// outcome bitsets — resident entries are converted in place (their
-  /// stored tables are dropped), and new entries are written compact.
-  /// Idempotent. Must not race with evaluations (same contract as
-  /// `AddTarget`).
-  void SealTargets();
-  bool targets_sealed() const { return sealed_; }
 
   const Table& dirty() const { return *dirty_; }
   const Table& reference_clean() const { return clean_; }
@@ -166,7 +149,9 @@ class BlackBoxRepair {
                             std::size_t target_index = 0) const;
 
   /// Alg|t[A] for target `target_index` with the full constraint set and
-  /// a perturbed table.
+  /// a perturbed table, which must have the dirty table's schema and row
+  /// count. Derives the write set against the dirty table and evaluates
+  /// it through `EvalPerturbation`.
   bool EvalTable(const Table& perturbed, std::size_t target_index = 0) const;
 
   /// Alg|t[A] for target `target_index` with the full constraint set and
@@ -183,10 +168,10 @@ class BlackBoxRepair {
   /// permutation sweeps) instead of re-hashing O(#writes) per
   /// evaluation. `fp64`/`fp128` MUST equal
   /// `dirty().DeltaFingerprint(dirty fps, writes)`: they are the memo
-  /// key and, for entries without a retained input, the verification
-  /// hash — an inconsistent pair could cache wrong outcomes.
+  /// key, and a wrong pair would file the entry where no later lookup
+  /// of the same input finds it.
   bool EvalPerturbation(std::span<const CellWrite> writes,
-                        std::uint64_t fp64, const Hash128& fp128,
+                        std::uint64_t fp64, Hash128 fp128,
                         std::size_t target_index) const;
 
   /// The dirty table's own fingerprints — the base the running
@@ -213,9 +198,8 @@ class BlackBoxRepair {
   std::size_t num_eval_table_copies() const;
 
   /// Estimated resident bytes of both memos (entries × payload
-  /// estimate: stored tables, outcome bitsets, entry overhead). The
-  /// headline number sealing compacts; surfaced through
-  /// `Engine`/`BatchStats` and the benches' JSON lines.
+  /// estimate: write sets, output diffs, entry overhead); surfaced
+  /// through `Engine`/`BatchStats` and the benches' JSON lines.
   std::size_t approx_memo_bytes() const;
 
   /// Tags subsequent cache writes with `request_id`; hits on entries
@@ -249,42 +233,17 @@ class BlackBoxRepair {
   /// Disables memoization (ablation experiments).
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
 
-  /// Caps the *table* memo (the large one). 0 = unbounded. When the cap
-  /// is hit, the least-recently-used entry is evicted; evicted inputs
-  /// are simply recomputed on the next miss, so results are unchanged —
-  /// only cost counters move. The mask memo is left unbounded (at most
-  /// 2^|C| entries, |C| ≤ 64 and small in practice). Must not race with
-  /// evaluations.
-  void set_max_memo_entries(std::size_t cap) { max_memo_entries_ = cap; }
-  std::size_t max_memo_entries() const { return max_memo_entries_; }
-
-  /// Table-memo entries evicted by the LRU cap so far.
-  std::size_t num_memo_evictions() const;
   /// Table-memo entries currently resident.
   std::size_t num_table_memo_entries() const;
 
-  /// Verifies table-memo hits by the 128-bit content fingerprint instead
-  /// of retaining a full copy of every evaluated input (halves the
-  /// unsealed memo's table footprint; a hit then trusts the 128-bit
-  /// comparison rather than exact content equality). Off by default —
-  /// full-content verification stays the paranoid baseline while
-  /// entries retain inputs; sealed entries always verify by fingerprint.
-  /// Must be set before the first evaluation and must not race with
+  /// Test-only: rewrites the fingerprints of every table-memo lookup and
+  /// insert (both widths in, both out), so tests can force distinct
+  /// inputs into one bucket — or one 128-bit fingerprint — and prove the
+  /// write-set comparison still tells them apart. Must not race with
   /// evaluations.
-  void set_use_strong_table_hash(bool enabled) {
-    use_strong_table_hash_ = enabled;
-  }
-  bool use_strong_table_hash() const { return use_strong_table_hash_; }
-
-  /// Test-only: overrides the 64-bit bucket fingerprint for the table
-  /// memo, so tests can force distinct tables into one bucket and
-  /// exercise the collision path (full-content or 128-bit verification
-  /// telling them apart). `EvalPerturbation` materializes eagerly while
-  /// the hook is set (the hook needs a table). Must not race with
-  /// evaluations.
-  void set_table_bucket_fn_for_test(
-      std::function<std::uint64_t(const Table&)> fn) {
-    table_bucket_fn_ = std::move(fn);
+  void set_fingerprint_fn_for_test(
+      std::function<void(std::uint64_t* fp64, Hash128* fp128)> fn) {
+    fingerprint_fn_ = std::move(fn);
   }
 
  private:
@@ -292,44 +251,33 @@ class BlackBoxRepair {
 
   struct TargetInfo {
     CellRef cell;
-    Value clean_value;
+    std::uint32_t index = 0;  // linear cell index
     bool was_repaired = false;
   };
 
-  /// One memoized repair run, in one of two representations (see file
-  /// comment): unsealed entries retain `repaired` (and `input` under
-  /// full-content verification); sealed entries retain only `outcomes`,
-  /// a bitset covering the first `covered_targets` registered targets.
-  /// `fp128` always carries the 128-bit content fingerprint of the
-  /// evaluated input; a bare 64-bit bucket fingerprint is never trusted
-  /// alone — a collision must fall through to a fresh repair run, never
-  /// return another table's outcome.
+  /// One cell of a table-memo input's write set against T^d.
+  struct MemoWrite {
+    std::uint32_t index = 0;  // linear cell index
+    Value value;
+  };
+
+  /// One memoized repair run (see file comment). `diff` holds the sorted
+  /// linear indices of the cells where the output fails
+  /// `CellRepairedTo` against T^c. Table-memo entries also identify
+  /// their input by `fp128` plus its canonical write set `writes`;
+  /// mask-memo entries leave both empty (the mask is the key).
   struct CacheEntry {
-    Table input;     // retained only unsealed + full-content verification
-    Hash128 fp128;   // 128-bit content fingerprint of the input
-    Table repaired;  // dropped once sealed
-    /// Sealed representation: bit i = Alg|t_i outcome, for the first
-    /// `covered_targets` targets. Targets registered after the entry
-    /// was written (post-seal `AddTarget`) are not covered and
-    /// recompute on evaluation.
-    std::vector<std::uint64_t> outcomes;
-    std::size_t covered_targets = 0;
-    bool sealed = false;
+    Hash128 fp128;
+    std::vector<MemoWrite> writes;
+    std::vector<std::uint32_t> diff;
     std::size_t request_id = 0;
-    /// LRU clock value of the last touch (table-cache entries only);
-    /// written through `std::atomic_ref` so hits under the shared lock
-    /// don't race.
-    std::uint64_t last_used = 0;
   };
 
   /// Mutable memo state, boxed so `BlackBoxRepair` stays movable despite
   /// the mutex. Lookups (the steady-state path under a warm cache) take
   /// the lock shared so sampling shards hit concurrently; only inserts
   /// take it exclusive. Counters are atomics so hits need no exclusive
-  /// access. The maps are `GUARDED_BY(mu)`; entry *fields* reached
-  /// through them are beyond the (shallow) analysis — in-entry
-  /// mutations under the shared lock go through `std::atomic_ref`
-  /// (`last_used`) and stay TSan-covered.
+  /// access.
   struct CacheState {
     CacheState();
 
@@ -341,14 +289,10 @@ class BlackBoxRepair {
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> cross_request_hits{0};
     std::atomic<std::size_t> current_request{0};
-    /// LRU clock for the table memo; bumped on every hit and insert.
-    std::atomic<std::uint64_t> tick{0};
-    /// Table-memo entry count / LRU evictions (guarded by `mu` /
-    /// monotonic counter readable without it).
+    /// Table-memo entry count.
     std::size_t table_entries GUARDED_BY(mu) = 0;
-    std::atomic<std::size_t> evictions{0};
     /// Estimated resident payload of both memos (maintained under `mu`
-    /// on insert/evict/seal; atomic so reads need no lock).
+    /// on insert; atomic so reads need no lock).
     std::atomic<std::size_t> approx_bytes{0};
     /// Full dirty-table copies made by the evaluation scratch.
     std::atomic<std::size_t> eval_table_copies{0};
@@ -368,51 +312,28 @@ class BlackBoxRepair {
   /// (see `eval_error()`).
   void RecordEvalError(const Status& status) const;
 
-  /// Drops the least-recently-used table-memo entry. Requires a
-  /// non-empty table cache.
-  void EvictLruTableEntry() const REQUIRES(state_->mu);
+  /// Bumps the hit counters for a hit on `entry`.
+  void CountHit(const CacheEntry& entry) const;
 
-  bool Outcome(const Table& repaired, std::size_t target_index) const;
+  /// Outcome of target `target_index` under a repair whose output
+  /// differs from T^c exactly at `diff`.
+  bool Outcome(const std::vector<std::uint32_t>& diff,
+               std::size_t target_index) const;
+
+  /// The sorted linear indices of the cells where `repaired` fails
+  /// `CellRepairedTo` against T^c; an error when the repair changed the
+  /// table's shape.
+  [[nodiscard]] Result<std::vector<std::uint32_t>> DiffAgainstClean(
+      const Table& repaired) const;
 
   /// Estimated resident payload of one memo entry.
-  std::size_t EntryPayloadBytes(const CacheEntry& entry) const;
-
-  /// Converts one entry to the sealed representation (outcome bitset
-  /// over all currently registered targets; stored tables dropped).
-  /// Requires `entry->repaired` to be populated.
-  void SealEntry(CacheEntry* entry) const;
-
-  /// Fills `entry` (already verified or fresh) from a completed repair
-  /// run: sealed boxes store the outcome bitset, unsealed boxes the
-  /// repaired table (and the input copy under full-content mode, taken
-  /// from `input` when non-null).
-  void PopulateEntry(CacheEntry* entry, const Table* input, Table repaired,
-                     const Hash128& fp128) const;
+  static std::size_t EntryPayloadBytes(const CacheEntry& entry);
 
   /// The per-thread scratch table holding dirty+writes, (re)initialized
   /// from the dirty table only when this thread last evaluated a
   /// different box (counted in `eval_table_copies`), otherwise reset by
   /// undoing the previous writes.
   const Table& MaterializeScratch(std::span<const CellWrite> writes) const;
-
-  /// Shared miss path of `EvalTable`/`EvalPerturbation`: runs the
-  /// repair on the materialized `perturbed` table and inserts (or
-  /// extends) the memo entry under the exclusive lock.
-  bool EvalTableMiss(const Table& perturbed, std::uint64_t fp64,
-                     const Hash128& fp128, std::size_t target_index) const;
-
-  /// Shared hit scan of `EvalTable`/`EvalPerturbation`: walks the
-  /// `fp64` bucket under the shared lock, verifying each candidate by
-  /// 128-bit fingerprint plus `verify_input` (the caller's full-content
-  /// check, invoked only for entries that retain their input). Returns
-  /// the hit outcome — counters bumped, LRU touched — or nullopt when
-  /// the caller must run the repair (miss, cache disabled, or a sealed
-  /// entry not covering `target_index`).
-  template <typename VerifyInput>
-  std::optional<bool> LookupTableMemo(std::uint64_t fp64,
-                                      const Hash128& fp128,
-                                      std::size_t target_index,
-                                      VerifyInput&& verify_input) const;
 
   const repair::RepairAlgorithm* algorithm_ = nullptr;
   dc::DcSet dcs_;
@@ -425,11 +346,8 @@ class BlackBoxRepair {
   std::vector<TargetInfo> targets_;
   std::unordered_map<CellRef, std::size_t, CellRefHash> target_index_;
   bool cache_enabled_ = true;
-  bool sealed_ = false;
-  bool use_strong_table_hash_ = false;
-  std::size_t max_memo_entries_ = 0;  // 0 = unbounded
-  /// Test-only bucket-fingerprint override (null in production).
-  std::function<std::uint64_t(const Table&)> table_bucket_fn_;
+  /// Test-only fingerprint override (null in production).
+  std::function<void(std::uint64_t*, Hash128*)> fingerprint_fn_;
   std::unique_ptr<CacheState> state_;
 };
 

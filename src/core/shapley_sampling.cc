@@ -88,18 +88,6 @@ double MarginalForPlayer(const Game& game,
   return with - without;
 }
 
-/// The stopping rule in effect for `options`: the explicit `stop` when
-/// active, else the `target_std_error` shorthand lowered onto a
-/// normal-theory rule (z·std_error ≤ z·target ⇔ the legacy condition).
-StopRule EffectiveStop(const SamplingOptions& options) {
-  StopRule stop = options.stop;
-  if (!stop.active() && options.target_std_error.has_value()) {
-    stop.bound = BoundKind::kNormal;
-    stop.target_half_width = stop.z * *options.target_std_error;
-  }
-  return stop;
-}
-
 /// A player's CI meets the rule's target width (never true below the
 /// rule's minimum sample count).
 bool PlayerConverged(const RunningStat& stat, const StopRule& stop) {
@@ -133,7 +121,7 @@ Result<Estimate> EstimateShapleyForPlayer(const Game& game,
   if (options.num_samples == 0) {
     return Status::InvalidArgument("num_samples must be positive");
   }
-  const StopRule stop = EffectiveStop(options);
+  const StopRule& stop = options.stop;
   const std::size_t check_interval =
       std::max<std::size_t>(1, options.check_interval);
   Rng rng(options.seed);
@@ -425,7 +413,7 @@ Result<std::vector<Estimate>> EstimateShapleyAllPlayers(
   config.shard_size = options.shard_size;
   config.num_threads = options.num_threads;
   config.seed = options.seed;
-  config.stop = EffectiveStop(options);
+  config.stop = options.stop;
   config.check_interval = options.check_interval;
   config.pool = options.pool;
   config.cancel = options.cancel;

@@ -111,11 +111,6 @@ struct SamplingOptions {
   /// (negatively correlated coalition sizes). Doubles the samples drawn
   /// per iteration.
   bool antithetic = false;
-  /// Back-compat shorthand for `stop`: early stop once every requested
-  /// player's standard error drops to this level. Equivalent to a
-  /// normal-theory `StopRule` with `target_half_width = stop.z * value`.
-  /// Ignored when `stop` is already active.
-  std::optional<double> target_std_error;
   /// Anytime stopping rule (see `StopRule`). Applies to every estimator
   /// that accepts these options.
   StopRule stop;

@@ -116,7 +116,7 @@ struct RouterOptions {
   /// service's steady-state footprint.
   std::size_t max_engines = 8;
   /// Options applied to every engine the router creates (sweep threads,
-  /// memo cap).
+  /// anytime defaults).
   EngineOptions engine_options;
   /// Per-engine-key circuit breaker (file comment).
   BreakerOptions breaker;
@@ -131,7 +131,7 @@ struct RouterStats {
   std::size_t resident = 0;
   /// Estimated resident memo bytes summed over all resident engines
   /// (`Engine::approx_memo_bytes`) — the service-level view of the
-  /// footprint `EngineOptions::seal_targets` compacts.
+  /// memo footprint.
   std::size_t approx_memo_bytes = 0;
   /// Breaker transitions into the OPEN state (trips and re-trips).
   std::size_t breaker_open = 0;

@@ -331,9 +331,9 @@ void ExplainService::ServeBatch(std::vector<std::shared_ptr<Job>> jobs) {
       }
       // Execute with self-healing: every group — a singleton included
       // — lowers to one `ExplainBatch` call per attempt, so
-      // engine-level batch behavior (`EngineOptions::seal_targets`
-      // sealing, stats) applies to uncoalesced traffic too; a batch of
-      // one is bit-identical to plain Explain. Members whose result is
+      // engine-level batch behavior (batch stats) applies to
+      // uncoalesced traffic too; a batch of one is bit-identical to
+      // plain Explain. Members whose result is
       // *transient* (`kUnavailable`) are retried per `RetryPolicy`;
       // everything else resolves on first observation (failure
       // isolation: one member's backend error never touches its

@@ -1,7 +1,5 @@
 #include "table/table.h"
 
-#include <algorithm>
-
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -214,38 +212,6 @@ FingerprintDelta Table::WriteDelta(CellRef cell, const Value& value) const {
   const DualHash new_hash = CellContentHash(cell.row, cell.col, value);
   return FingerprintDelta{old_hash.fp64 ^ new_hash.fp64,
                           old_hash.fp128 ^ new_hash.fp128};
-}
-
-bool Table::EqualsWithWrites(const Table& base,
-                             std::span<const CellWrite> writes) const {
-  if (schema_ != base.schema_ || cells_.size() != base.cells_.size()) {
-    return false;
-  }
-  // Written cells must carry the write values...
-  for (const CellWrite& write : writes) {
-    TREX_CHECK_LT(write.cell.row, base.num_rows());
-    TREX_CHECK_LT(write.cell.col, base.num_columns());
-    if (at(write.cell) != write.value) return false;
-  }
-  // ...and every other cell must match the base. The written linear
-  // indices are sorted into a reusable thread-local scratch so the
-  // single merge pass below allocates nothing in steady state.
-  thread_local std::vector<std::size_t> written;
-  written.clear();
-  written.reserve(writes.size());
-  for (const CellWrite& write : writes) {
-    written.push_back(base.LinearIndex(write.cell));
-  }
-  std::sort(written.begin(), written.end());
-  std::size_t next_written = 0;
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (next_written < written.size() && written[next_written] == i) {
-      ++next_written;
-      continue;
-    }
-    if (cells_[i] != base.cells_[i]) return false;
-  }
-  return true;
 }
 
 std::size_t Table::ApproxMemoryBytes() const {

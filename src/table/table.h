@@ -136,11 +136,9 @@ class Table {
   std::uint64_t Fingerprint() const;
 
   /// 128-bit content fingerprint over exactly the per-cell hashes
-  /// `Fingerprint()` XORs (same position-keyed scheme, wider state),
-  /// wide enough to stand in for full-content comparison in the
-  /// repair-table memo (`EngineOptions::use_strong_table_hash` and the
-  /// sealed-target memo mode). Equal tables have equal strong
-  /// fingerprints.
+  /// `Fingerprint()` XORs (same position-keyed scheme, wider state): the
+  /// repair-table memo's first verification step before its exact
+  /// write-set comparison. Equal tables have equal strong fingerprints.
   Hash128 StrongFingerprint() const;
 
   /// Both fingerprints in one content traversal — the memo needs the
@@ -166,13 +164,6 @@ class Table {
   /// precompute the deltas of the writes they toggle and XOR them into
   /// a running fingerprint instead of re-hashing per evaluation.
   FingerprintDelta WriteDelta(CellRef cell, const Value& value) const;
-
-  /// True iff this table equals `base` with `writes` applied on top
-  /// (same semantics as materializing `base`, applying the writes, and
-  /// comparing with `operator==`) — without materializing anything.
-  /// `writes` must address pairwise-distinct, in-bounds cells of `base`.
-  bool EqualsWithWrites(const Table& base,
-                        std::span<const CellWrite> writes) const;
 
   /// Rough resident footprint in bytes (cell vector + string payloads +
   /// schema), for memo/cache accounting. An estimate, not an allocator

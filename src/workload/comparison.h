@@ -68,7 +68,7 @@ struct ComparisonOptions {
   std::size_t num_targets = 4;
   /// Top-k bound for the Jaccard stability term.
   std::size_t top_k = 3;
-  /// Engine configuration (thread count, memo cap, ...).
+  /// Engine configuration (thread count, anytime defaults).
   EngineOptions engine;
 
   ComparisonOptions();
@@ -91,8 +91,8 @@ struct BackendRun {
   std::size_t algorithm_calls = 0;
   /// Memo hits amortized across targets inside the batch.
   std::size_t cross_request_hits = 0;
-  /// Estimated resident memo bytes after the batch — the compaction
-  /// (`EngineOptions::seal_targets`) headline in the perf trajectory.
+  /// Estimated resident memo bytes after the batch — the memo footprint
+  /// in the perf trajectory.
   std::size_t approx_memo_bytes = 0;
   /// Targets this backend explained / could not explain (a backend that
   /// did not repair a target cannot explain it — that asymmetry is part

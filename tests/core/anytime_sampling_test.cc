@@ -321,27 +321,6 @@ TEST(AnytimeSweepTest, SoftenWorksWithoutAnActiveStoppingRule) {
   EXPECT_GT(run.outcome.sweeps, 0u);
 }
 
-TEST(AnytimeSweepTest, LegacyTargetStdErrorMapsToNormalRule) {
-  // The back-compat shorthand must reproduce the explicit rule exactly:
-  // std_error <= t  <=>  z * std_error <= z * t.
-  const CountingGame game = NoisyWithNullPlayer();
-  SamplingOptions legacy;
-  legacy.num_samples = 4096;
-  legacy.seed = 29;
-  legacy.shard_size = 16;
-  legacy.check_interval = 64;
-  legacy.target_std_error = 0.03;
-
-  SamplingOptions explicit_rule = legacy;
-  explicit_rule.target_std_error.reset();
-  explicit_rule.stop.target_half_width = 1.96 * 0.03;
-
-  const RunResult a = RunAllPlayers(game, legacy);
-  const RunResult b = RunAllPlayers(game, explicit_rule);
-  ExpectBitIdentical(a, b);
-  EXPECT_TRUE(a.outcome.stopped_early);
-}
-
 TEST(AnytimeSweepTest, SinglePlayerEstimatorHonoursSoften) {
   const CountingGame game = NoisyWithNullPlayer();
   CancelSource soften;

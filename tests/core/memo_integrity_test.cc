@@ -1,5 +1,5 @@
 // Memo-never-poisoned: a failed black-box evaluation must leave no
-// `CacheEntry` behind (sealed or unsealed), so a fault-then-retry
+// `CacheEntry` behind, so a fault-then-retry
 // sequence converges on exactly one correct memo entry and warm-path
 // results bit-identical to a never-faulted run — across all four
 // bundled repair backends.
@@ -94,35 +94,6 @@ TEST(MemoIntegrityTest, FailedEvalWritesNoEntryAndRetryHealsAllBackends) {
     EXPECT_EQ(faulty->calls(), calls);
     EXPECT_EQ(box->num_table_memo_entries(), 1u);
   }
-}
-
-TEST(MemoIntegrityTest, SealedMemoAlsoStaysCleanOnFailure) {
-  // Same invariant on the sealed (per-target bitset) memo layout.
-  auto faulty = std::make_shared<FaultyAlgorithm>(
-      "faulty-sealed", repair::MakeAlgorithm1(),
-      FaultyOptions{.skip_first = 1, .fail_first = 1});
-  auto box = BlackBoxRepair::Make(faulty.get(), data::SoccerConstraints(),
-                                  data::SoccerDirtyTable(),
-                                  data::SoccerTargetCell());
-  ASSERT_TRUE(box.ok()) << box.status();
-  box->SealTargets();
-  box->BeginRequest(1);
-
-  const Table perturbed = PerturbedSoccer();
-  (void)box->EvalTable(perturbed);
-  ASSERT_FALSE(box->eval_error().ok());
-  EXPECT_EQ(box->num_table_memo_entries(), 0u);
-
-  box->BeginRequest(2);
-  const bool healed = box->EvalTable(perturbed);
-  EXPECT_EQ(box->num_table_memo_entries(), 1u);
-
-  const auto clean_algorithm = repair::MakeAlgorithm1();
-  auto clean_box = BlackBoxRepair::Make(
-      clean_algorithm.get(), data::SoccerConstraints(),
-      data::SoccerDirtyTable(), data::SoccerTargetCell());
-  ASSERT_TRUE(clean_box.ok());
-  EXPECT_EQ(healed, clean_box->EvalTable(perturbed));
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "data/soccer.h"
+#include "repair/fd_repair.h"
+#include "repair/holistic.h"
+#include "repair/holoclean.h"
 #include "repair/soccer_algorithm1.h"
 
 namespace trex {
@@ -112,58 +116,6 @@ TEST(BlackBoxRepairTest, CacheCanBeDisabled) {
   box->EvalConstraintSubset(0b0011);
   EXPECT_EQ(box->num_algorithm_calls(), base + 2);
   EXPECT_EQ(box->num_cache_hits(), 0u);
-}
-
-TEST(BlackBoxRepairTest, TableMemoCapEvictsLruAndKeepsResults) {
-  auto box = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(box.ok());
-  box->set_max_memo_entries(4);
-
-  // Ten distinct perturbed tables: the memo keeps at most 4.
-  std::vector<Table> tables;
-  std::vector<bool> outcomes;
-  for (std::size_t i = 0; i < 10; ++i) {
-    Table perturbed = data::SoccerDirtyTable();
-    perturbed.Set(CellRef{i % perturbed.num_rows(), 0},
-                  Value("perturbed-" + std::to_string(i)));
-    outcomes.push_back(box->EvalTable(perturbed));
-    tables.push_back(std::move(perturbed));
-  }
-  EXPECT_LE(box->num_table_memo_entries(), 4u);
-  EXPECT_EQ(box->num_memo_evictions(), 6u);
-
-  // Evicted inputs recompute on the next miss — same outcome, one more
-  // call; the most recent entries are still hits.
-  const std::size_t calls = box->num_algorithm_calls();
-  EXPECT_EQ(box->EvalTable(tables[0]), outcomes[0]);
-  EXPECT_EQ(box->num_algorithm_calls(), calls + 1);
-  const std::size_t hits = box->num_cache_hits();
-  EXPECT_EQ(box->EvalTable(tables[9]), outcomes[9]);
-  EXPECT_GE(box->num_cache_hits(), hits + 1);
-}
-
-TEST(BlackBoxRepairTest, LruTouchOnHitProtectsHotEntries) {
-  auto box = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(box.ok());
-  box->set_max_memo_entries(2);
-
-  Table hot = data::SoccerDirtyTable();
-  hot.Set(CellRef{0, 0}, Value("hot"));
-  Table warm = data::SoccerDirtyTable();
-  warm.Set(CellRef{1, 0}, Value("warm"));
-  box->EvalTable(hot);
-  box->EvalTable(warm);
-  // Touch `hot` so `warm` is the LRU victim for the next insert.
-  box->EvalTable(hot);
-  Table cold = data::SoccerDirtyTable();
-  cold.Set(CellRef{2, 0}, Value("cold"));
-  box->EvalTable(cold);
-
-  const std::size_t calls = box->num_algorithm_calls();
-  box->EvalTable(hot);  // still memoized
-  EXPECT_EQ(box->num_algorithm_calls(), calls);
-  box->EvalTable(warm);  // evicted: recomputes
-  EXPECT_EQ(box->num_algorithm_calls(), calls + 1);
 }
 
 TEST(BlackBoxRepairTest, EvalTableWithNulledTarget) {
@@ -333,48 +285,42 @@ TEST(BlackBoxRepairTest, TableCacheVerifiesFullContentNotJustFingerprint) {
   EXPECT_EQ(box->num_cache_hits(), 2u);
 }
 
-TEST(BlackBoxRepairTest, StrongHashMemoMatchesFullVerificationOutcomes) {
-  // Same evaluations, same outcomes, same hit/miss pattern — with the
-  // input copies dropped from the memo.
-  auto verified = MakeBox(data::SoccerTargetCell());
-  auto strong = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(verified.ok());
-  ASSERT_TRUE(strong.ok());
-  strong->set_use_strong_table_hash(true);
+TEST(BlackBoxRepairTest, CollisionPathFallsThroughUnderForcedFingerprintClash) {
+  // Force every input into one 64-bit bucket — and in the second round
+  // onto one 128-bit fingerprint as well (the test-only hook): the exact
+  // write-set comparison must still keep distinct inputs apart, never
+  // serving one input's outcome for another, through both `EvalTable`
+  // and `EvalPerturbation`.
+  const std::vector<CellWrite> writes_a = {
+      {data::SoccerCell(5, "League"), Value::Null()}};
+  const std::vector<CellWrite> writes_b = {
+      {data::SoccerCell(5, "Country"), Value::Null()}};
   Table a = data::SoccerDirtyTable();
-  a.Set(data::SoccerCell(5, "League"), Value::Null());
+  a.Set(writes_a[0].cell, Value::Null());
   Table b = data::SoccerDirtyTable();
-  b.Set(data::SoccerCell(5, "Country"), Value::Null());
-  for (const Table* table : {&a, &b, &a, &b}) {
-    EXPECT_EQ(strong->EvalTable(*table), verified->EvalTable(*table));
-  }
-  EXPECT_EQ(strong->num_algorithm_calls(), verified->num_algorithm_calls());
-  EXPECT_EQ(strong->num_cache_hits(), verified->num_cache_hits());
-  EXPECT_EQ(strong->num_cache_hits(), 2u);
-}
-
-TEST(BlackBoxRepairTest, CollisionPathFallsThroughUnderForcedBucketClash) {
-  // Force every table into one 64-bit bucket (the test-only hook): the
-  // verification layer — full content by default, 128-bit strong hash
-  // when enabled — must still keep distinct inputs apart, never serving
-  // one table's outcome for another.
-  Table a = data::SoccerDirtyTable();
-  a.Set(data::SoccerCell(5, "League"), Value::Null());
-  Table b = data::SoccerDirtyTable();
-  b.Set(data::SoccerCell(5, "Country"), Value::Null());
-  for (const bool strong_hash : {false, true}) {
+  b.Set(writes_b[0].cell, Value::Null());
+  auto uncached = MakeBox(data::SoccerTargetCell());
+  ASSERT_TRUE(uncached.ok());
+  uncached->set_cache_enabled(false);
+  for (const bool clash128 : {false, true}) {
+    SCOPED_TRACE(clash128 ? "64+128-bit clash" : "64-bit clash");
     auto box = MakeBox(data::SoccerTargetCell());
     ASSERT_TRUE(box.ok());
-    box->set_use_strong_table_hash(strong_hash);
-    box->set_table_bucket_fn_for_test([](const Table&) { return 7u; });
+    box->set_fingerprint_fn_for_test(
+        [clash128](std::uint64_t* fp64, Hash128* fp128) {
+          *fp64 = 7;
+          if (clash128) *fp128 = Hash128{};
+        });
     const std::size_t base = box->num_algorithm_calls();
     const bool outcome_a = box->EvalTable(a);
-    const bool outcome_b = box->EvalTable(b);
-    // Distinct entries despite the colliding bucket fingerprint...
-    EXPECT_EQ(box->num_algorithm_calls(), base + 2)
-        << "strong_hash=" << strong_hash;
-    // ...and verified hits on re-evaluation, with unchanged outcomes.
-    EXPECT_EQ(box->EvalTable(a), outcome_a);
+    const bool outcome_b = box->EvalPerturbation(writes_b);
+    // Distinct entries despite the colliding fingerprints...
+    EXPECT_EQ(box->num_algorithm_calls(), base + 2);
+    EXPECT_EQ(outcome_a, uncached->EvalTable(a));
+    EXPECT_EQ(outcome_b, uncached->EvalTable(b));
+    // ...and verified hits on re-evaluation through the other path,
+    // with unchanged outcomes.
+    EXPECT_EQ(box->EvalPerturbation(writes_a), outcome_a);
     EXPECT_EQ(box->EvalTable(b), outcome_b);
     EXPECT_EQ(box->num_algorithm_calls(), base + 2);
     EXPECT_EQ(box->num_cache_hits(), 2u);
@@ -399,8 +345,8 @@ TEST(BlackBoxRepairTest, StrongFingerprintSeparatesNearIdenticalTables) {
 TEST(BlackBoxRepairTest, FingerprintsLengthDelimitStringCells) {
   // Without length prefixes, ("a\x03", "b") and ("a", "\x03b") would
   // serialize identically — 0x03 is the kString type tag — and collide
-  // deterministically, which the strong-hash memo mode must never
-  // allow. Regression for exactly that pair.
+  // deterministically in both fingerprint widths. Regression for exactly
+  // that pair.
   Table one(Schema::AllStrings({"A", "B"}));
   ASSERT_TRUE(one.AppendRow({Value(std::string("a\x03")), Value("b")}).ok());
   Table two(Schema::AllStrings({"A", "B"}));
@@ -468,143 +414,64 @@ TEST(BlackBoxRepairTest, WarmCacheEvaluationsMakeNoTableCopies) {
   EXPECT_EQ(box->num_algorithm_calls(), calls);
 }
 
-TEST(BlackBoxRepairTest, SealTargetsCompactsMemoAndKeepsOutcomes) {
-  auto box = BlackBoxRepair::MakeMultiTarget(
-      Algorithm1Singleton().get(), data::SoccerConstraints(),
-      data::SoccerDirtyTable(),
-      {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
-  ASSERT_TRUE(box.ok());
-  // Populate both memos unsealed: every mask, plus a few perturbations.
-  std::vector<bool> mask_outcomes;
-  for (std::uint64_t mask = 0; mask < 16; ++mask) {
-    mask_outcomes.push_back(box->EvalConstraintSubset(mask, 0));
-    mask_outcomes.push_back(box->EvalConstraintSubset(mask, 1));
-  }
+TEST(BlackBoxRepairTest, LateTargetReadsResidentEntriesOnAllBackends) {
+  // Entries store the output's diff against T^c, so a target registered
+  // after they were written reads its outcome from them: no new repair
+  // run, and the same answer an uncached box computes from scratch.
+  const std::vector<std::shared_ptr<const repair::RepairAlgorithm>>
+      backends = {Algorithm1Singleton(),
+                  std::make_shared<repair::FdRepair>(),
+                  std::make_shared<repair::HolisticRepair>(),
+                  std::make_shared<repair::HoloCleanRepair>()};
+  const Table dirty = data::SoccerDirtyTable();
+  Rng rng(2024);
   std::vector<std::vector<CellWrite>> perturbations;
-  std::vector<bool> perturbation_outcomes;
-  for (std::size_t r = 0; r < 4; ++r) {
-    perturbations.push_back(
-        {{CellRef{r, 1}, Value::Null()}, {CellRef{r, 2}, Value::Null()}});
-    perturbation_outcomes.push_back(
-        box->EvalPerturbation(perturbations.back(), 0));
-  }
-  const std::size_t unsealed_bytes = box->approx_memo_bytes();
-  const std::size_t calls = box->num_algorithm_calls();
-
-  box->SealTargets();
-  EXPECT_TRUE(box->targets_sealed());
-  const std::size_t sealed_bytes = box->approx_memo_bytes();
-  EXPECT_GE(unsealed_bytes, 5 * sealed_bytes)
-      << "sealing must compact the memo at least 5x (unsealed="
-      << unsealed_bytes << ", sealed=" << sealed_bytes << ")";
-
-  // Every resident entry still answers — bit-identically and without a
-  // single extra repair run.
-  std::size_t i = 0;
-  for (std::uint64_t mask = 0; mask < 16; ++mask) {
-    EXPECT_EQ(box->EvalConstraintSubset(mask, 0), mask_outcomes[i++]);
-    EXPECT_EQ(box->EvalConstraintSubset(mask, 1), mask_outcomes[i++]);
-  }
-  for (std::size_t p = 0; p < perturbations.size(); ++p) {
-    EXPECT_EQ(box->EvalPerturbation(perturbations[p], 0),
-              perturbation_outcomes[p]);
-  }
-  EXPECT_EQ(box->num_algorithm_calls(), calls);
-}
-
-TEST(BlackBoxRepairTest, SealedBoxMatchesUnsealedTwinEverywhere) {
-  auto sealed = BlackBoxRepair::MakeMultiTarget(
-      Algorithm1Singleton().get(), data::SoccerConstraints(),
-      data::SoccerDirtyTable(),
-      {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
-  auto unsealed = BlackBoxRepair::MakeMultiTarget(
-      Algorithm1Singleton().get(), data::SoccerConstraints(),
-      data::SoccerDirtyTable(),
-      {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
-  ASSERT_TRUE(sealed.ok());
-  ASSERT_TRUE(unsealed.ok());
-  sealed->SealTargets();  // entries are written compact from the start
-  for (std::uint64_t mask = 0; mask < 16; ++mask) {
-    for (std::size_t target : {0u, 1u}) {
-      EXPECT_EQ(sealed->EvalConstraintSubset(mask, target),
-                unsealed->EvalConstraintSubset(mask, target));
+  for (std::size_t p = 0; p < 12; ++p) {
+    std::vector<CellWrite> writes;
+    for (std::size_t i = 0; i < dirty.num_cells(); ++i) {
+      if (rng.UniformUint64(4) == 0) {
+        writes.push_back({dirty.FromLinearIndex(i), Value::Null()});
+      }
     }
+    perturbations.push_back(std::move(writes));
   }
-  for (std::size_t r = 0; r < 6; ++r) {
-    const std::vector<CellWrite> writes = {{CellRef{r, 2}, Value::Null()},
-                                           {CellRef{r, 3}, Value::Null()}};
-    for (std::size_t target : {0u, 1u}) {
-      EXPECT_EQ(sealed->EvalPerturbation(writes, target),
-                unsealed->EvalPerturbation(writes, target));
+  const CellRef target_a = data::SoccerTargetCell();
+  const CellRef target_b = data::SoccerCell(5, "City");
+  for (const auto& backend : backends) {
+    SCOPED_TRACE(backend->name());
+    auto box = BlackBoxRepair::Make(backend.get(), data::SoccerConstraints(),
+                                    dirty, target_a);
+    auto uncached = BlackBoxRepair::MakeMultiTarget(
+        backend.get(), data::SoccerConstraints(), dirty,
+        {target_a, target_b});
+    ASSERT_TRUE(box.ok()) << box.status();
+    ASSERT_TRUE(uncached.ok()) << uncached.status();
+    uncached->set_cache_enabled(false);
+    const std::size_t num_masks = std::size_t{1} << box->dcs().size();
+    for (std::uint64_t mask = 0; mask < num_masks; ++mask) {
+      EXPECT_EQ(box->EvalConstraintSubset(mask, 0),
+                uncached->EvalConstraintSubset(mask, 0));
     }
+    for (const auto& writes : perturbations) {
+      EXPECT_EQ(box->EvalPerturbation(writes, 0),
+                uncached->EvalPerturbation(writes, 0));
+    }
+
+    auto added = box->AddTarget(target_b);
+    ASSERT_TRUE(added.ok());
+    const std::size_t calls = box->num_algorithm_calls();
+    for (std::uint64_t mask = 0; mask < num_masks; ++mask) {
+      EXPECT_EQ(box->EvalConstraintSubset(mask, *added),
+                uncached->EvalConstraintSubset(mask, 1))
+          << "mask " << mask;
+    }
+    for (std::size_t p = 0; p < perturbations.size(); ++p) {
+      EXPECT_EQ(box->EvalPerturbation(perturbations[p], *added),
+                uncached->EvalPerturbation(perturbations[p], 1))
+          << "perturbation " << p;
+    }
+    EXPECT_EQ(box->num_algorithm_calls(), calls);
   }
-  EXPECT_EQ(sealed->num_algorithm_calls(), unsealed->num_algorithm_calls());
-  EXPECT_EQ(sealed->num_cache_hits(), unsealed->num_cache_hits());
-  EXPECT_LT(sealed->approx_memo_bytes(), unsealed->approx_memo_bytes());
-}
-
-TEST(BlackBoxRepairTest, PostSealAddTargetFallsBackToRecompute) {
-  auto box = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(box.ok());
-  box->SealTargets();
-  const bool mask_outcome = box->EvalConstraintSubset(0b0011, 0);
-  const std::vector<CellWrite> writes = {{CellRef{0, 0}, Value::Null()}};
-  const bool table_outcome = box->EvalPerturbation(writes, 0);
-
-  // Register a target after sealing: resident bitsets do not cover it.
-  auto added = box->AddTarget(data::SoccerCell(5, "City"));
-  ASSERT_TRUE(added.ok());
-  const std::size_t new_target = *added;
-
-  // Ground truth from an unsealed twin with both targets registered.
-  auto twin = BlackBoxRepair::MakeMultiTarget(
-      Algorithm1Singleton().get(), data::SoccerConstraints(),
-      data::SoccerDirtyTable(),
-      {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
-  ASSERT_TRUE(twin.ok());
-
-  // The uncovered target recomputes (one extra repair run per entry),
-  // never serves a silently wrong bit...
-  std::size_t calls = box->num_algorithm_calls();
-  EXPECT_EQ(box->EvalConstraintSubset(0b0011, new_target),
-            twin->EvalConstraintSubset(0b0011, new_target));
-  EXPECT_EQ(box->num_algorithm_calls(), calls + 1);
-  calls = box->num_algorithm_calls();
-  EXPECT_EQ(box->EvalPerturbation(writes, new_target),
-            twin->EvalPerturbation(writes, new_target));
-  EXPECT_EQ(box->num_algorithm_calls(), calls + 1);
-
-  // ...and the recompute extends the entry: both targets now hit, and
-  // the original target's answers are unchanged.
-  calls = box->num_algorithm_calls();
-  EXPECT_EQ(box->EvalConstraintSubset(0b0011, new_target),
-            twin->EvalConstraintSubset(0b0011, new_target));
-  EXPECT_EQ(box->EvalConstraintSubset(0b0011, 0), mask_outcome);
-  EXPECT_EQ(box->EvalPerturbation(writes, new_target),
-            twin->EvalPerturbation(writes, new_target));
-  EXPECT_EQ(box->EvalPerturbation(writes, 0), table_outcome);
-  EXPECT_EQ(box->num_algorithm_calls(), calls);
-}
-
-TEST(BlackBoxRepairTest, SealedCollisionPathStillFallsThrough) {
-  // The forced-bucket-clash regression, in sealed mode: sealed entries
-  // verify by 128-bit fingerprint, which must still keep distinct
-  // inputs apart under a colliding 64-bit bucket.
-  Table a = data::SoccerDirtyTable();
-  a.Set(data::SoccerCell(5, "League"), Value::Null());
-  Table b = data::SoccerDirtyTable();
-  b.Set(data::SoccerCell(5, "Country"), Value::Null());
-  auto box = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(box.ok());
-  box->SealTargets();
-  box->set_table_bucket_fn_for_test([](const Table&) { return 7u; });
-  const std::size_t base = box->num_algorithm_calls();
-  const bool outcome_a = box->EvalTable(a);
-  const bool outcome_b = box->EvalTable(b);
-  EXPECT_EQ(box->num_algorithm_calls(), base + 2);
-  EXPECT_EQ(box->EvalTable(a), outcome_a);
-  EXPECT_EQ(box->EvalTable(b), outcome_b);
-  EXPECT_EQ(box->num_algorithm_calls(), base + 2);
 }
 
 TEST(CellGameTest, PrunedPlayerListKeepsBackgroundCells) {

@@ -156,7 +156,7 @@ TEST(SamplingTest, EarlyStoppingOnTargetStdError) {
   });
   SamplingOptions options;
   options.num_samples = 100000;
-  options.target_std_error = 0.01;
+  options.stop.target_half_width = options.stop.z * 0.01;
   options.check_interval = 32;
   auto estimates = EstimateShapleyAllPlayers(game, options);
   ASSERT_TRUE(estimates.ok());

@@ -1,16 +1,21 @@
 // Cross-algorithm property tests: invariants every bundled repairer must
 // uphold on randomized workloads (TEST_P sweep over seeds). These are
-// the contract the Shapley games depend on.
+// the contract the Shapley games and the repair memo depend on.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
+#include "core/repair_game.h"
 #include "data/errors.h"
 #include "data/generator.h"
 #include "data/soccer.h"
 #include "dc/violation.h"
+#include "repair/faulty.h"
 #include "repair/fd_repair.h"
 #include "repair/holistic.h"
 #include "repair/holoclean.h"
@@ -48,14 +53,49 @@ std::vector<std::shared_ptr<RepairAlgorithm>> AllAlgorithms() {
 class RepairPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(RepairPropertyTest, DeterministicOnRandomWorkloads) {
+TEST_P(RepairPropertyTest, DeterministicSeriallyConcurrentlyAndInTheBox) {
+  // The memo's contract: `Repair` is a function of its inputs. A memo
+  // entry keeps one run's output (as its diff against T^c) and answers
+  // every later evaluation of the same input from it, so repeated,
+  // concurrent and boxed runs on equal inputs must return equal tables.
+  // The fault-injecting decorator must pass through unchanged while no
+  // fault is scheduled.
   const Workload workload = MakeWorkload(GetParam());
-  for (const auto& alg : AllAlgorithms()) {
-    auto a = alg->Repair(workload.dcs, workload.dirty);
-    auto b = alg->Repair(workload.dcs, workload.dirty);
-    ASSERT_TRUE(a.ok()) << alg->name();
-    ASSERT_TRUE(b.ok()) << alg->name();
-    EXPECT_EQ(*a, *b) << alg->name() << " seed " << GetParam();
+  const auto bundled = AllAlgorithms();
+  std::vector<std::shared_ptr<const RepairAlgorithm>> algorithms(
+      bundled.begin(), bundled.end());
+  algorithms.push_back(std::make_shared<FaultyAlgorithm>(
+      "faulty-rule", repair::MakeAlgorithm1(), FaultyOptions{}));
+  constexpr std::size_t kConcurrent = 4;
+  ThreadPool pool(kConcurrent);
+  for (const auto& alg : algorithms) {
+    SCOPED_TRACE(alg->name() + " seed " + std::to_string(GetParam()));
+    auto reference = alg->Repair(workload.dcs, workload.dirty);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      auto again = alg->Repair(workload.dcs, workload.dirty);
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(*again, *reference);
+      EXPECT_EQ(again->StrongFingerprint(), reference->StrongFingerprint());
+    }
+
+    std::vector<std::optional<Result<Table>>> concurrent(kConcurrent);
+    pool.Run(kConcurrent, [&](std::size_t i) {
+      concurrent[i] = alg->Repair(workload.dcs, workload.dirty);
+    });
+    for (const auto& result : concurrent) {
+      ASSERT_TRUE(result.has_value() && result->ok());
+      EXPECT_EQ(**result, *reference);
+      EXPECT_EQ((*result)->StrongFingerprint(),
+                reference->StrongFingerprint());
+    }
+
+    auto box = BlackBoxRepair::MakeMultiTarget(alg.get(), workload.dcs,
+                                               workload.dirty, {});
+    ASSERT_TRUE(box.ok()) << box.status();
+    EXPECT_EQ(box->reference_clean(), *reference);
+    EXPECT_EQ(box->reference_clean().StrongFingerprint(),
+              reference->StrongFingerprint());
   }
 }
 

@@ -140,12 +140,12 @@ TEST(EngineRouterTest, EvictedEntryStaysUsableWhileHeld) {
 TEST(EngineRouterTest, RouterAppliesEngineOptions) {
   RouterOptions options;
   options.engine_options.num_threads = 3;
-  options.engine_options.max_memo_entries = 17;
+  options.engine_options.anytime.max_sweeps = 17;
   EngineRouter router(options);
   auto entry = router.Acquire(repair::MakeAlgorithm1(),
                               data::SoccerConstraints(), SoccerTable());
   EXPECT_EQ(entry->engine.options().num_threads, 3u);
-  EXPECT_EQ(entry->engine.options().max_memo_entries, 17u);
+  EXPECT_EQ(entry->engine.options().anytime.max_sweeps, 17u);
 }
 
 }  // namespace

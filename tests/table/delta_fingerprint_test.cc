@@ -93,7 +93,6 @@ TEST(DeltaFingerprintTest, MatchesFromScratchOnRandomizedWriteSets) {
     const Table materialized = Materialize(base, writes);
     EXPECT_EQ(delta64, materialized.Fingerprint());
     EXPECT_EQ(delta128, materialized.StrongFingerprint());
-    EXPECT_TRUE(materialized.EqualsWithWrites(base, writes));
   }
 }
 
@@ -153,28 +152,6 @@ TEST(DeltaFingerprintTest, PositionKeyedNotJustValueKeyed) {
   ASSERT_TRUE(swapped.AppendRow({Value("y"), Value("x")}).ok());
   EXPECT_NE(table.Fingerprint(), swapped.Fingerprint());
   EXPECT_NE(table.StrongFingerprint(), swapped.StrongFingerprint());
-}
-
-TEST(EqualsWithWritesTest, DetectsEveryKindOfMismatch) {
-  Table base(Schema::AllStrings({"A", "B"}));
-  ASSERT_TRUE(base.AppendRow({Value("a0"), Value("b0")}).ok());
-  ASSERT_TRUE(base.AppendRow({Value("a1"), Value("b1")}).ok());
-  const std::vector<CellWrite> writes = {{CellRef{0, 1}, Value("patched")}};
-
-  Table good = base;
-  good.Set(CellRef{0, 1}, Value("patched"));
-  EXPECT_TRUE(good.EqualsWithWrites(base, writes));
-  EXPECT_FALSE(good.EqualsWithWrites(base, {}));  // unwritten mismatch
-  EXPECT_FALSE(base.EqualsWithWrites(base, writes));  // write not applied
-
-  Table touched_elsewhere = good;
-  touched_elsewhere.Set(CellRef{1, 0}, Value("stray"));
-  EXPECT_FALSE(touched_elsewhere.EqualsWithWrites(base, writes));
-
-  Table other_schema(Schema::AllStrings({"A", "C"}));
-  ASSERT_TRUE(other_schema.AppendRow({Value("a0"), Value("patched")}).ok());
-  ASSERT_TRUE(other_schema.AppendRow({Value("a1"), Value("b1")}).ok());
-  EXPECT_FALSE(other_schema.EqualsWithWrites(base, writes));
 }
 
 TEST(ApproxMemoryBytesTest, GrowsWithContent) {

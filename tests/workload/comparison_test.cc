@@ -119,59 +119,6 @@ TEST(ComparisonTest, DeterministicForSeed) {
   }
 }
 
-TEST(ComparisonTest, SealedRunIsBitIdenticalAcrossAllBackends) {
-  // The sealed-target memo mode (EngineOptions::seal_targets) must be
-  // an invisible compaction: every backend's repair quality,
-  // explanations, stability metrics, and even its repair-call count
-  // match the unsealed run bit for bit — only the resident memo bytes
-  // shrink (here at least 5x).
-  ComparisonOptions sealed_options = SmokeOptions();
-  sealed_options.engine.seal_targets = true;
-  auto plain = RunComparison(SmokeOptions());
-  auto sealed = RunComparison(sealed_options);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(sealed.ok());
-  ASSERT_EQ(plain->backends.size(), 4u);
-  ASSERT_EQ(sealed->backends.size(), 4u);
-  for (std::size_t i = 0; i < plain->backends.size(); ++i) {
-    const BackendRun& rp = plain->backends[i];
-    const BackendRun& rs = sealed->backends[i];
-    EXPECT_EQ(rp.backend, rs.backend);
-    EXPECT_TRUE(rp.error.empty()) << rp.backend << ": " << rp.error;
-    EXPECT_TRUE(rs.error.empty()) << rs.backend << ": " << rs.error;
-    EXPECT_EQ(rp.quality.cells_changed, rs.quality.cells_changed)
-        << rp.backend;
-    EXPECT_EQ(rp.quality.f1, rs.quality.f1) << rp.backend;
-    EXPECT_EQ(rp.quality.residual_violations, rs.quality.residual_violations)
-        << rp.backend;
-    EXPECT_EQ(rp.algorithm_calls, rs.algorithm_calls) << rp.backend;
-    EXPECT_EQ(rp.cross_request_hits, rs.cross_request_hits) << rp.backend;
-    EXPECT_EQ(rp.explained_targets, rs.explained_targets) << rp.backend;
-    ASSERT_EQ(rp.explanations.size(), rs.explanations.size());
-    for (std::size_t t = 0; t < rp.explanations.size(); ++t) {
-      ASSERT_EQ(rp.explanations[t].has_value(),
-                rs.explanations[t].has_value());
-      if (!rp.explanations[t].has_value()) continue;
-      const auto& ep = rp.explanations[t]->ranked;
-      const auto& es = rs.explanations[t]->ranked;
-      ASSERT_EQ(ep.size(), es.size());
-      for (std::size_t p = 0; p < ep.size(); ++p) {
-        EXPECT_EQ(ep[p].label, es[p].label) << rp.backend;
-        EXPECT_EQ(ep[p].shapley, es[p].shapley) << rp.backend;
-      }
-    }
-    EXPECT_EQ(plain->stability[i].mean_kendall_tau,
-              sealed->stability[i].mean_kendall_tau);
-    EXPECT_EQ(plain->stability[i].mean_spearman_rho,
-              sealed->stability[i].mean_spearman_rho);
-    // The compaction headline: O(targets) bits per entry instead of a
-    // resident repaired table.
-    EXPECT_GE(rp.approx_memo_bytes, 5 * rs.approx_memo_bytes)
-        << rp.backend << ": unsealed=" << rp.approx_memo_bytes
-        << " sealed=" << rs.approx_memo_bytes;
-  }
-}
-
 TEST(ComparisonTest, JsonLinesCarryTheReport) {
   auto report = RunComparison(SmokeOptions());
   ASSERT_TRUE(report.ok());
