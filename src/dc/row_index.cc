@@ -1,25 +1,59 @@
 #include "dc/row_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/logging.h"
 #include "dc/predicate.h"
 
 namespace trex::dc {
+namespace {
 
-bool ConstraintRowIndex::Key::operator==(const Key& other) const {
-  if (values.size() != other.values.size()) return false;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] != other.values[i]) return false;
-  }
-  return true;
+/// True iff `value` can compare equal to two values that differ from each
+/// other: a NaN (equal to every number) or an integer that only compares
+/// through its rounded double.
+bool BreaksTransitivity(const Value& value) {
+  if (value.is_double()) return std::isnan(value.as_double());
+  if (!value.is_int()) return false;
+  const std::int64_t v = value.as_int();
+  const double d = static_cast<double>(v);
+  return d >= 9223372036854775808.0 || static_cast<std::int64_t>(d) != v;
 }
 
-std::size_t ConstraintRowIndex::KeyHash::operator()(const Key& key) const {
-  std::size_t h = 0x811c9dc5;
-  for (const Value& v : key.values) h = HashCombine(h, v.Hash());
-  return h;
+}  // namespace
+
+std::uint32_t ConstraintRowIndex::IdChains::Add(std::uint64_t hash) {
+  TREX_CHECK_LT(hashes_.size(), std::size_t{kNone});
+  const auto id = static_cast<std::uint32_t>(hashes_.size());
+  hashes_.push_back(hash);
+  next_.push_back(kNone);
+  if (hashes_.size() > heads_.size()) {
+    Rechain(std::max<std::size_t>(16, 2 * heads_.size()));
+  } else {
+    const std::size_t slot = Slot(hash);
+    next_[id] = heads_[slot];
+    heads_[slot] = id;
+  }
+  return id;
+}
+
+void ConstraintRowIndex::IdChains::Reserve(std::size_t n) {
+  hashes_.reserve(n);
+  next_.reserve(n);
+  if (n > heads_.size()) Rechain(std::bit_ceil(n));
+}
+
+void ConstraintRowIndex::IdChains::Rechain(std::size_t num_heads) {
+  heads_.assign(num_heads, kNone);
+  shift_ = 64 - std::countr_zero(num_heads);
+  for (std::uint32_t id = 0; id < hashes_.size(); ++id) {
+    const std::size_t slot = Slot(hashes_[id]);
+    next_[id] = heads_[slot];
+    heads_[slot] = id;
+  }
 }
 
 ConstraintRowIndex::ConstraintRowIndex(const Table* table,
@@ -31,70 +65,194 @@ ConstraintRowIndex::ConstraintRowIndex(const Table* table,
   // The same join-key convention as the detector's hash fast path —
   // shared extraction keeps probe and detector agreeing on what joins.
   CrossTupleKeyColumns cols = CrossTupleEqualityColumns(*dc_);
-  t1_cols_ = std::move(cols.t1_cols);
-  t2_cols_ = std::move(cols.t2_cols);
-  if (t1_cols_.empty()) return;
+  if (cols.t1_cols.empty()) return;
   use_buckets_ = true;
+  key_width_ = cols.t1_cols.size();
+  sides_[0].key_cols = std::move(cols.t1_cols);
+  sides_[1].key_cols = std::move(cols.t2_cols);
+
+  // Counted shape: the only other predicate is one cross-tuple `!=`.
+  const Predicate* neq = nullptr;
+  std::size_t num_residual = 0;
+  for (const Predicate& p : dc_->predicates()) {
+    if (p.IsCrossTupleEquality()) continue;
+    ++num_residual;
+    if (p.op == CompareOp::kNeq && p.lhs.is_cell() && p.rhs.is_cell() &&
+        p.lhs.tuple_index() != p.rhs.tuple_index()) {
+      neq = &p;
+    }
+  }
+  counted_ = num_residual == 1 && neq != nullptr;
+  if (counted_) {
+    sides_[0].neq_col = neq->lhs.tuple_index() == 0 ? neq->lhs.col()
+                                                    : neq->rhs.col();
+    sides_[1].neq_col = neq->lhs.tuple_index() == 0 ? neq->rhs.col()
+                                                    : neq->lhs.col();
+  }
+  shared_side_ = sides_[0].key_cols == sides_[1].key_cols &&
+                 sides_[0].neq_col == sides_[1].neq_col;
 
   const std::size_t n = table_->num_rows();
-  t1_key_of_row_.resize(n);
-  t2_key_of_row_.resize(n);
-  by_t2_key_.reserve(n);
-  by_t1_key_.reserve(n);
-  for (std::size_t row = 0; row < n; ++row) {
-    t1_key_of_row_[row] = KeyOf(row, t1_cols_);
-    t2_key_of_row_[row] = KeyOf(row, t2_cols_);
-    Insert(&by_t1_key_, t1_key_of_row_[row], row);
-    Insert(&by_t2_key_, t2_key_of_row_[row], row);
+  TREX_CHECK_LT(n, std::size_t{kNone});
+  buckets_.Reserve(n);
+  if (counted_) groups_.Reserve(n);
+  for (int s = 0; s < num_sides(); ++s) {
+    Side& side = sides_[s];
+    side.bucket_of.assign(n, kNone);
+    side.group_of.assign(n, kNone);
+    side.prev.assign(n, kNone);
+    side.next.assign(n, kNone);
+  }
+  for (int s = 0; s < num_sides(); ++s) {
+    Side& side = sides_[s];
+    for (std::size_t row = 0; row < n; ++row) {
+      const std::uint32_t bucket = FindOrAddBucket(row, side);
+      Link(&side, row, bucket,
+           counted_ && bucket != kNone
+               ? FindOrAddGroup(bucket, table_->at(row, side.neq_col))
+               : kNone);
+    }
+  }
+  if (counted_) {
+    irregular_.resize(n);
+    for (std::size_t row = 0; row < n; ++row) {
+      irregular_[row] = Irregular(row);
+      num_irregular_ += irregular_[row];
+    }
   }
 }
 
-std::optional<ConstraintRowIndex::Key> ConstraintRowIndex::KeyOf(
-    std::size_t row, const std::vector<std::size_t>& cols) const {
-  Key key;
-  key.values.reserve(cols.size());
-  for (std::size_t col : cols) {
+std::uint32_t ConstraintRowIndex::FindOrAddBucket(std::size_t row,
+                                                  const Side& side) {
+  std::size_t hash = 0x811c9dc5;
+  for (std::size_t col : side.key_cols) {
     const Value& v = table_->at(row, col);
-    if (v.is_null()) return std::nullopt;  // null never joins
-    key.values.push_back(v);
+    if (v.is_null()) return kNone;  // null never joins
+    hash = HashCombine(hash, v.Hash());
   }
-  return key;
+  // Stored keys are compared against the table: rows keep no key copy.
+  const std::uint32_t found = buckets_.Find(hash, [&](std::uint32_t bucket) {
+    const Value* key = &bucket_keys_[bucket * key_width_];
+    for (std::size_t i = 0; i < key_width_; ++i) {
+      if (table_->at(row, side.key_cols[i]) != key[i]) return false;
+    }
+    return true;
+  });
+  if (found != kNone) return found;
+  const std::uint32_t bucket = buckets_.Add(hash);
+  for (std::size_t col : side.key_cols) {
+    bucket_keys_.push_back(table_->at(row, col));
+  }
+  for (int s = 0; s < num_sides(); ++s) {
+    sides_[s].first.push_back(kNone);
+    sides_[s].size.push_back(0);
+  }
+  return bucket;
 }
 
-void ConstraintRowIndex::Remove(BucketMap* buckets,
-                                const std::optional<Key>& key,
-                                std::size_t row) {
-  if (!key.has_value()) return;
-  auto it = buckets->find(*key);
-  if (it == buckets->end()) return;
-  auto& rows = it->second;
-  rows.erase(std::remove(rows.begin(), rows.end(), row), rows.end());
-  if (rows.empty()) buckets->erase(it);
+std::uint32_t ConstraintRowIndex::FindOrAddGroup(std::uint32_t bucket,
+                                                 const Value& value) {
+  // `Value` equality puts every null in one group: null != null is false.
+  const std::uint64_t hash = HashCombine(value.Hash(), bucket);
+  const std::uint32_t found = groups_.Find(hash, [&](std::uint32_t group) {
+    return group_bucket_[group] == bucket && group_value_[group] == value;
+  });
+  if (found != kNone) return found;
+  const std::uint32_t group = groups_.Add(hash);
+  group_bucket_.push_back(bucket);
+  group_value_.push_back(value);
+  for (int s = 0; s < num_sides(); ++s) sides_[s].group_size.push_back(0);
+  return group;
 }
 
-void ConstraintRowIndex::Insert(BucketMap* buckets,
-                                const std::optional<Key>& key,
-                                std::size_t row) {
-  if (!key.has_value()) return;
-  (*buckets)[*key].push_back(row);
+void ConstraintRowIndex::Link(Side* side, std::size_t row,
+                              std::uint32_t bucket, std::uint32_t group) {
+  side->bucket_of[row] = bucket;
+  side->group_of[row] = group;
+  if (bucket == kNone) return;
+  const std::uint32_t head = side->first[bucket];
+  side->prev[row] = kNone;
+  side->next[row] = head;
+  if (head != kNone) side->prev[head] = static_cast<std::uint32_t>(row);
+  side->first[bucket] = static_cast<std::uint32_t>(row);
+  ++side->size[bucket];
+  if (group != kNone) ++side->group_size[group];
+}
+
+void ConstraintRowIndex::Unlink(Side* side, std::size_t row) {
+  const std::uint32_t bucket = side->bucket_of[row];
+  if (bucket == kNone) return;
+  const std::uint32_t prev = side->prev[row];
+  const std::uint32_t next = side->next[row];
+  if (prev != kNone) {
+    side->next[prev] = next;
+  } else {
+    side->first[bucket] = next;
+  }
+  if (next != kNone) side->prev[next] = prev;
+  --side->size[bucket];
+  if (side->group_of[row] != kNone) --side->group_size[side->group_of[row]];
+  side->bucket_of[row] = kNone;
+  side->group_of[row] = kNone;
+}
+
+bool ConstraintRowIndex::Irregular(std::size_t row) const {
+  return BreaksTransitivity(table_->at(row, sides_[0].neq_col)) ||
+         BreaksTransitivity(table_->at(row, sides_[1].neq_col));
+}
+
+void ConstraintRowIndex::CheckRow(std::size_t row) const {
+  TREX_CHECK_LT(row, side(0).bucket_of.size());
 }
 
 bool ConstraintRowIndex::IsKeyColumn(std::size_t col) const {
   if (!use_buckets_) return false;
-  return std::find(t1_cols_.begin(), t1_cols_.end(), col) !=
-             t1_cols_.end() ||
-         std::find(t2_cols_.begin(), t2_cols_.end(), col) != t2_cols_.end();
+  for (const Side& side : sides_) {
+    if (std::find(side.key_cols.begin(), side.key_cols.end(), col) !=
+        side.key_cols.end()) {
+      return true;
+    }
+    if (counted_ && side.neq_col == col) return true;
+  }
+  return false;
 }
 
 void ConstraintRowIndex::Rekey(std::size_t row) {
   if (!use_buckets_) return;
-  TREX_CHECK_LT(row, t1_key_of_row_.size());
-  Remove(&by_t1_key_, t1_key_of_row_[row], row);
-  Remove(&by_t2_key_, t2_key_of_row_[row], row);
-  t1_key_of_row_[row] = KeyOf(row, t1_cols_);
-  t2_key_of_row_[row] = KeyOf(row, t2_cols_);
-  Insert(&by_t1_key_, t1_key_of_row_[row], row);
-  Insert(&by_t2_key_, t2_key_of_row_[row], row);
+  CheckRow(row);
+  for (int s = 0; s < num_sides(); ++s) {
+    Side& side = sides_[s];
+    const std::uint32_t bucket = FindOrAddBucket(row, side);
+    const std::uint32_t group =
+        counted_ && bucket != kNone
+            ? FindOrAddGroup(bucket, table_->at(row, side.neq_col))
+            : kNone;
+    if (bucket == side.bucket_of[row] && group == side.group_of[row]) {
+      continue;
+    }
+    Unlink(&side, row);
+    Link(&side, row, bucket, group);
+  }
+  if (counted_) {
+    const bool irregular = Irregular(row);
+    num_irregular_ = num_irregular_ - irregular_[row] + irregular;
+    irregular_[row] = irregular;
+  }
+}
+
+bool ConstraintRowIndex::HasCountedPartner(std::size_t row, int s) const {
+  const Side& own = side(s);
+  const Side& other = side(1 - s);
+  const std::uint32_t bucket = own.bucket_of[row];
+  if (bucket == kNone) return false;
+  // Partners: the other side's members of the bucket outside the row's
+  // group, and never the row itself.
+  const std::uint32_t group = own.group_of[row];
+  std::uint32_t partners = other.size[bucket] - other.group_size[group];
+  if (other.bucket_of[row] == bucket && other.group_of[row] != group) {
+    --partners;
+  }
+  return partners > 0;
 }
 
 bool ConstraintRowIndex::RowViolates(std::size_t row) const {
@@ -109,22 +267,25 @@ bool ConstraintRowIndex::RowViolates(std::size_t row) const {
     }
     return false;
   }
-  // Partners for ordered pairs (row, other): rows whose t2-side key
-  // matches this row's t1-side key.
-  if (const auto& key = t1_key_of_row_[row]; key.has_value()) {
-    if (auto it = by_t2_key_.find(*key); it != by_t2_key_.end()) {
-      for (std::size_t other : it->second) {
-        if (other == row) continue;
-        if (dc_->IsViolatedBy(*table_, row, other)) return true;
-      }
-    }
+  CheckRow(row);
+  if (Counting()) {
+    // One side serves both orientations of a shared-side constraint.
+    return HasCountedPartner(row, 0) ||
+           (!shared_side_ && HasCountedPartner(row, 1));
   }
-  // ...and the mirror for ordered pairs (other, row).
-  if (const auto& key = t2_key_of_row_[row]; key.has_value()) {
-    if (auto it = by_t1_key_.find(*key); it != by_t1_key_.end()) {
-      for (std::size_t other : it->second) {
-        if (other == row) continue;
-        if (dc_->IsViolatedBy(*table_, other, row)) return true;
+  // Partners for ordered pairs (row, other) are the t2-side members of
+  // the bucket of this row's t1-side key; s == 1 is the mirror for pairs
+  // (other, row).
+  for (int s = 0; s < 2; ++s) {
+    const std::uint32_t bucket = side(s).bucket_of[row];
+    if (bucket == kNone) continue;
+    const Side& other_side = side(1 - s);
+    for (std::uint32_t other = other_side.first[bucket]; other != kNone;
+         other = other_side.next[other]) {
+      if (other == row) continue;
+      if (s == 0 ? dc_->IsViolatedBy(*table_, row, other)
+                 : dc_->IsViolatedBy(*table_, other, row)) {
+        return true;
       }
     }
   }
@@ -140,39 +301,40 @@ std::vector<Violation> ConstraintRowIndex::ViolationsOfRow(
     }
     return out;
   }
-  const auto emit_forward = [&](std::size_t other) {
-    if (dc_->IsViolatedBy(*table_, row, other)) {
-      Violation v{constraint_index, row, other};
-      if (dedup && other < row) v = Violation{constraint_index, other, row};
-      out.push_back(v);
-    }
-  };
-  const auto emit_reverse = [&](std::size_t other) {
-    if (dc_->IsViolatedBy(*table_, other, row)) {
-      Violation v{constraint_index, other, row};
-      if (dedup && row < other) v = Violation{constraint_index, row, other};
-      out.push_back(v);
-    }
+  const auto emit = [&](std::size_t row1, std::size_t row2) {
+    if (dedup && row2 < row1) std::swap(row1, row2);
+    out.push_back(Violation{constraint_index, row1, row2});
   };
   if (!use_buckets_) {
     for (std::size_t other = 0; other < table_->num_rows(); ++other) {
       if (other == row) continue;
-      emit_forward(other);
-      emit_reverse(other);
+      if (dc_->IsViolatedBy(*table_, row, other)) emit(row, other);
+      if (dc_->IsViolatedBy(*table_, other, row)) emit(other, row);
     }
     return out;
   }
-  if (const auto& key = t1_key_of_row_[row]; key.has_value()) {
-    if (auto it = by_t2_key_.find(*key); it != by_t2_key_.end()) {
-      for (std::size_t other : it->second) {
-        if (other != row) emit_forward(other);
+  CheckRow(row);
+  const bool counting = Counting();
+  for (int s = 0; s < 2; ++s) {
+    const Side& own = side(s);
+    const std::uint32_t bucket = own.bucket_of[row];
+    if (bucket == kNone) continue;
+    const Side& other_side = side(1 - s);
+    for (std::uint32_t other = other_side.first[bucket]; other != kNone;
+         other = other_side.next[other]) {
+      if (other == row) continue;
+      if (counting) {
+        // Every partner outside the row's group violates; its own group
+        // never does.
+        if (other_side.group_of[other] == own.group_of[row]) continue;
+      } else if (s == 0 ? !dc_->IsViolatedBy(*table_, row, other)
+                        : !dc_->IsViolatedBy(*table_, other, row)) {
+        continue;
       }
-    }
-  }
-  if (const auto& key = t2_key_of_row_[row]; key.has_value()) {
-    if (auto it = by_t1_key_.find(*key); it != by_t1_key_.end()) {
-      for (std::size_t other : it->second) {
-        if (other != row) emit_reverse(other);
+      if (s == 0) {
+        emit(row, other);
+      } else {
+        emit(other, row);
       }
     }
   }

@@ -10,24 +10,37 @@
 // constraint's cross-tuple equality columns once (O(n)), and a probe
 // tests only the row's join-key bucket — O(bucket) instead of O(n).
 //
+// Counted shape: when the predicates are cross-tuple equalities plus
+// exactly one cross-tuple `!=` (every FD, and all bundled soccer and
+// hospital DCs), each bucket also groups its rows by their value in the
+// `!=` column. A pair in one bucket violates iff the two values sit in
+// different groups; all nulls share one group, which is exactly
+// `EvalOp`'s `!=` on nulls. `RowViolates` is then O(1): the bucket's size
+// against the own group's size, the row itself excluded. Every other
+// shape tests each bucket partner with `IsViolatedBy`.
+//
 // Exactness: a probe returns exactly what the nested-loop scan would.
 // Cross-tuple equality on a null is false (see EvalOp in predicate.cc),
 // so rows with null join keys are correctly unbucketed on that side —
 // the same argument that makes `FindViolations`' hash fast path exact.
+// Grouping needs `Value` equality to be transitive on the `!=` column;
+// while any row holds a NaN or an integer a double cannot represent
+// there, counted probes test partners one by one instead.
 // Constraints with no cross-tuple equality predicate (and unary
 // constraints) fall back to the scan, so the index is safe for any DC.
 //
-// Mutation contract: the index reads the caller's table *live* — edits
-// to non-key columns are visible immediately. After changing a cell in
-// a key column (`IsKeyColumn`), the owner must call `Rekey(row)` before
-// the next probe so the row moves to its new bucket.
+// Mutation contract: the index reads the caller's table *live* for every
+// column it does not index — such edits are visible immediately. After
+// changing a cell in an indexed column (`IsKeyColumn`: a join-key column,
+// or the counted shape's `!=` column), the owner must call `Rekey(row)`
+// before the next probe so the row moves to its new bucket and group.
 
 #ifndef TREX_DC_ROW_INDEX_H_
 #define TREX_DC_ROW_INDEX_H_
 
+#include <array>
 #include <cstddef>
-#include <optional>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "dc/constraint.h"
@@ -45,8 +58,8 @@ class ConstraintRowIndex {
 
   /// True iff `row` currently participates in a violation of the
   /// constraint (as either tuple variable) — bit-identical to
-  /// `dc::RowViolates(table, dc, row)`, in O(bucket) for constraints
-  /// with cross-tuple equalities.
+  /// `dc::RowViolates(table, dc, row)`: O(1) for the counted shape,
+  /// O(bucket) for other constraints with cross-tuple equalities.
   bool RowViolates(std::size_t row) const;
 
   /// Every current violation involving `row`, tagged `constraint_index`
@@ -58,11 +71,12 @@ class ConstraintRowIndex {
                                          std::size_t constraint_index,
                                          bool dedup) const;
 
-  /// True iff `col` feeds the bucket keys: after writing such a column,
-  /// call `Rekey(row)` for the changed row.
+  /// True iff `col` is indexed (a join-key column, or the counted
+  /// shape's `!=` column): after writing such a column, call
+  /// `Rekey(row)` for the changed row.
   bool IsKeyColumn(std::size_t col) const;
 
-  /// Re-buckets `row` from the table's current values.
+  /// Re-buckets and re-groups `row` from the table's current values.
   void Rekey(std::size_t row);
 
   /// False when the constraint has no cross-tuple equality predicate
@@ -70,40 +84,98 @@ class ConstraintRowIndex {
   bool uses_buckets() const { return use_buckets_; }
 
  private:
-  struct Key {
-    std::vector<Value> values;
-    bool operator==(const Key& other) const;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const;
-  };
-  using BucketMap =
-      std::unordered_map<Key, std::vector<std::size_t>, KeyHash>;
+  static constexpr std::uint32_t kNone = 0xffffffffu;
 
-  /// The row's join key over `cols`, or nullopt when any key value is
-  /// null (null never joins).
-  std::optional<Key> KeyOf(std::size_t row,
-                           const std::vector<std::size_t>& cols) const;
-  static void Remove(BucketMap* buckets, const std::optional<Key>& key,
-                     std::size_t row);
-  static void Insert(BucketMap* buckets, const std::optional<Key>& key,
-                     std::size_t row);
+  /// Chained hash index from 64-bit hashes to the dense ids 0, 1, 2, ...
+  /// it hands out; the caller keeps what each id stands for.
+  class IdChains {
+   public:
+    /// The id registered under `hash` for which `same(id)` holds, or
+    /// kNone.
+    template <typename Same>
+    std::uint32_t Find(std::uint64_t hash, const Same& same) const {
+      if (heads_.empty()) return kNone;
+      for (std::uint32_t id = heads_[Slot(hash)]; id != kNone;
+           id = next_[id]) {
+        if (hashes_[id] == hash && same(id)) return id;
+      }
+      return kNone;
+    }
+    /// Registers the next id under `hash` and returns it.
+    std::uint32_t Add(std::uint64_t hash);
+    void Reserve(std::size_t n);
+
+   private:
+    std::size_t Slot(std::uint64_t hash) const {
+      return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ULL) >>
+                                      shift_);
+    }
+    void Rechain(std::size_t num_heads);
+
+    int shift_ = 64;
+    std::vector<std::uint32_t> heads_;  // power-of-two size
+    std::vector<std::uint32_t> next_;
+    std::vector<std::uint64_t> hashes_;
+  };
+
+  /// One tuple variable's view of the table: each row sits in the bucket
+  /// of its key over `key_cols` and, for the counted shape, in the group
+  /// of (that bucket, its value in `neq_col`). Bucket and group ids are
+  /// shared by both sides, so a key found through one side's columns
+  /// names the same bucket on the other side.
+  struct Side {
+    std::vector<std::size_t> key_cols;
+    std::size_t neq_col = 0;
+    // Per row.
+    std::vector<std::uint32_t> bucket_of;  // kNone: a null in the key
+    std::vector<std::uint32_t> group_of;   // kNone unless counted
+    std::vector<std::uint32_t> prev;       // bucket member list links
+    std::vector<std::uint32_t> next;
+    // Per bucket.
+    std::vector<std::uint32_t> first;  // member list head
+    std::vector<std::uint32_t> size;
+    // Per group.
+    std::vector<std::uint32_t> group_size;
+  };
+
+  int num_sides() const { return shared_side_ ? 1 : 2; }
+  const Side& side(int s) const { return sides_[shared_side_ ? 0 : s]; }
+
+  /// The bucket of `row`'s key on `side`, created if new; kNone when the
+  /// key holds a null (null never joins).
+  std::uint32_t FindOrAddBucket(std::size_t row, const Side& side);
+  /// The group of (`bucket`, `value`), created if new.
+  std::uint32_t FindOrAddGroup(std::uint32_t bucket, const Value& value);
+  void Link(Side* side, std::size_t row, std::uint32_t bucket,
+            std::uint32_t group);
+  void Unlink(Side* side, std::size_t row);
+  /// Counted probe: does a partner for ordered pairs in which `row` plays
+  /// tuple variable `s` sit outside the row's group?
+  bool HasCountedPartner(std::size_t row, int s) const;
+  /// True iff the counted probe may be used (see file comment).
+  bool Counting() const { return counted_ && num_irregular_ == 0; }
+  bool Irregular(std::size_t row) const;
+  void CheckRow(std::size_t row) const;
 
   const Table* table_;
   const DenialConstraint* dc_;
   bool use_buckets_ = false;
-  /// Columns of each tuple variable in the cross-tuple equality
-  /// predicates (parallel vectors, one entry per such predicate).
-  std::vector<std::size_t> t1_cols_;
-  std::vector<std::size_t> t2_cols_;
-  /// Rows bucketed by their t2-side key — probed with a row's t1-side
-  /// key to find partners `o` for ordered pairs (row, o) — and the
-  /// mirror for pairs (o, row).
-  BucketMap by_t2_key_;
-  BucketMap by_t1_key_;
-  /// Each row's current keys, for bucket removal on `Rekey`.
-  std::vector<std::optional<Key>> t1_key_of_row_;
-  std::vector<std::optional<Key>> t2_key_of_row_;
+  /// Cross-tuple equalities plus exactly one cross-tuple `!=`.
+  bool counted_ = false;
+  /// Both tuple variables have the same key and `!=` columns, so one
+  /// side serves both orientations.
+  bool shared_side_ = false;
+  std::array<Side, 2> sides_;
+  std::size_t key_width_ = 0;
+  IdChains buckets_;
+  std::vector<Value> bucket_keys_;  // key_width_ values per bucket
+  IdChains groups_;
+  std::vector<std::uint32_t> group_bucket_;
+  std::vector<Value> group_value_;
+  /// Rows whose `!=` value on either side breaks transitive equality,
+  /// and their count (counted shape only).
+  std::vector<std::uint8_t> irregular_;
+  std::size_t num_irregular_ = 0;
 };
 
 }  // namespace trex::dc

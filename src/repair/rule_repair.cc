@@ -140,10 +140,11 @@ Result<Table> RuleRepair::Repair(const dc::DcSet& dcs,
     bool changed = false;
     for (const ResolvedRule& rule : resolved) {
       const dc::DenialConstraint& constraint = dcs.at(rule.constraint_index);
-      // Bucketed per-row violation probe over the mutating table —
-      // O(bucket) per row instead of dc::RowViolates' full scan. Writes
-      // below only touch the rule's target column; the row is re-keyed
-      // when that column feeds the constraint's join key.
+      // Bucketed per-row violation probe over the mutating table — O(1)
+      // per row for the counted shape, O(bucket) otherwise, instead of
+      // dc::RowViolates' full scan. Writes below only touch the rule's
+      // target column; the row is re-keyed when the index indexes that
+      // column (a join-key column or the counted `!=` column).
       dc::ConstraintRowIndex row_index(&table, &constraint);
       // The paper's semantics: statistics reflect the *current*
       // (partially repaired) table. The incremental counters below are

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/random.h"
 #include "data/errors.h"
 #include "data/generator.h"
 #include "data/soccer.h"
@@ -13,16 +18,32 @@
 namespace trex::dc {
 namespace {
 
-/// Probe answers must be bit-identical to the nested-loop scan for
-/// every row and constraint.
+/// `RowViolates` must be bit-identical to the nested-loop scan, and
+/// `ViolationsOfRow` to the full detector's violations involving the row,
+/// for every row.
+void ExpectIndexMatchesScan(const Table& table, const DenialConstraint& dc,
+                            std::size_t c, const ConstraintRowIndex& index,
+                            const std::string& context) {
+  const bool dedup = dc.IsSymmetric();
+  const std::vector<Violation> all = FindViolationsOf(table, dc, c);
+  for (std::size_t row = 0; row < table.num_rows(); ++row) {
+    ASSERT_EQ(index.RowViolates(row), RowViolates(table, dc, row))
+        << context << " row " << row;
+    std::set<Violation> expected;
+    for (const Violation& v : all) {
+      if (v.row1 == row || v.row2 == row) expected.insert(v);
+    }
+    const std::vector<Violation> probed = index.ViolationsOfRow(row, c, dedup);
+    ASSERT_EQ(std::set<Violation>(probed.begin(), probed.end()), expected)
+        << context << " row " << row;
+  }
+}
+
 void ExpectMatchesScan(const Table& table, const DcSet& dcs) {
   for (std::size_t c = 0; c < dcs.size(); ++c) {
     const DenialConstraint& dc = dcs.at(c);
     ConstraintRowIndex index(&table, &dc);
-    for (std::size_t row = 0; row < table.num_rows(); ++row) {
-      EXPECT_EQ(index.RowViolates(row), RowViolates(table, dc, row))
-          << dc.name() << " row " << row;
-    }
+    ExpectIndexMatchesScan(table, dc, c, index, dc.name());
   }
 }
 
@@ -45,26 +66,7 @@ TEST(ConstraintRowIndexTest, ViolationsOfRowMatchesFullDetection) {
   inject.error_rate = 0.10;
   inject.seed = 6;
   auto injected = data::InjectErrors(generated.clean, inject);
-  const Table& table = injected.dirty;
-  for (std::size_t c = 0; c < generated.dcs.size(); ++c) {
-    const DenialConstraint& dc = generated.dcs.at(c);
-    ConstraintRowIndex index(&table, &dc);
-    const bool dedup = dc.IsSymmetric();
-    // Ground truth: the full detector's violations involving each row.
-    std::set<Violation> all;
-    for (const Violation& v : FindViolationsOf(table, dc, c)) all.insert(v);
-    for (std::size_t row = 0; row < table.num_rows(); ++row) {
-      std::set<Violation> expected;
-      for (const Violation& v : all) {
-        if (v.row1 == row || v.row2 == row) expected.insert(v);
-      }
-      std::set<Violation> probed;
-      for (const Violation& v : index.ViolationsOfRow(row, c, dedup)) {
-        probed.insert(v);
-      }
-      EXPECT_EQ(probed, expected) << dc.name() << " row " << row;
-    }
-  }
+  ExpectMatchesScan(injected.dirty, generated.dcs);
 }
 
 TEST(ConstraintRowIndexTest, RekeyTracksKeyColumnWrites) {
@@ -94,19 +96,35 @@ TEST(ConstraintRowIndexTest, RekeyTracksKeyColumnWrites) {
   }
 }
 
-TEST(ConstraintRowIndexTest, NonKeyColumnWritesAreLive) {
+TEST(ConstraintRowIndexTest, CountedNeqColumnIsIndexedOtherColumnsAreLive) {
   Table table = data::SoccerDirtyTable();
   const DcSet dcs = data::SoccerConstraints();
   const DenialConstraint& c1 = dcs.at(0);  // !(Team == Team & City != City)
   ConstraintRowIndex index(&table, &c1);
   const std::size_t city_col = *table.schema().IndexOf("City");
-  ASSERT_FALSE(index.IsKeyColumn(city_col));
-
-  // Rewriting a City (the inequality side) changes violations without
-  // any Rekey: the index reads the live table.
+  // C1 has the counted shape: its `!=` column is indexed like a key.
+  ASSERT_TRUE(index.IsKeyColumn(city_col));
   table.Set(CellRef{4, city_col}, Value("Madrid"));
+  index.Rekey(4);
   for (std::size_t row = 0; row < table.num_rows(); ++row) {
     EXPECT_EQ(index.RowViolates(row), RowViolates(table, c1, row))
+        << "row " << row;
+  }
+
+  // Two residual predicates: outside the counted shape, so the index
+  // reads both residual columns live and needs no Rekey for them.
+  auto dc = ParseDc("!(t1.Team == t2.Team & t1.City != t2.City & "
+                    "t1.Year < t2.Year)",
+                    table.schema(), "TwoResiduals");
+  ASSERT_TRUE(dc.ok()) << dc.status().ToString();
+  ConstraintRowIndex live(&table, &*dc);
+  const std::size_t year_col = *table.schema().IndexOf("Year");
+  ASSERT_FALSE(live.IsKeyColumn(city_col));
+  ASSERT_FALSE(live.IsKeyColumn(year_col));
+  table.Set(CellRef{4, city_col}, Value("Barcelona"));
+  table.Set(CellRef{1, year_col}, Value(1999));
+  for (std::size_t row = 0; row < table.num_rows(); ++row) {
+    EXPECT_EQ(live.RowViolates(row), RowViolates(table, *dc, row))
         << "row " << row;
   }
 }
@@ -137,6 +155,103 @@ TEST(ConstraintRowIndexTest, FallsBackWithoutCrossTupleEquality) {
     EXPECT_EQ(index.RowViolates(row), RowViolates(table, *dc, row))
         << "row " << row;
   }
+}
+
+/// A value from a tiny domain, so joins, groups and nulls collide often:
+/// ints, doubles equal to them (`1` vs `1.0`), strings and, when
+/// `irregular`, rarely a NaN or an integer a double cannot hold (equality
+/// is not transitive there). Join keys stay regular: the index buckets
+/// them by `Value::Hash` exactly like `FindViolations`' hash join.
+Value RandomValue(Rng* rng, bool irregular) {
+  if (irregular && rng->UniformUint64(30) == 0) {
+    return rng->Bernoulli(0.5) ? Value(std::numeric_limits<double>::quiet_NaN())
+                               : Value(std::int64_t{9007199254740993});
+  }
+  switch (rng->UniformUint64(10)) {
+    case 0:
+    case 1:
+      return Value::Null();
+    case 2:
+    case 3:
+    case 4:
+      return Value(static_cast<int>(rng->UniformUint64(3)));
+    case 5:
+    case 6:
+      return Value(static_cast<double>(rng->UniformUint64(3)));
+    case 7:
+    case 8:
+      return Value(rng->Bernoulli(0.5) ? "x" : "y");
+    default:
+      return rng->Bernoulli(0.5) ? Value(0.5) : Value(9007199254740992.0);
+  }
+}
+
+TEST(ConstraintRowIndexTest, SeededDifferentialAgainstScan) {
+  const Schema schema({Attribute{"A", ValueType::kInt},
+                       Attribute{"B", ValueType::kInt},
+                       Attribute{"C", ValueType::kInt},
+                       Attribute{"D", ValueType::kInt},
+                       Attribute{"E", ValueType::kInt}});
+  // Join keys use A and B only; the other columns feed the residuals.
+  constexpr std::size_t kFirstNonKey = 2;
+  // 0, 1 and 2 residual predicates; symmetric and asymmetric keys; the
+  // counted shape with shared and with distinct sides.
+  const std::vector<std::string> texts = {
+      "!(t1.A == t2.A)",
+      "!(t1.A == t2.B)",
+      "!(t1.A == t2.A & t1.C != t2.C)",
+      "!(t1.A == t2.B & t1.C != t2.D)",
+      "!(t1.A == t2.A & t1.C != t2.D)",
+      "!(t2.C != t1.D & t1.A == t2.A & t1.B == t2.B)",
+      "!(t1.A == t2.A & t1.C < t2.C)",
+      "!(t1.A == t2.A & t1.C != t2.C & t1.D != t2.D)",
+      "!(t1.A == t2.B & t1.C != t2.D & t1.E <= t2.E)",
+      "!(t1.C != t2.D)",
+  };
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    for (const std::string& text : texts) {
+      auto dc = ParseDc(text, schema, "D");
+      ASSERT_TRUE(dc.ok()) << text << ": " << dc.status().ToString();
+      Rng rng(seed * 1000 + dc->Fingerprint() % 1000);
+      Table table(schema);
+      const std::size_t num_rows = 3 + rng.UniformUint64(8);
+      for (std::size_t r = 0; r < num_rows; ++r) {
+        std::vector<Value> row;
+        for (std::size_t c = 0; c < schema.size(); ++c) {
+          row.push_back(RandomValue(&rng, c >= kFirstNonKey));
+        }
+        ASSERT_TRUE(table.AppendRow(std::move(row)).ok());
+      }
+      ConstraintRowIndex index(&table, &*dc);
+      const std::string context = text + " seed " + std::to_string(seed);
+      ExpectIndexMatchesScan(table, *dc, 0, index, context + " build");
+      for (int write = 0; write < 60; ++write) {
+        const CellRef cell{rng.UniformUint64(num_rows),
+                           rng.UniformUint64(schema.size())};
+        table.Set(cell, RandomValue(&rng, cell.col >= kFirstNonKey));
+        if (index.IsKeyColumn(cell.col)) index.Rekey(cell.row);
+        ExpectIndexMatchesScan(table, *dc, 0, index,
+                               context + " write " + std::to_string(write));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(ConstraintRowIndexDeathTest, BucketProbesCheckTheRow) {
+  const Table table = data::SoccerDirtyTable();
+  const std::size_t n = table.num_rows();
+  const DcSet dcs = data::SoccerConstraints();
+  ConstraintRowIndex counted(&table, &dcs.at(0));
+  EXPECT_DEATH((void)counted.RowViolates(n), "Check failed");
+  EXPECT_DEATH((void)counted.ViolationsOfRow(n, 0, true), "Check failed");
+  auto dc = ParseDc("!(t1.Team == t2.Team & t1.City != t2.City & "
+                    "t1.Year < t2.Year)",
+                    table.schema(), "TwoResiduals");
+  ASSERT_TRUE(dc.ok()) << dc.status().ToString();
+  ConstraintRowIndex scanned(&table, &*dc);
+  EXPECT_DEATH((void)scanned.RowViolates(n), "Check failed");
+  EXPECT_DEATH((void)scanned.ViolationsOfRow(n, 0, true), "Check failed");
 }
 
 }  // namespace
