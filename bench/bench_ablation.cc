@@ -12,6 +12,7 @@
 //       (estimator): different games, visibly different rankings.
 //   (4) Antithetic sampling — variance at a fixed evaluation budget.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -227,20 +228,35 @@ void TopKAblation(const repair::RuleRepair& alg) {
   if (!box.ok()) std::exit(1);
   CellGame game(&*box, box->dirty().AllCells());
 
-  shap::TopKOptions options;
-  options.k = 1;
-  options.batch = 8;
-  options.max_samples = 512;
+  // Top-1 separation on the shared sweep driver: one sweep per shard and
+  // one wave per 8 sweeps, with the separation test at z = 2 once the
+  // leader has 8 samples.
+  shap::SamplingOptions options;
+  options.num_samples = 512;
   options.seed = 1010;
-  shap::TopKResult result;
+  options.shard_size = 1;
+  options.check_interval = 8;
+  options.stop.top_k = 1;
+  options.stop.z = 2.0;
+  options.stop.min_samples = 8;
+  std::vector<shap::Estimate> estimates;
+  shap::SweepOutcome outcome;
   const double seconds = bench::TimeSeconds([&] {
-    auto r = shap::EstimateTopKPlayers(game, options);
+    auto r = shap::EstimateShapleyAllPlayers(game, options, &outcome);
     if (!r.ok()) std::exit(1);
-    result = std::move(r).value();
+    estimates = std::move(r).value();
   });
-  const CellRef top = box->dirty().FromLinearIndex(result.ranking[0]);
+  // The first of the largest estimates, as a stable descending sort
+  // would rank it.
+  const auto leader = std::max_element(
+      estimates.begin(), estimates.end(),
+      [](const shap::Estimate& a, const shap::Estimate& b) {
+        return a.value < b.value;
+      });
+  const CellRef top = box->dirty().FromLinearIndex(
+      static_cast<std::size_t>(leader - estimates.begin()));
   std::printf("top-1 after %zu sweeps (separated=%s, %.3fs): %s\n",
-              result.sweeps, result.separated ? "yes" : "no", seconds,
+              outcome.sweeps, outcome.separated ? "yes" : "no", seconds,
               top.ToString(box->dirty().schema()).c_str());
   bench::Verdict(top == data::SoccerCell(5, "League"),
                  "adaptive driver finds t5[League] as top-1 and stops "

@@ -154,7 +154,7 @@ class PaddedNoisyGame : public shap::Game {
       : n_(n), pad_(pad) {}
   std::size_t num_players() const override { return n_; }
   double Value(const shap::Coalition& coalition) const override {
-    // sleep-ok: models repair-call latency; the bench times it on purpose.
+    // Models repair-call latency; the bench times it on purpose.
     if (pad_.count() > 0) std::this_thread::sleep_for(pad_);
     std::uint64_t mask = 0;
     double v = 0.0;

@@ -627,7 +627,7 @@ void RunResilienceScenario() {
     auto rejected = service.Submit(flaky, dcs, table, ConstraintRequest())
                         .Wait();
     TREX_CHECK(!rejected.ok() && rejected.status().IsTransient());
-    // sleep-ok: the breaker cooldown is a real-time contract; only
+    // The breaker cooldown is a real-time contract; only
     // elapsed wall-clock moves it from open to half-open.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     auto probed = service.Submit(flaky, dcs, table, ConstraintRequest())

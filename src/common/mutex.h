@@ -6,7 +6,7 @@
 //
 // Raw `std::mutex` / `std::shared_mutex` / `std::lock_guard` /
 // `std::unique_lock` / `std::condition_variable` are forbidden outside
-// this header (`tools/lint_invariants.py` rule `raw-mutex`): an
+// this header (`tools/trex_check.py` check `raw-mutex`): an
 // unwrapped lock is invisible to the analysis, so any state it guards
 // silently falls out of the checked locking model.
 //

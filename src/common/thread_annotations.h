@@ -10,7 +10,7 @@
 //
 // Use them through `common/mutex.h` (`trex::Mutex`, `trex::SharedMutex`
 // and their scoped locks are the only lock types allowed outside that
-// header; `tools/lint_invariants.py` enforces this). Annotate:
+// header; `tools/trex_check.py` enforces this). Annotate:
 //
 //   * data with the lock that protects it:   `int depth_ GUARDED_BY(mu_);`
 //   * heap data behind a guarded pointer:    `T* p_ PT_GUARDED_BY(mu_);`

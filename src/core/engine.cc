@@ -345,13 +345,21 @@ shap::StopRule Engine::EffectiveStopRule(const ExplainRequest& request) const {
   shap::StopRule stop;
   if (any.enabled()) {
     stop.target_half_width = any.target_ci_half_width;
+    stop.top_k = any.top_k;
     stop.bound = any.bound;
     stop.z = any.z;
     stop.delta = any.delta;
     stop.min_samples = any.min_samples;
     stop.freeze_converged = any.freeze_converged;
   }
+  stop.soften = request.soften;
   return stop;
+}
+
+std::size_t Engine::EffectiveBudget(const ExplainRequest& request,
+                                    std::size_t num_samples) const {
+  const AnytimeOptions& any = EffectiveAnytime(request);
+  return any.enabled() && any.max_sweeps > 0 ? any.max_sweeps : num_samples;
 }
 
 namespace {
@@ -410,26 +418,16 @@ Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
     }
     ex.method = options.use_banzhaf ? "exact(banzhaf)" : "exact";
   } else {
+    // The request and the engine own stopping, threading and
+    // cancellation; `options.sampling` contributes only the budget, seed,
+    // antithetic flag and shard size (see ConstraintExplainerOptions).
     shap::SamplingOptions sampling = options.sampling;
-    sampling.cancel = CancelToken::AnyOf(sampling.cancel, cancel);
-    // 0 = unset: inherit the engine's thread count (and its persistent
-    // pool). An explicit value is respected as a per-request override
-    // and runs on its own transient pool.
-    if (sampling.num_threads == 0) {
-      sampling.num_threads = options_.num_threads;
-      sampling.pool = SweepPool();
-    }
-    // Anytime stopping: the request-level rule applies unless the
-    // caller's sampling options carry their own; the soften token is
-    // merged either way so deadline degradation reaches every path.
-    const AnytimeOptions& anytime = EffectiveAnytime(request);
-    if (!sampling.stop.active() && anytime.enabled()) {
-      sampling.stop = EffectiveStopRule(request);
-      sampling.check_interval = anytime.check_interval;
-      if (anytime.max_sweeps > 0) sampling.num_samples = anytime.max_sweeps;
-    }
-    sampling.stop.soften =
-        CancelToken::AnyOf(sampling.stop.soften, request.soften);
+    sampling.num_samples = EffectiveBudget(request, sampling.num_samples);
+    sampling.stop = EffectiveStopRule(request);
+    sampling.check_interval = EffectiveAnytime(request).check_interval;
+    sampling.num_threads = options_.num_threads;
+    sampling.pool = SweepPool();
+    sampling.cancel = cancel;
     shap::SweepOutcome outcome;
     TREX_ASSIGN_OR_RETURN(
         std::vector<shap::Estimate> estimates,
@@ -444,7 +442,7 @@ Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
       score.constraint_index = i;
       scores.push_back(std::move(score));
     }
-    ex.method = StrFormat("sampling(m=%zu)", options.sampling.num_samples);
+    ex.method = StrFormat("sampling(m=%zu)", sampling.num_samples);
   }
   ex.ranked = std::move(scores);
   RankDescending(&ex.ranked);
@@ -653,19 +651,13 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
       }
     };
 
-    const AnytimeOptions& anytime = EffectiveAnytime(request);
     shap::ShardedSweepConfig config;
-    config.num_samples = options.num_samples;
+    config.num_samples = EffectiveBudget(request, options.num_samples);
     config.shard_size = kCellShardSize;
     config.num_threads = options_.num_threads;
     config.seed = options.seed;
-    if (anytime.enabled()) {
-      config.stop = EffectiveStopRule(request);
-      config.check_interval = anytime.check_interval;
-      if (anytime.max_sweeps > 0) config.num_samples = anytime.max_sweeps;
-    }
-    config.stop.soften =
-        CancelToken::AnyOf(config.stop.soften, request.soften);
+    config.stop = EffectiveStopRule(request);
+    config.check_interval = EffectiveAnytime(request).check_interval;
     config.pool = SweepPool();
     config.cancel = cancel;
     shap::SweepOutcome outcome =
@@ -687,81 +679,12 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
     }
     ex.method = StrFormat(
         "sampling(m=%zu, policy=%s, players=%zu/%zu)",
-        options.num_samples, AbsentCellPolicyToString(options.policy),
+        config.num_samples, AbsentCellPolicyToString(options.policy),
         players.size(), dirty_->num_cells());
   }
 
   ex.ranked = std::move(scores);
   RankDescending(&ex.ranked);
-  return ex;
-}
-
-Result<Explanation> Engine::ExplainTopKCells(
-    CellRef target, std::size_t k, const CellExplainerOptions& options,
-    CancelToken cancel, CancelToken soften) {
-  if (options.policy != AbsentCellPolicy::kNull) {
-    return Status::InvalidArgument(
-        "ExplainTopK requires AbsentCellPolicy::kNull (the adaptive "
-        "driver runs on the deterministic cell game)");
-  }
-  if (target.row >= dirty_->num_rows() || target.col >= dirty_->num_columns()) {
-    return Status::OutOfRange("target cell " + target.ToString() +
-                              " outside the table");
-  }
-  const std::size_t calls_before = num_algorithm_calls();
-  const std::size_t hits_before = num_cache_hits();
-  TREX_RETURN_NOT_OK(EnsureRepair());
-  box_->BeginRequest(next_request_id_++);
-  TREX_ASSIGN_OR_RETURN(const std::size_t target_index, EnsureTarget(target));
-  TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
-  TREX_ASSIGN_OR_RETURN(std::vector<CellRef> players,
-                        PlayerCells(options, target));
-  if (players.empty()) {
-    return Status::InvalidArgument("no candidate player cells");
-  }
-
-  CellGame game(&*box_, players, target_index);
-  shap::TopKOptions topk;
-  topk.k = k;
-  topk.max_samples = options.num_samples;
-  topk.seed = options.seed;
-  // Refinement rounds fan out over the engine's persistent pool; the
-  // separation test runs at round boundaries on deterministically
-  // merged statistics, so the ranking is thread-count independent.
-  topk.num_threads = options_.num_threads;
-  topk.pool = SweepPool();
-  if (options_.anytime.enabled()) {
-    topk.bound = options_.anytime.bound;
-    topk.z = options_.anytime.z;
-  }
-  // Same failure channel as Explain: a failed eval taints the run, so
-  // the repair failure wins over any dispatch outcome — abort-driven
-  // kCancelled, another error, or nominal success on placeholders.
-  topk.cancel = CancelToken::AnyOf(cancel, box_->eval_abort_token());
-  topk.soften = std::move(soften);
-  auto topk_run = shap::EstimateTopKPlayers(game, topk);
-  Status eval = box_->eval_error();
-  if (!eval.ok()) return eval;
-  if (!topk_run.ok()) return topk_run.status();
-  shap::TopKResult result = std::move(*topk_run);
-
-  Explanation ex = MakeBaseExplanation(*box_, target_index);
-  ex.ranked.reserve(players.size());
-  for (std::size_t player : result.ranking) {
-    const shap::Estimate& estimate = result.estimates[player];
-    PlayerScore score;
-    score.cell = players[player];
-    score.label = players[player].ToString(dirty_->schema());
-    score.shapley = estimate.value;
-    score.std_error = estimate.std_error;
-    score.num_samples = estimate.num_samples;
-    ex.ranked.push_back(std::move(score));
-  }
-  ex.method = StrFormat("topk(k=%zu, sweeps=%zu, separated=%s%s)", k,
-                        result.sweeps, result.separated ? "yes" : "no",
-                        result.softened ? ", softened" : "");
-  ex.algorithm_calls = num_algorithm_calls() - calls_before;
-  ex.cache_hits = num_cache_hits() - hits_before;
   return ex;
 }
 
@@ -802,12 +725,10 @@ Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
   // interest — so neither instance is materialized on the memo hit path.
   // Replacement draws keep the original order, so estimates are
   // bit-identical to the materialized loop.
-  const AnytimeOptions& anytime = EffectiveAnytime(request);
   const shap::StopRule stop = EffectiveStopRule(request);
-  std::size_t budget = options.num_samples;
-  if (anytime.enabled() && anytime.max_sweeps > 0) budget = anytime.max_sweeps;
+  const std::size_t budget = EffectiveBudget(request, options.num_samples);
   const std::size_t check_interval =
-      std::max<std::size_t>(1, anytime.check_interval);
+      std::max<std::size_t>(1, EffectiveAnytime(request).check_interval);
   bool early_stopped = false;
   bool approximate = false;
   shap::RunningStat stat;
@@ -816,7 +737,7 @@ Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
     if (cancel.cancelled()) {
       return Status::Cancelled("single-cell estimation cancelled");
     }
-    if (request.soften.cancelled()) {
+    if (stop.soften.cancelled()) {
       // Deadline degradation: keep what we have, flag it approximate.
       approximate = stat.count() > 0;
       if (approximate) break;

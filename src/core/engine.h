@@ -117,7 +117,8 @@ const char* ExplainKindToString(ExplainKind kind);
 /// Anytime estimation: confidence-bounded early stopping for the
 /// engine's sampled paths (kCells / kConstraints sweeps, kSingleCell).
 /// When enabled, a sampled request stops at the first wave boundary
-/// where every player's confidence half-width meets the target — the
+/// where every player's confidence half-width meets the target, or
+/// where the top-k players are CI-separated from the rest — the
 /// per-kind `num_samples` becomes an upper bound, not a fixed spend —
 /// and reports the sweeps consumed plus the achieved width on the
 /// result. Stopping decisions are made on deterministically merged
@@ -126,8 +127,13 @@ const char* ExplainKindToString(ExplainKind kind);
 /// bit-identical at every `EngineOptions::num_threads`.
 struct AnytimeOptions {
   /// Stop once every player's CI half-width is at or below this value.
-  /// Unset = anytime stopping disabled (fixed budget).
   std::optional<double> target_ci_half_width;
+  /// When > 0, stop once the k-th ranked player's CI lower bound clears
+  /// the (k+1)-th player's upper bound (shap::StopRule::top_k); a
+  /// separation reads as `ExplainResult::early_stopped`. Applies to the
+  /// kCells and kConstraints sweeps; kSingleCell and the exact paths
+  /// ignore it. Combinable with `target_ci_half_width`: either stops.
+  std::size_t top_k = 0;
   /// Bound family: normal-theory or empirical Bernstein.
   shap::BoundKind bound = shap::BoundKind::kNormal;
   /// Normal-theory width multiplier (kNormal only).
@@ -148,7 +154,11 @@ struct AnytimeOptions {
   /// `num_samples` budget.
   std::size_t max_sweeps = 0;
 
-  bool enabled() const { return target_ci_half_width.has_value(); }
+  /// Unset target and `top_k == 0` = anytime stopping disabled (fixed
+  /// budget).
+  bool enabled() const {
+    return target_ci_half_width.has_value() || top_k > 0;
+  }
 };
 
 /// One explanation query: a target cell, the kind of explanation, and
@@ -320,18 +330,6 @@ class Engine {
   [[nodiscard]] Result<BatchResult> ExplainBatch(const std::vector<ExplainRequest>& requests,
                                    CancelToken cancel = {});
 
-  /// Adaptive top-k cell ranking (see CellExplainer::ExplainTopK). The
-  /// refinement rounds run on the engine's persistent pool — a round's
-  /// sweeps execute concurrently and the separation test is evaluated at
-  /// round boundaries on deterministically merged statistics, so the
-  /// ranking is bit-identical at every thread count. `soften` degrades
-  /// like `ExplainRequest::soften`: finish the current round and return
-  /// the partial ranking.
-  [[nodiscard]] Result<Explanation> ExplainTopKCells(CellRef target, std::size_t k,
-                                       const CellExplainerOptions& options,
-                                       CancelToken cancel = {},
-                                       CancelToken soften = {});
-
   /// Lifetime totals across every request served by this engine.
   std::size_t num_algorithm_calls() const;
   std::size_t num_cache_hits() const;
@@ -353,6 +351,11 @@ class Engine {
   shap::StopRule EffectiveStopRule(const ExplainRequest& request) const;
   /// The anytime options in effect for a request.
   const AnytimeOptions& EffectiveAnytime(const ExplainRequest& request) const;
+  /// The sweep budget a sampled path runs: `AnytimeOptions::max_sweeps`
+  /// when anytime stopping is enabled and it is set, else the per-kind
+  /// `num_samples`.
+  std::size_t EffectiveBudget(const ExplainRequest& request,
+                              std::size_t num_samples) const;
 
   // The sampled per-kind helpers take the whole request (for anytime
   // options and the soften token) and record sweep telemetry — sweeps,

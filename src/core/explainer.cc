@@ -83,13 +83,6 @@ Result<Explanation> CellExplainer::Explain(
   return std::move(*result.explanation);
 }
 
-Result<Explanation> CellExplainer::ExplainTopK(
-    const repair::RepairAlgorithm& algorithm, const dc::DcSet& dcs,
-    const Table& dirty, CellRef target, std::size_t k) const {
-  Engine engine = Engine::Wrap(algorithm, dcs, dirty);
-  return engine.ExplainTopKCells(target, k, options_);
-}
-
 Result<PlayerScore> CellExplainer::ExplainSingleCell(
     const repair::RepairAlgorithm& algorithm, const dc::DcSet& dcs,
     const Table& dirty, CellRef target, CellRef player_cell) const {

@@ -4,7 +4,9 @@
 //
 // Both classes are thin adapters over `trex::Engine` (core/engine.h) —
 // each call spins up a single-use engine. Multi-query callers should use
-// the engine directly to share the reference repair and memo caches.
+// the engine directly to share the reference repair and memo caches;
+// the engine is also where anytime options live, top-k early stopping
+// included (`ExplainKind::kCells` with `AnytimeOptions::top_k`).
 //
 //  * `ConstraintExplainer` computes *exact* Shapley values by subset
 //    enumeration by default ("the number of DCs is usually small") and
@@ -95,7 +97,11 @@ struct ConstraintExplainerOptions {
   /// Banzhaf weighs every coalition equally and drops the efficiency
   /// axiom — a common comparison point for attribution semantics).
   bool use_banzhaf = false;
-  /// Sampling parameters (used only on the sampling path).
+  /// Sampling parameters (used only on the sampling path). The engine
+  /// reads `num_samples`, `seed`, `antithetic` and `shard_size`. It sets
+  /// the stop rule and check interval from `ExplainRequest::anytime` and
+  /// `soften`, the threads and pool from the engine, and the cancel
+  /// token from `ExplainRequest::cancel`; those fields here are ignored.
   shap::SamplingOptions sampling;
 };
 
@@ -190,16 +196,6 @@ class CellExplainer {
   [[nodiscard]] Result<PlayerScore> ExplainSingleCell(
       const repair::RepairAlgorithm& algorithm, const dc::DcSet& dcs,
       const Table& dirty, CellRef target, CellRef player_cell) const;
-
-  /// Adaptive top-k ranking (null policy only): samples permutation
-  /// sweeps in batches and stops as soon as the top-k cells are
-  /// CI-separated from the rest — usually far below the fixed budget the
-  /// full ranking needs. `options().num_samples` is the sweep budget
-  /// cap. The returned explanation still lists every player, with
-  /// whatever precision the early stop left them at.
-  [[nodiscard]] Result<Explanation> ExplainTopK(const repair::RepairAlgorithm& algorithm,
-                                  const dc::DcSet& dcs, const Table& dirty,
-                                  CellRef target, std::size_t k) const;
 
  private:
   CellExplainerOptions options_;

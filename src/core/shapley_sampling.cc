@@ -464,66 +464,4 @@ Result<std::vector<Estimate>> EstimateShapleyAllPlayers(
   return estimates;
 }
 
-Result<TopKResult> EstimateTopKPlayers(const Game& game,
-                                       const TopKOptions& options) {
-  const std::size_t n = game.num_players();
-  if (n == 0) return TopKResult{};
-  if (options.k == 0) {
-    return Status::InvalidArgument("k must be positive");
-  }
-  if (options.batch == 0 || options.max_samples == 0) {
-    return Status::InvalidArgument("batch and max_samples must be positive");
-  }
-
-  // One sweep per shard, one round per wave: the separation test runs at
-  // round boundaries on deterministically merged statistics, so the
-  // stopping round — and every estimate — is bit-identical at any
-  // thread count while a round's sweeps execute concurrently.
-  ShardedSweepConfig config;
-  config.num_samples = options.max_samples;
-  config.shard_size = 1;
-  config.wave_shards = options.batch;
-  config.num_threads = options.num_threads;
-  config.seed = options.seed;
-  config.pool = options.pool;
-  config.cancel = options.cancel;
-  config.stop.top_k = options.k;
-  config.stop.z = options.z;
-  config.stop.bound = options.bound;
-  config.stop.min_samples = 8;
-  config.stop.soften = options.soften;
-
-  auto one_sweep = [&](Rng* rng, std::vector<RunningStat>* stats,
-                       const std::vector<bool>& frozen) {
-    (void)frozen;  // no per-player target → nothing ever freezes
-    const std::vector<std::size_t> perm = rng->Permutation(n);
-    Coalition coalition(n, false);
-    double prev = game.Value(coalition);
-    // One permutation sweep is the cancellation unit:
-    // trex-check-ok(cancel-poll): RunShardedSweeps polls at shard bounds
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      coalition[perm[pos]] = true;
-      const double curr = game.Value(coalition);
-      (*stats)[perm[pos]].Add(curr - prev);
-      prev = curr;
-    }
-  };
-
-  const SweepOutcome out = RunShardedSweeps(config, n, one_sweep);
-  if (options.cancel.cancelled()) {
-    return Status::Cancelled("top-k Shapley sampling cancelled");
-  }
-
-  TopKResult result;
-  result.estimates.reserve(n);
-  for (const RunningStat& stat : out.stats) {
-    result.estimates.push_back(stat.ToEstimate());
-  }
-  result.ranking = RankByMean(out.stats);
-  result.separated = out.separated;
-  result.sweeps = out.sweeps;
-  result.softened = out.softened;
-  return result;
-}
-
 }  // namespace trex::shap

@@ -10,7 +10,10 @@
 //    characteristic-function evaluations (with and without the player).
 //  * `EstimateShapleyAllPlayers` — one sweep per permutation yields a
 //    marginal sample for *every* player with n+1 evaluations, the right
-//    tool when ranking all cells.
+//    tool when ranking all cells. It is also the top-k driver: with
+//    `stop.top_k = k` it stops once the k leaders are CI-separated from
+//    the rest, which is what the T-REx GUI flow needs when the user
+//    reads only the first few rows of the ranking.
 //
 // Anytime estimation: every estimator can stop as soon as the answer is
 // good enough instead of spending a fixed permutation budget. A
@@ -249,8 +252,8 @@ struct SweepOutcome {
 };
 
 /// The shared wave-synchronous sweep driver behind
-/// `EstimateShapleyAllPlayers`, `EstimateTopKPlayers`, and the engine's
-/// cell sampler: partitions `num_samples` sweeps into fixed shards, runs
+/// `EstimateShapleyAllPlayers` and the engine's cell sampler (top-k
+/// ranking included, via `stop.top_k`): partitions `num_samples` sweeps into fixed shards, runs
 /// each shard with an RNG seeded by `ShardSeed(seed, shard)`, and merges
 /// per-shard statistics in shard-index order — so the merged result
 /// depends only on (config, sweep), never on thread count. Shards
@@ -297,61 +300,6 @@ SweepOutcome RunShardedSweeps(
 [[nodiscard]] Result<Estimate> EstimateShapleyStratified(const Game& game,
                                            std::size_t player,
                                            const SamplingOptions& options = {});
-
-/// Options for the adaptive top-k driver.
-struct TopKOptions {
-  std::size_t k = 3;
-  /// Confidence width multiplier for the separation test.
-  double z = 2.0;
-  /// Sweeps per refinement round (= the wave width: a round's sweeps
-  /// run concurrently on the pool).
-  std::size_t batch = 16;
-  /// Total sweep budget.
-  std::size_t max_samples = 4096;
-  std::uint64_t seed = Rng::kDefaultSeed;
-  /// Bound family for the separation test.
-  BoundKind bound = BoundKind::kNormal;
-  /// Worker threads for the refinement rounds; same semantics as
-  /// `SamplingOptions::num_threads` (0 = unset/serial, engine may
-  /// substitute its pool width). Results are bit-identical at every
-  /// thread count: each sweep draws from its own `ShardSeed` stream and
-  /// the separation test runs on deterministically merged statistics at
-  /// round boundaries.
-  std::size_t num_threads = 0;
-  /// Optional persistent worker pool (non-owning; must outlive the
-  /// call). Null = transient pool per call when `num_threads > 1`.
-  ThreadPool* pool = nullptr;
-  /// Polled between sweeps; see SamplingOptions::cancel.
-  CancelToken cancel;
-  /// Soft stop: finish the current round and return the partial
-  /// ranking + estimates (see StopRule::soften).
-  CancelToken soften;
-};
-
-/// Result of the adaptive top-k estimation.
-struct TopKResult {
-  /// Per-player estimates (indexed by player).
-  std::vector<Estimate> estimates;
-  /// Players sorted by estimated value, descending.
-  std::vector<std::size_t> ranking;
-  /// True when the k-th and (k+1)-th players' confidence intervals
-  /// separated before the budget ran out.
-  bool separated = false;
-  /// Permutation sweeps consumed.
-  std::size_t sweeps = 0;
-  /// The soften token ended the run early (partial but valid ranking).
-  bool softened = false;
-};
-
-/// Samples permutation sweeps in rounds until the top-k set is
-/// CI-separated from the rest (lower bound of the k-th estimate above
-/// the upper bound of the (k+1)-th) or the budget is exhausted. This is
-/// the right driver for the T-REx GUI flow, where the user only reads
-/// the first few rows of the ranking. Runs on the wave-synchronous
-/// sweep driver: a round's sweeps execute in parallel and the
-/// separation test is evaluated at round boundaries only.
-[[nodiscard]] Result<TopKResult> EstimateTopKPlayers(const Game& game,
-                                       const TopKOptions& options = {});
 
 }  // namespace trex::shap
 

@@ -4,6 +4,7 @@
 // stopping wave, the freeze set, and every merged estimate must depend
 // only on the configuration, never on scheduling.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -334,38 +335,64 @@ TEST(AnytimeSweepTest, SinglePlayerEstimatorHonoursSoften) {
   EXPECT_EQ(estimate->num_samples, 32u);  // one check interval
 }
 
+/// Top-k separation on the sweep driver: one sweep per shard, one wave
+/// (and separation test) per `batch` sweeps at z = 2 once the k-th
+/// player has 8 samples.
+SamplingOptions TopKSampling(std::size_t k, std::size_t batch,
+                             std::size_t max_samples) {
+  SamplingOptions options;
+  options.num_samples = max_samples;
+  options.shard_size = 1;
+  options.check_interval = batch;
+  options.stop.top_k = k;
+  options.stop.z = 2.0;
+  options.stop.min_samples = 8;
+  return options;
+}
+
+/// Players by estimate, descending; ties keep player order.
+std::vector<std::size_t> Ranking(const std::vector<Estimate>& estimates) {
+  std::vector<std::size_t> order(estimates.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&estimates](std::size_t a, std::size_t b) {
+                     return estimates[a].value > estimates[b].value;
+                   });
+  return order;
+}
+
 TEST(TopKAnytimeTest, BitIdenticalAcrossThreadCounts) {
   const CountingGame game = NoisyWithNullPlayer();
-  TopKOptions options;
   // Players 1 and 2 tie at Shapley value 0.7 (0.5 + half the 0.4
   // interaction vs the plain 0.7 weight), so top-1 never separates;
   // top-2 = {1, 2} separates cleanly from player 0 at 0.5.
-  options.k = 2;
-  options.batch = 16;
-  options.max_samples = 2048;
+  SamplingOptions options =
+      TopKSampling(2, /*batch=*/16, /*max_samples=*/2048);
   options.seed = 59;
 
   options.num_threads = 1;
-  auto serial = EstimateTopKPlayers(game, options);
+  SweepOutcome serial_outcome;
+  auto serial = EstimateShapleyAllPlayers(game, options, &serial_outcome);
   ASSERT_TRUE(serial.ok());
-  EXPECT_TRUE(serial->separated);
-  EXPECT_LT(serial->sweeps, options.max_samples);
-  EXPECT_TRUE((serial->ranking[0] == 1u && serial->ranking[1] == 2u) ||
-              (serial->ranking[0] == 2u && serial->ranking[1] == 1u));
+  const std::vector<std::size_t> ranking = Ranking(*serial);
+  EXPECT_TRUE(serial_outcome.separated);
+  EXPECT_LT(serial_outcome.sweeps, options.num_samples);
+  EXPECT_TRUE((ranking[0] == 1u && ranking[1] == 2u) ||
+              (ranking[0] == 2u && ranking[1] == 1u));
 
   for (const std::size_t threads : {2u, 8u}) {
     options.num_threads = threads;
-    auto parallel = EstimateTopKPlayers(game, options);
+    SweepOutcome outcome;
+    auto parallel = EstimateShapleyAllPlayers(game, options, &outcome);
     ASSERT_TRUE(parallel.ok());
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    EXPECT_EQ(serial->ranking, parallel->ranking);
-    EXPECT_EQ(serial->sweeps, parallel->sweeps);
-    EXPECT_EQ(serial->separated, parallel->separated);
-    ASSERT_EQ(serial->estimates.size(), parallel->estimates.size());
-    for (std::size_t p = 0; p < serial->estimates.size(); ++p) {
-      EXPECT_EQ(serial->estimates[p].value, parallel->estimates[p].value);
-      EXPECT_EQ(serial->estimates[p].num_samples,
-                parallel->estimates[p].num_samples);
+    EXPECT_EQ(ranking, Ranking(*parallel));
+    EXPECT_EQ(serial_outcome.sweeps, outcome.sweeps);
+    EXPECT_EQ(serial_outcome.separated, outcome.separated);
+    ASSERT_EQ(serial->size(), parallel->size());
+    for (std::size_t p = 0; p < serial->size(); ++p) {
+      EXPECT_EQ((*serial)[p].value, (*parallel)[p].value);
+      EXPECT_EQ((*serial)[p].num_samples, (*parallel)[p].num_samples);
     }
   }
 }
@@ -374,21 +401,20 @@ TEST(TopKAnytimeTest, SoftenReturnsPartialRanking) {
   const CountingGame game = NoisyWithNullPlayer();
   CancelSource soften;
   soften.Cancel();
-  TopKOptions options;
-  options.k = 1;
-  options.batch = 16;
-  options.max_samples = 2048;
+  SamplingOptions options =
+      TopKSampling(1, /*batch=*/16, /*max_samples=*/2048);
   options.seed = 59;
   // Keep separation from firing on the very first round so the soften
   // path is what ends the run.
-  options.z = 1000.0;
-  options.soften = soften.token();
-  auto result = EstimateTopKPlayers(game, options);
+  options.stop.z = 1000.0;
+  options.stop.soften = soften.token();
+  SweepOutcome outcome;
+  auto result = EstimateShapleyAllPlayers(game, options, &outcome);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->softened);
-  EXPECT_FALSE(result->separated);
-  EXPECT_EQ(result->sweeps, options.batch);  // one round
-  EXPECT_EQ(result->ranking.size(), 4u);
+  EXPECT_TRUE(outcome.softened);
+  EXPECT_FALSE(outcome.separated);
+  EXPECT_EQ(outcome.sweeps, options.check_interval);  // one round
+  EXPECT_EQ(result->size(), 4u);
 }
 
 TEST(StratifiedAnytimeTest, BitIdenticalAcrossThreadCounts) {

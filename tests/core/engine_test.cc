@@ -183,37 +183,96 @@ TEST(EngineTest, MemoEntriesAreSmallerThanTheTable) {
             entries * dirty.ApproxMemoryBytes());
 }
 
+/// The same request with top-1 early stopping, checked every 32 sweeps,
+/// under a budget of `max_sweeps`.
+ExplainRequest WithTopOne(ExplainRequest request, std::size_t max_sweeps) {
+  AnytimeOptions anytime;
+  anytime.top_k = 1;
+  anytime.check_interval = 32;
+  anytime.max_sweeps = max_sweeps;
+  request.anytime = anytime;
+  return request;
+}
+
 TEST(EngineTest, ThreadCountDoesNotChangeSampledValues) {
   const std::vector<CellRef> targets = ThreeTargets();
-  std::vector<Explanation> per_thread_count;
-  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
-    EngineOptions options;
-    options.num_threads = num_threads;
-    Engine engine(Alg(), data::SoccerConstraints(), ThreeTargetDirtyTable(),
-                  options);
-    auto result = engine.Explain(CellsRequest(targets[2], 128, 77));
-    ASSERT_TRUE(result.ok()) << result.status();
-    per_thread_count.push_back(std::move(*result->explanation));
+  const ExplainRequest fixed = CellsRequest(targets[2], 128, 77);
+  for (const ExplainRequest& request : {fixed, WithTopOne(fixed, 512)}) {
+    SCOPED_TRACE(request.anytime.has_value() ? "top-1" : "fixed budget");
+    std::vector<ExplainResult> per_thread_count;
+    for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+      EngineOptions options;
+      options.num_threads = num_threads;
+      Engine engine(Alg(), data::SoccerConstraints(),
+                    ThreeTargetDirtyTable(), options);
+      auto result = engine.Explain(request);
+      ASSERT_TRUE(result.ok()) << result.status();
+      per_thread_count.push_back(std::move(*result));
+    }
+    ExpectSameExplanation(*per_thread_count[0].explanation,
+                          *per_thread_count[1].explanation);
+    EXPECT_EQ(per_thread_count[0].sweeps, per_thread_count[1].sweeps);
+    if (request.anytime.has_value()) {
+      for (const ExplainResult& result : per_thread_count) {
+        EXPECT_TRUE(result.early_stopped);
+        EXPECT_LT(result.sweeps, 512u);
+        // The method reports the budget that ran, not `num_samples`.
+        EXPECT_NE(result.explanation->method.find("m=512,"),
+                  std::string::npos);
+      }
+    }
   }
-  ExpectSameExplanation(per_thread_count[0], per_thread_count[1]);
 }
 
 TEST(EngineTest, ThreadedConstraintSamplingMatchesSerial) {
-  ExplainRequest request = ConstraintRequest(data::SoccerTargetCell());
-  request.constraints.force_sampling = true;
-  request.constraints.sampling.num_samples = 256;
-  request.constraints.sampling.seed = 5;
-  std::vector<Explanation> runs;
-  for (std::size_t num_threads : {std::size_t{1}, std::size_t{3}}) {
-    EngineOptions options;
-    options.num_threads = num_threads;
-    Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
-                  options);
-    auto result = engine.Explain(request);
-    ASSERT_TRUE(result.ok()) << result.status();
-    runs.push_back(std::move(*result->explanation));
+  ExplainRequest fixed = ConstraintRequest(data::SoccerTargetCell());
+  fixed.constraints.force_sampling = true;
+  fixed.constraints.sampling.num_samples = 256;
+  fixed.constraints.sampling.seed = 5;
+  for (const ExplainRequest& request : {fixed, WithTopOne(fixed, 256)}) {
+    SCOPED_TRACE(request.anytime.has_value() ? "top-1" : "fixed budget");
+    std::vector<ExplainResult> runs;
+    for (std::size_t num_threads : {std::size_t{1}, std::size_t{3}}) {
+      EngineOptions options;
+      options.num_threads = num_threads;
+      Engine engine(Alg(), data::SoccerConstraints(),
+                    data::SoccerDirtyTable(), options);
+      auto result = engine.Explain(request);
+      ASSERT_TRUE(result.ok()) << result.status();
+      runs.push_back(std::move(*result));
+    }
+    ExpectSameExplanation(*runs[0].explanation, *runs[1].explanation);
+    EXPECT_EQ(runs[0].sweeps, runs[1].sweeps);
+    if (request.anytime.has_value()) {
+      for (const ExplainResult& result : runs) {
+        EXPECT_TRUE(result.early_stopped);
+        EXPECT_LT(result.sweeps, 256u);
+        EXPECT_EQ(result.explanation->ranked[0].label, "C3");
+      }
+    }
   }
-  ExpectSameExplanation(runs[0], runs[1]);
+}
+
+TEST(EngineTest, TopKCellsFindsLeagueFirstAndStopsEarly) {
+  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+  // Budget cap 2000; top-1 separation stops far earlier, at a whole
+  // 32-sweep shard.
+  auto result = engine.Explain(
+      WithTopOne(CellsRequest(data::SoccerTargetCell(), 2000, 97), 2000));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->explanation->ranked[0].label, "t5[League]");
+  EXPECT_TRUE(result->early_stopped);
+  EXPECT_EQ(result->sweeps, 160u);
+  // Every player still gets an estimate row.
+  EXPECT_EQ(result->explanation->ranked.size(), 24u);
+}
+
+TEST(EngineTest, CellsRejectUnrepairedTarget) {
+  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+  auto result = engine.Explain(
+      WithTopOne(CellsRequest(data::SoccerCell(1, "Team"), 64, 1), 64));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, SequentialExplainCallsShareTheEngineCache) {

@@ -325,43 +325,6 @@ TEST(CellExplainerTest, SingleCellOutOfRangeRejected) {
   EXPECT_FALSE(score.ok());
 }
 
-TEST(CellExplainerTest, TopKFindsLeagueFirstAndStopsEarly) {
-  CellExplainerOptions options;
-  options.policy = AbsentCellPolicy::kNull;
-  options.num_samples = 2000;  // budget cap; should stop far earlier
-  options.seed = 97;
-  CellExplainer explainer(options);
-  auto ex = explainer.ExplainTopK(*Alg(), data::SoccerConstraints(),
-                                  data::SoccerDirtyTable(),
-                                  data::SoccerTargetCell(), /*k=*/1);
-  ASSERT_TRUE(ex.ok()) << ex.status();
-  EXPECT_EQ(ex->ranked[0].label, "t5[League]");
-  EXPECT_NE(ex->method.find("topk(k=1"), std::string::npos);
-  EXPECT_NE(ex->method.find("separated=yes"), std::string::npos);
-  // Every player still gets an estimate row.
-  EXPECT_EQ(ex->ranked.size(), 24u);
-}
-
-TEST(CellExplainerTest, TopKRejectsColumnSamplePolicy) {
-  CellExplainerOptions options;
-  options.policy = AbsentCellPolicy::kSampleFromColumn;
-  CellExplainer explainer(options);
-  auto ex = explainer.ExplainTopK(*Alg(), data::SoccerConstraints(),
-                                  data::SoccerDirtyTable(),
-                                  data::SoccerTargetCell(), 1);
-  EXPECT_FALSE(ex.ok());
-}
-
-TEST(CellExplainerTest, TopKRejectsUnrepairedTarget) {
-  CellExplainerOptions options;
-  options.policy = AbsentCellPolicy::kNull;
-  CellExplainer explainer(options);
-  auto ex = explainer.ExplainTopK(*Alg(), data::SoccerConstraints(),
-                                  data::SoccerDirtyTable(),
-                                  data::SoccerCell(1, "Team"), 1);
-  EXPECT_FALSE(ex.ok());
-}
-
 TEST(AbsentCellPolicyTest, Names) {
   EXPECT_STREQ(AbsentCellPolicyToString(AbsentCellPolicy::kNull), "null");
   EXPECT_STREQ(

@@ -1,5 +1,5 @@
-// Tests for the sampling extensions: stratified estimation and the
-// adaptive top-k driver.
+// Tests for the sampling extensions: stratified estimation and top-k
+// separation on the sweep driver.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <vector>
 
 #include "core/shapley_exact.h"
 #include "core/shapley_sampling.h"
@@ -105,16 +106,42 @@ TEST(StratifiedTest, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a->value, b->value);
 }
 
+/// Top-k separation on the sweep driver: one sweep per shard, a
+/// separation test every `batch` sweeps at z = 2 once the k-th player
+/// has 8 samples.
+SamplingOptions TopKSampling(std::size_t k, std::size_t batch = 16,
+                             std::size_t max_samples = 4096) {
+  SamplingOptions options;
+  options.num_samples = max_samples;
+  options.shard_size = 1;
+  options.check_interval = batch;
+  options.stop.top_k = k;
+  options.stop.z = 2.0;
+  options.stop.min_samples = 8;
+  return options;
+}
+
+/// Players by estimate, descending; ties keep player order.
+std::vector<std::size_t> Ranking(const std::vector<Estimate>& estimates) {
+  std::vector<std::size_t> order(estimates.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&estimates](std::size_t a, std::size_t b) {
+                     return estimates[a].value > estimates[b].value;
+                   });
+  return order;
+}
+
 TEST(TopKTest, FindsTheTopPlayer) {
   const LambdaGame game = GloveGame();
-  TopKOptions options;
-  options.k = 1;
+  SamplingOptions options = TopKSampling(1);
   options.seed = 19;
-  auto result = EstimateTopKPlayers(game, options);
+  SweepOutcome outcome;
+  auto result = EstimateShapleyAllPlayers(game, options, &outcome);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->separated);
-  EXPECT_EQ(result->ranking[0], 0u);  // the left glove dominates
-  EXPECT_LT(result->sweeps, options.max_samples);
+  EXPECT_TRUE(outcome.separated);
+  EXPECT_EQ(Ranking(*result)[0], 0u);  // the left glove dominates
+  EXPECT_LT(outcome.sweeps, options.num_samples);
 }
 
 TEST(TopKTest, SeparationStopsEarlyOnEasyGames) {
@@ -127,15 +154,14 @@ TEST(TopKTest, SeparationStopsEarlyOnEasyGames) {
     }
     return total;
   });
-  TopKOptions options;
-  options.k = 2;
-  options.batch = 8;
-  auto result = EstimateTopKPlayers(game, options);
+  const SamplingOptions options = TopKSampling(2, /*batch=*/8);
+  SweepOutcome outcome;
+  auto result = EstimateShapleyAllPlayers(game, options, &outcome);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->separated);
-  EXPECT_EQ(result->ranking[0], 0u);
-  EXPECT_EQ(result->ranking[1], 1u);
-  EXPECT_LE(result->sweeps, 64u);
+  EXPECT_TRUE(outcome.separated);
+  EXPECT_EQ(Ranking(*result)[0], 0u);
+  EXPECT_EQ(Ranking(*result)[1], 1u);
+  EXPECT_LE(outcome.sweeps, 64u);
 }
 
 TEST(TopKTest, BudgetExhaustionOnTiedPlayers) {
@@ -144,54 +170,50 @@ TEST(TopKTest, BudgetExhaustionOnTiedPlayers) {
   LambdaGame game(4, [](std::uint64_t mask) {
     return std::popcount(mask) >= 2 ? 1.0 : 0.0;
   });
-  TopKOptions options;
-  options.k = 2;
-  options.max_samples = 128;
-  options.batch = 16;
-  auto result = EstimateTopKPlayers(game, options);
+  const SamplingOptions options =
+      TopKSampling(2, /*batch=*/16, /*max_samples=*/128);
+  SweepOutcome outcome;
+  auto result = EstimateShapleyAllPlayers(game, options, &outcome);
   ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result->separated);
-  EXPECT_EQ(result->sweeps, 128u);
+  EXPECT_FALSE(outcome.separated);
+  EXPECT_EQ(outcome.sweeps, 128u);
 }
 
 TEST(TopKTest, KCoveringAllPlayersIsTriviallySeparated) {
   const LambdaGame game = GloveGame();
-  TopKOptions options;
-  options.k = 3;
-  auto result = EstimateTopKPlayers(game, options);
+  SweepOutcome outcome;
+  auto result = EstimateShapleyAllPlayers(game, TopKSampling(3), &outcome);
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->separated);
+  EXPECT_TRUE(outcome.separated);
 }
 
 TEST(TopKTest, EstimatesAgreeWithExact) {
   const LambdaGame game = GloveGame();
-  TopKOptions options;
-  options.k = 1;
-  options.max_samples = 4096;
+  SamplingOptions options = TopKSampling(1);
   options.seed = 23;
-  auto result = EstimateTopKPlayers(game, options);
+  auto result = EstimateShapleyAllPlayers(game, options);
   ASSERT_TRUE(result.ok());
   auto exact = ComputeExactShapley(game);
   ASSERT_TRUE(exact.ok());
   // The top player's estimate must be near its exact value even when
   // stopping early (unbiasedness doesn't depend on the stop rule's
   // ordering statistics much at these counts).
-  EXPECT_NEAR(result->estimates[result->ranking[0]].value,
-              (*exact)[result->ranking[0]], 0.1);
+  const std::size_t top = Ranking(*result)[0];
+  EXPECT_NEAR((*result)[top].value, (*exact)[top], 0.1);
 }
 
 TEST(TopKTest, Validation) {
   const LambdaGame game = GloveGame();
-  TopKOptions options;
-  options.k = 0;
-  EXPECT_FALSE(EstimateTopKPlayers(game, options).ok());
-  options.k = 1;
-  options.batch = 0;
-  EXPECT_FALSE(EstimateTopKPlayers(game, options).ok());
+  SamplingOptions options = TopKSampling(1);
+  options.num_samples = 0;
+  EXPECT_FALSE(EstimateShapleyAllPlayers(game, options).ok());
+  options.num_samples = 64;
+  options.shard_size = 0;
+  EXPECT_FALSE(EstimateShapleyAllPlayers(game, options).ok());
   LambdaGame empty(0, [](std::uint64_t) { return 0.0; });
-  auto result = EstimateTopKPlayers(empty, {});
+  auto result = EstimateShapleyAllPlayers(empty, TopKSampling(1));
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->estimates.empty());
+  EXPECT_TRUE(result->empty());
 }
 
 }  // namespace

@@ -86,8 +86,9 @@ class InstrumentedAlgorithm : public repair::RepairAlgorithm {
   Result<Table> Repair(const dc::DcSet& dcs,
                        const Table& dirty) const override {
     calls_.fetch_add(1);
-    // sleep-ok: simulates a slow repair to widen coalescing windows; not
-    // a sync point — tests gate on calls_/latches, never on this timing.
+    // Widens coalescing windows. Not a sync point: tests gate on
+    // calls_/latches, never on this timing.
+    // trex-check-ok(sleep-discipline): simulates a slow repair
     if (pad_.count() > 0) std::this_thread::sleep_for(pad_);
     return inner_->Repair(dcs, dirty);
   }

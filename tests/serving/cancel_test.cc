@@ -107,8 +107,8 @@ TEST(CancelTokenWaitTest, CancelMidWaitWakesTheSleeperImmediately) {
   CancelSource source;
   CancelToken token = source.token();
   std::thread canceller([&source] {
-    // sleep-ok: gives the main thread time to park inside WaitFor; the
-    // assertion is on the 30s bound, not on this delay.
+    // The assertion is on the 30s bound, not on this delay.
+    // trex-check-ok(sleep-discipline): lets the waiter park in WaitFor
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     source.Cancel();
   });
@@ -125,7 +125,8 @@ TEST(CancelTokenWaitTest, MergedTokenWakesOnEitherSource) {
   CancelSource b;
   CancelToken merged = CancelToken::AnyOf(a.token(), b.token());
   std::thread canceller([&b] {
-    // sleep-ok: parks the waiter first; asserted via the 30s bound.
+    // Asserted via the 30s bound.
+    // trex-check-ok(sleep-discipline): parks the waiter first
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     b.Cancel();
   });
@@ -188,13 +189,17 @@ TEST(CancelThreadingTest, SinglePlayerEstimatorsObserveCancellation) {
     EXPECT_LT(game.calls(), 32u);
   }
   {
+    // Top-2 separation: one sweep per shard, a test every 8 sweeps.
     CountingGame game(5, 40);
-    shap::TopKOptions options;
-    options.k = 2;
-    options.batch = 8;
-    options.max_samples = 1024;
+    shap::SamplingOptions options;
+    options.num_samples = 1024;
+    options.shard_size = 1;
+    options.check_interval = 8;
+    options.stop.top_k = 2;
+    options.stop.z = 2.0;
+    options.stop.min_samples = 8;
     options.cancel = game.token();
-    auto result = shap::EstimateTopKPlayers(game, options);
+    auto result = shap::EstimateShapleyAllPlayers(game, options);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
     EXPECT_LT(game.calls(), 128u);

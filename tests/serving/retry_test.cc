@@ -234,8 +234,9 @@ TEST(BreakerTest, HalfOpenProbeClosesTheBreakerOnSuccess) {
   ASSERT_EQ(service.router().breaker_state(key),
             EngineRouter::BreakerState::kOpen);
 
-  // sleep-ok: waits out the breaker cooldown (a real-time contract);
-  // the next call probes half-open rather than racing this timer.
+  // The cooldown is a real-time contract; the next call probes
+  // half-open rather than racing this timer.
+  // trex-check-ok(sleep-discipline): waits out the breaker cooldown
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
 
   // The backend has recovered; the half-open probe succeeds and closes
@@ -278,8 +279,8 @@ TEST(BreakerTest, HalfOpenProbeFailureReopensTheBreaker) {
   ASSERT_EQ(service.router().breaker_state(key),
             EngineRouter::BreakerState::kOpen);
 
-  // sleep-ok: waits out the breaker cooldown so the next call is the
-  // half-open probe.
+  // The next call is the half-open probe.
+  // trex-check-ok(sleep-discipline): waits out the breaker cooldown
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
 
   // The probe fails transient: straight back to open.

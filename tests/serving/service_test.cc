@@ -308,8 +308,8 @@ TEST(ExplainServiceTest, DestructionResolvesOutstandingTickets) {
     // deterministically drains `queued` (resolving it cancelled) before
     // the release lets the worker finish and join.
     releaser = std::thread([&] {
-      // sleep-ok: delays the release past destructor entry; only
-      // liveness depends on the duration, never correctness.
+      // Only liveness depends on the duration, never correctness.
+      // trex-check-ok(sleep-discipline): releases after destructor entry
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       gated->Release();
     });

@@ -4,8 +4,9 @@
 Proves the checker is load-bearing, not decorative: a pristine copy of
 src/ passes, and reverting a protected property — stripping one
 [[nodiscard]] from a Status-returning header declaration, re-adding a
-float accumulation under unordered iteration, or adding one upward
-include — makes the checker fail with the right check name. This is the
+float accumulation under unordered iteration, adding one upward include,
+reusing a fault-site name, or adding a raw `std::mutex` — makes the
+checker fail with the right check name. This is the
 regression the CI static-analysis job exists to catch.
 
 Usage: trex_check_mutation_test.py --root <repo root> [--engine ...]
@@ -142,12 +143,22 @@ def main():
         with open(full, "w", encoding="utf-8") as f:
             f.write(new)
 
+    def raw_mutex(tmp):
+        # A raw std::mutex is invisible to -Wthread-safety.
+        full = os.path.join(tmp, "src", "core", "engine.cc")
+        with open(full, encoding="utf-8") as f:
+            text = f.read()
+        with open(full, "w", encoding="utf-8") as f:
+            f.write(text + "\n#include <mutex>\n"
+                    "namespace trex {\nstd::mutex mutation_mu;\n}\n")
+
     check("strip one [[nodiscard]]", strip_nodiscard, "status-discipline")
     check("re-add unordered float fold", inject_float_fold,
           "unordered-determinism")
     check("add upward include", upward_include, "layering")
     check("reuse a fault site name across layers", duplicate_fault_site,
           "fault-site-discipline")
+    check("add a raw std::mutex", raw_mutex, "raw-mutex")
 
     if failures:
         for f in failures:

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""AST-grade project checker for the T-REx tree.
+"""Project checker for the T-REx tree.
 
-Five semantic checks that the regex linter (tools/lint_invariants.py)
-structurally cannot do — each one pins an invariant the system's core
-guarantee depends on (bit-identical explanations at any thread count,
-replayed across backends):
+Enforces what the compiler cannot. Each check pins an invariant the
+system's core guarantee depends on (bit-identical explanations at any
+thread count, replayed across backends) or a convention that keeps the
+lock and fingerprint contracts honest:
 
   unordered-determinism
       A loop over a `std::unordered_map` / `std::unordered_set` must not
@@ -40,7 +40,29 @@ replayed across backends):
       Seeds and RNG state in src/ may derive only from explicit inputs
       (base seed, shard index) — never from `std::this_thread::get_id`,
       wall clocks, or `getpid`. A thread-id-derived seed is bit-identical
-      only by accident.
+      only by accident. Unseeded sources (`std::rand`, `srand`,
+      `std::random_device`) are rejected outright.
+
+  fault-site-discipline
+      Fault-injection sites stay auditable: production code reaches the
+      injector only through TREX_FAULT_INJECT with a literal site name
+      unique across src/, and bench/ stays injection-free.
+
+  raw-mutex
+      src/ code uses the annotated `trex::Mutex` / `trex::SharedMutex`
+      wrappers from common/mutex.h, never the raw standard-library
+      primitives, which are invisible to `-Wthread-safety`. Only
+      common/mutex.h itself may touch the raw types.
+
+  fingerprint-length-prefix
+      A `Mix(x.data(), x.size())` over variable-length bytes must follow
+      a mix of the length itself (`Mix(&len, sizeof(len))`) within the
+      preceding four lines; otherwise ("ab","c") and ("a","bc") collide.
+
+  sleep-discipline
+      Concurrency test fixtures (tests/serving/, the thread-pool test)
+      must not synchronize with a bare `sleep_for`: sleeps hide races and
+      flake under load. A deliberate sleep carries a suppression.
 
 Engines
 -------
@@ -52,6 +74,10 @@ loop and scope tracking that implements the same checks with
 project-wide declaration maps. Check names, suppression syntax, and the
 fixture self-test are shared; fixtures that only a real AST can judge
 (e.g. discarded-call-site analysis) are tagged for the clang engine.
+The line-level checks (layering, fault sites, raw-mutex, length
+prefixes, sleeps, unseeded sources, header [[nodiscard]]) are text by
+nature and run verbatim in both engines. A tree run walks src/ with the
+engine and feeds bench/ and tests/ through the line-level checks only.
 
 Suppressions
 ------------
@@ -78,8 +104,6 @@ import os
 import re
 import sys
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from lint_common import FixtureCase, run_fixture_cases  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # Shared vocabulary
@@ -92,6 +116,9 @@ CHECKS = (
     "status-discipline",
     "seed-discipline",
     "fault-site-discipline",
+    "raw-mutex",
+    "fingerprint-length-prefix",
+    "sleep-discipline",
 )
 
 # Layer ranks; an include edge src/<a>/ -> src/<b>/ is legal iff
@@ -464,19 +491,97 @@ def check_fault_site_uniqueness(files):
     return out
 
 
-def collect_bench_files(root):
+RAW_MUTEX_RE = re.compile(
+    r"std::(?:recursive_|timed_|recursive_timed_)?mutex\b"
+    r"|std::shared_(?:timed_)?mutex\b"
+    r"|std::(?:lock_guard|unique_lock|shared_lock|scoped_lock)\b"
+    r"|std::condition_variable(?:_any)?\b"
+    r"|#\s*include\s*<(?:mutex|shared_mutex|condition_variable)>")
+MUTEX_HEADER = "src/common/mutex.h"
+
+UNSEEDED_RANDOM_RE = re.compile(
+    r"std::rand\b|\bsrand\s*\(|\brandom_device\b")
+
+MIX_BYTES_RE = re.compile(
+    r"Mix\w*\(\s*([A-Za-z_][\w.\->()\[\]]*?)\.data\(\)\s*,\s*"
+    r"\1\.size\(\)\s*\)")
+MIX_LENGTH_RE = re.compile(r"Mix\w*\(\s*&\w+\s*,\s*sizeof\b")
+LENGTH_PREFIX_WINDOW = 4  # lines preceding the bytes-mix to search
+
+SLEEP_RE = re.compile(r"\bsleep_for\s*\(")
+
+
+def _matching_lines(raw_text, rx):
+    """Line numbers whose comment/string-stripped code matches `rx`."""
+    return [i for i, line in enumerate(strip_code(raw_text).splitlines(), 1)
+            if rx.search(line)]
+
+
+def check_raw_mutex(path, raw_text):
+    if not path.startswith("src/") or path == MUTEX_HEADER:
+        return []
+    return [finding(path, lineno, "raw-mutex",
+                    "raw standard-library mutex primitive; use the "
+                    "annotated wrappers from common/mutex.h")
+            for lineno in _matching_lines(raw_text, RAW_MUTEX_RE)]
+
+
+def check_unseeded_random(path, raw_text):
+    """The unseeded-source half of seed-discipline."""
+    if not path.startswith("src/"):
+        return []
+    return [finding(path, lineno, "seed-discipline",
+                    "unseeded randomness source; results must replay "
+                    "deterministically — take an explicit seed")
+            for lineno in _matching_lines(raw_text, UNSEEDED_RANDOM_RE)]
+
+
+def check_length_prefix(path, raw_text):
+    if not path.startswith("src/"):
+        return []
+    lines = strip_code(raw_text).splitlines()
     out = []
-    base = os.path.join(root, "bench")
-    if not os.path.isdir(base):
-        return out
-    for dirpath, _, filenames in os.walk(base):
-        for name in sorted(filenames):
-            if not name.endswith((".h", ".cc")):
-                continue
-            full = os.path.join(dirpath, name)
-            rel = os.path.relpath(full, root).replace(os.sep, "/")
-            with open(full, encoding="utf-8") as f:
-                out.append((rel, f.read()))
+    for i, line in enumerate(lines):
+        if not MIX_BYTES_RE.search(line):
+            continue
+        window = lines[max(0, i - LENGTH_PREFIX_WINDOW):i]
+        if any(MIX_LENGTH_RE.search(w) for w in window):
+            continue
+        out.append(finding(
+            path, i + 1, "fingerprint-length-prefix",
+            "variable-length bytes mixed into a fingerprint without a "
+            "preceding length mix; mix the length first"))
+    return out
+
+
+def check_sleep(path, raw_text):
+    if not (path.startswith("tests/serving/")
+            or path == "tests/common/thread_pool_test.cc"):
+        return []
+    return [finding(path, lineno, "sleep-discipline",
+                    "bare sleep_for in a concurrency fixture; synchronize "
+                    "with gates/latches")
+            for lineno in _matching_lines(raw_text, SLEEP_RE)]
+
+
+# Each scopes itself by path, so every file of every walked tree can be
+# fed through all of them.
+TEXT_CHECKS = (
+    check_layering,
+    check_status_annotations,
+    check_fault_sites,
+    check_raw_mutex,
+    check_unseeded_random,
+    check_length_prefix,
+    check_sleep,
+)
+
+
+def text_checks(path, raw_text):
+    """The checks both engines share verbatim (pure text by nature)."""
+    out = []
+    for check in TEXT_CHECKS:
+        out.extend(check(path, raw_text))
     return out
 
 
@@ -623,11 +728,8 @@ class TextEngine:
     def lint_file(self, path, raw_text):
         out = []
         code = strip_code(raw_text)
-        in_src = path.startswith("src/")
-        out.extend(check_layering(path, raw_text))
-        out.extend(check_status_annotations(path, raw_text))
-        out.extend(check_fault_sites(path, raw_text))
-        if in_src:
+        out.extend(text_checks(path, raw_text))
+        if path.startswith("src/"):
             out.extend(self._check_unordered(path, raw_text, code))
             out.extend(self._check_cancel_poll(path, raw_text, code))
             out.extend(self._check_seed(path, raw_text, code))
@@ -817,9 +919,7 @@ class ClangEngine:
     def lint_file(self, path, raw_text):
         """Single in-memory file (self-test path): hermetic parse."""
         tu = self.parse_tu(path, unsaved=[(path, raw_text)], hermetic=True)
-        out = list(check_layering(path, raw_text))
-        out.extend(check_status_annotations(path, raw_text))
-        out.extend(check_fault_sites(path, raw_text))
+        out = text_checks(path, raw_text)
         # Deduplicate: a statement can be reached as both a DECL_STMT
         # and its nested VAR_DECL, producing the same finding twice.
         out.extend(sorted(set(self._walk_tu(tu, {path: path}))))
@@ -867,10 +967,7 @@ class ClangEngine:
             per_file.setdefault(f[0], []).append(f)
         out = list(parse_errors)
         for rel, text in rel_files:
-            fs = per_file.get(rel, [])
-            fs += check_layering(rel, text)
-            fs += check_status_annotations(rel, text)
-            fs += check_fault_sites(rel, text)
+            fs = per_file.get(rel, []) + text_checks(rel, text)
             by_line, bad = parse_suppressions(rel, text)
             out.extend(bad)
             out.extend(apply_suppressions(sorted(set(fs)), by_line))
@@ -1107,23 +1204,23 @@ class ClangEngine:
 # Tree runner
 # ---------------------------------------------------------------------------
 
-def collect_files(root):
+def collect_files(root, top):
+    """(repo-relative path, text) of every .h/.cc file under root/top."""
     out = []
-    for top in ("src",):
-        base = os.path.join(root, top)
-        for dirpath, _, filenames in os.walk(base):
-            for name in sorted(filenames):
-                if not name.endswith((".h", ".cc")):
-                    continue
-                full = os.path.join(dirpath, name)
-                rel = os.path.relpath(full, root).replace(os.sep, "/")
-                with open(full, encoding="utf-8") as f:
-                    out.append((rel, f.read()))
+    for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if not name.endswith((".h", ".cc")):
+                continue
+            full = os.path.join(dirpath, name)
+            rel = os.path.relpath(full, root).replace(os.sep, "/")
+            with open(full, encoding="utf-8") as f:
+                out.append((rel, f.read()))
     return out
 
 
 def lint_tree(engine, root):
-    files = collect_files(root)
+    files = collect_files(root, "src")
     engine.prepare(files)
     if isinstance(engine, ClangEngine):
         out = engine.lint_tree(root, files)
@@ -1135,14 +1232,14 @@ def lint_tree(engine, root):
             out.extend(bad)
             out.extend(apply_suppressions(raw, by_line))
     # fault-site-discipline spans files: site names must be unique
-    # src-wide, and bench/ (outside the per-file walk) must stay
-    # injection-free.
+    # src-wide. bench/ (which must stay injection-free) and tests/ (whose
+    # concurrency fixtures must not sleep) get the text checks only.
     out.extend(check_fault_site_uniqueness(files))
-    for rel, text in collect_bench_files(root):
+    for rel, text in collect_files(root, "bench") + collect_files(root,
+                                                                  "tests"):
         by_line, bad = parse_suppressions(rel, text)
         out.extend(bad)
-        out.extend(apply_suppressions(check_fault_sites(rel, text),
-                                      by_line))
+        out.extend(apply_suppressions(text_checks(rel, text), by_line))
     return out
 
 
@@ -1155,10 +1252,61 @@ def lint_snippet(engine, path, text):
 
 
 # ---------------------------------------------------------------------------
-# Self-test fixtures. The preamble is hermetic (no system headers) so
-# the clang engine can parse snippets with -nostdinc and both engines
-# see identical text.
+# Self-test fixtures. Every check is fed known-bad and known-good
+# snippets, and the self-test fails if a bad snippet passes or a good one
+# is flagged, so a regression in this file cannot silently disable a
+# check. The preamble is hermetic (no system headers) so the clang
+# engine can parse snippets with -nostdinc and both engines see
+# identical text.
 # ---------------------------------------------------------------------------
+
+
+class FixtureCase:
+    """One self-test case.
+
+    check     the check the case exercises; only findings with this name
+              are counted (other checks may fire on the same snippet).
+    path      the fake repo-relative path the snippet lives at (path
+              scoping — src/ vs tests/, layer membership — is under test).
+    snippet   the file content.
+    expected  the exact number of findings the check must produce.
+    engines   optional set of engine names the case applies to (for
+              checks only a real AST can judge); None = every engine.
+    """
+
+    def __init__(self, check, path, snippet, expected, engines=None):
+        self.check = check
+        self.path = path
+        self.snippet = snippet
+        self.expected = expected
+        self.engines = engines
+
+
+def run_fixture_cases(cases, lint_file_fn, engine_name):
+    """Runs every case that applies to `engine_name` through
+    `lint_file_fn(path, snippet)`; returns 0 when each produced exactly
+    its expected count, 1 otherwise (one diagnostic per failing case)."""
+    failures = []
+    ran = 0
+    for case in cases:
+        if case.engines is not None and engine_name not in case.engines:
+            continue
+        ran += 1
+        got = [f for f in lint_file_fn(case.path, case.snippet)
+               if f[2] == case.check]
+        if len(got) != case.expected:
+            failures.append(
+                f"{case.check} on {case.path}: expected {case.expected} "
+                f"finding(s), got {len(got)}: "
+                f"{[(f[1], f[3][:60]) for f in got]}")
+    for f in failures:
+        print(f"SELF-TEST FAIL [trex_check/{engine_name}]: {f}",
+              file=sys.stderr)
+    if failures:
+        return 1
+    print(f"trex_check self-test [{engine_name}]: {ran} cases passed")
+    return 0
+
 
 PREAMBLE = r"""
 namespace std {
@@ -1536,6 +1684,54 @@ SELF_TEST_CASES = [
     # must not reach outside src/.
     FixtureCase("fault-site-discipline", "tests/common/arms_plans_test.cc",
                 BAD_FAULT_DIRECT_INJECTOR, 0),
+
+    FixtureCase("raw-mutex", "src/serving/bad.cc",
+                "std::mutex mu;\n"
+                "std::lock_guard<std::mutex> g(mu);\n", 2),
+    FixtureCase("raw-mutex", "src/serving/bad_include.cc",
+                "#include <condition_variable>\n", 1),
+    FixtureCase("raw-mutex", "src/serving/good.cc",
+                "Mutex mu;\nMutexLock lock(mu);\n", 0),
+    FixtureCase("raw-mutex", "src/common/mutex.h",  # the one exempted file
+                "std::mutex raw_;\n", 0),
+    FixtureCase("raw-mutex", "src/serving/suppressed.cc",
+                "std::mutex mu;  // trex-check-ok(raw-mutex): interop with "
+                "an external API\n", 0),
+
+    FixtureCase("seed-discipline", "src/repair/bad_unseeded.cc",
+                "int x = std::rand();\n"
+                "std::random_device rd;\n", 2),
+    FixtureCase("seed-discipline", "src/repair/good_seeded.cc",
+                "std::mt19937_64 rng(options.seed);\n", 0),
+
+    FixtureCase("fingerprint-length-prefix", "src/table/bad.cc",
+                "void F(Hasher* h, const std::string& s) {\n"
+                "  h->Mix(s.data(), s.size());\n"
+                "}\n", 1),
+    FixtureCase("fingerprint-length-prefix", "src/table/good.cc",
+                "void F(Hasher* h, const std::string& s) {\n"
+                "  const std::uint64_t length = s.size();\n"
+                "  h->Mix(&length, sizeof(length));\n"
+                "  h->Mix(s.data(), s.size());\n"
+                "}\n", 0),
+    FixtureCase("fingerprint-length-prefix", "src/table/far.cc",
+                "void F(Hasher* h, const std::string& s) {\n"
+                "  const std::uint64_t length = s.size();\n"
+                "  h->Mix(&length, sizeof(length));\n"
+                "  int a;\n  int b;\n  int c;\n  int d;\n"
+                "  h->Mix(s.data(), s.size());\n"
+                "}\n", 1),  # length mix outside the window doesn't count
+
+    FixtureCase("sleep-discipline", "tests/serving/bad_test.cc",
+                "std::this_thread::sleep_for("
+                "std::chrono::milliseconds(50));\n", 1),
+    FixtureCase("sleep-discipline", "tests/serving/good_test.cc",
+                "// trex-check-ok(sleep-discipline): simulates a slow "
+                "algorithm, not a sync point\n"
+                "std::this_thread::sleep_for(pad_);\n", 0),
+    FixtureCase("sleep-discipline", "tests/table/elsewhere_test.cc",
+                "std::this_thread::sleep_for("
+                "std::chrono::milliseconds(1));\n", 0),
 ]
 
 
@@ -1590,8 +1786,7 @@ def main():
         def lint_fn(path, snippet):
             e = make_engine(args.engine, root=root, compdb=None)
             return lint_snippet(e, path, snippet)
-        return run_fixture_cases(SELF_TEST_CASES, lint_fn, "trex_check",
-                                 engine_name=engine.name)
+        return run_fixture_cases(SELF_TEST_CASES, lint_fn, engine.name)
 
     findings = lint_tree(engine, root)
     findings.sort()
