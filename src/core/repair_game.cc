@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <set>
 #include <utility>
 
 #include "common/fault.h"
@@ -73,6 +75,40 @@ struct WriteRef {
   const Value* value;
 };
 
+/// Per column A, the constraints that are dummy players for every target
+/// in A (see the repair_game.h file comment): constraint c is a dummy
+/// when no column its single-constraint influence graph writes can reach
+/// A in the full graph. Empty when the algorithm exposes no influence
+/// graph (black boxes), so no canonicalization applies.
+std::vector<std::uint64_t> DummyConstraintMasks(
+    const repair::RepairAlgorithm& algorithm, const dc::DcSet& dcs,
+    const Schema& schema) {
+  const std::optional<dc::AttributeGraph> full =
+      algorithm.InfluenceGraph(dcs, schema);
+  if (!full.has_value() || full->num_columns() != schema.size()) return {};
+  // The columns each constraint's presence may write.
+  std::vector<std::vector<std::size_t>> written(dcs.size());
+  for (std::size_t c = 0; c < dcs.size(); ++c) {
+    const std::optional<dc::AttributeGraph> single =
+        algorithm.InfluenceGraph(dcs.Subset(std::uint64_t{1} << c), schema);
+    if (!single.has_value()) return {};
+    for (std::size_t col = 0; col < single->num_columns(); ++col) {
+      if (!single->Influencers(col).empty()) written[c].push_back(col);
+    }
+  }
+  std::vector<std::uint64_t> masks(full->num_columns(), 0);
+  for (std::size_t target_col = 0; target_col < masks.size(); ++target_col) {
+    const std::set<std::size_t> reach = full->InfluencingColumns(target_col);
+    for (std::size_t c = 0; c < dcs.size(); ++c) {
+      const bool reaches = std::any_of(
+          written[c].begin(), written[c].end(),
+          [&](std::size_t col) { return reach.count(col) > 0; });
+      if (!reaches) masks[target_col] |= std::uint64_t{1} << c;
+    }
+  }
+  return masks;
+}
+
 }  // namespace
 
 BlackBoxRepair::CacheState::CacheState() : scratch_id(NextScratchId()) {}
@@ -119,6 +155,20 @@ Result<BlackBoxRepair> BlackBoxRepair::MakeMultiTarget(
     return Status::Internal("reference repair changed the table's shape");
   }
   box.state_->calls.store(1);
+  if (box.dcs_.size() <= kMaxMaskConstraints) {
+    box.column_dummy_masks_ =
+        DummyConstraintMasks(*algorithm, box.dcs_, box.dirty_->schema());
+    // The grand coalition is the reference repair itself: its entry's
+    // diff against T^c is empty by definition.
+    const std::uint64_t full_mask =
+        box.dcs_.size() == kMaxMaskConstraints
+            ? ~std::uint64_t{0}
+            : (std::uint64_t{1} << box.dcs_.size()) - 1;
+    WriterLock lock(box.state_->mu);
+    CacheEntry& entry = box.state_->mask_cache[full_mask];
+    entry.request_id = kReferenceRequest;
+    box.state_->approx_bytes.fetch_add(EntryPayloadBytes(entry));
+  }
   for (const CellRef& target : targets) {
     auto added = box.AddTarget(target);
     TREX_CHECK(added.ok());  // bounds were validated above
@@ -145,7 +195,10 @@ Result<std::size_t> BlackBoxRepair::AddTarget(CellRef target) {
   targets_.push_back(
       TargetInfo{target,
                  static_cast<std::uint32_t>(dirty_->LinearIndex(target)),
-                 !CellRepairedTo(*dirty_, clean_, target)});
+                 !CellRepairedTo(*dirty_, clean_, target),
+                 column_dummy_masks_.empty()
+                     ? 0
+                     : column_dummy_masks_[target.col]});
   target_index_.emplace(target, targets_.size() - 1);
   return targets_.size() - 1;
 }
@@ -164,6 +217,11 @@ CellRef BlackBoxRepair::target(std::size_t index) const {
 bool BlackBoxRepair::target_was_repaired(std::size_t index) const {
   TREX_CHECK_LT(index, targets_.size());
   return targets_[index].was_repaired;
+}
+
+std::uint64_t BlackBoxRepair::dummy_constraints(std::size_t index) const {
+  TREX_CHECK_LT(index, targets_.size());
+  return targets_[index].dummy_constraints;
 }
 
 std::size_t BlackBoxRepair::num_algorithm_calls() const {
@@ -222,7 +280,8 @@ void BlackBoxRepair::RecordEvalError(const Status& status) const {
 
 void BlackBoxRepair::CountHit(const CacheEntry& entry) const {
   state_->hits.fetch_add(1);
-  if (entry.request_id != state_->current_request.load()) {
+  if (entry.request_id != kReferenceRequest &&
+      entry.request_id != state_->current_request.load()) {
     state_->cross_request_hits.fetch_add(1);
   }
 }
@@ -269,6 +328,10 @@ bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
       << "constraint subset masks support at most 64 constraints; "
       << "split the DcSet or extend the mask representation";
   TREX_CHECK_LT(target_index, targets_.size());
+  // Canonical key: holding the target's dummy constraints present
+  // leaves its outcome unchanged, so every mask that differs only in
+  // them shares one entry (see file comment).
+  mask |= targets_[target_index].dummy_constraints;
   if (cache_enabled_) {
     ReaderLock lock(state_->mu);
     auto it = state_->mask_cache.find(mask);

@@ -27,6 +27,22 @@
 // wrong) instead of O(table) (Bertossi & Schwind: a repair is the set of
 // cells it changes).
 //
+// ### Canonical constraint-subset keys
+//
+// Mask lookups are keyed by `mask | dummy(t)`, where `dummy(t)` (see
+// `dummy_constraints`) holds the constraints that cannot reach target
+// t's column under the algorithm's `InfluenceGraph` (contract in
+// repair/algorithm.h). For such a constraint c, v_t(S) = v_t(S ∪ {c}),
+// so every coalition's value — and every exact, sampled, interaction
+// and removal-set result — is unchanged; only the number of distinct
+// repair runs drops. An entry is keyed by the mask that actually ran,
+// so it stays exact and answers any target whose canonical mask matches
+// it. Black-box algorithms (no graph) have empty dummy masks.
+//
+// The grand coalition is seeded at construction: its entry is the
+// reference repair T^c itself (empty diff), so no subset sweep re-runs
+// it. Hits on it count as cache hits but never as cross-request hits.
+//
 // A table-memo entry also stores its input's 128-bit fingerprint and
 // canonical write set against T^d (the cells whose bytes differ from
 // T^d, sorted by linear index). A hit needs the 128-bit fingerprint to
@@ -74,6 +90,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -141,10 +158,20 @@ class BlackBoxRepair {
   /// True iff the reference repair changed the given target cell.
   bool target_was_repaired(std::size_t index = 0) const;
 
+  /// The constraints that are dummy players for target `index` (bit i =
+  /// constraint i): no column constraint i's single-constraint
+  /// `InfluenceGraph` writes can reach the target's column in the full
+  /// graph. 0 when the algorithm exposes no influence graph or |C| > 64.
+  /// Mask lookups for this target are keyed by `mask | dummy` (see file
+  /// comment).
+  std::uint64_t dummy_constraints(std::size_t index = 0) const;
+
   /// Alg|t[A] for target `target_index` with the constraint subset
   /// selected by `mask` (bit i keeps constraint i) and the unperturbed
   /// dirty table. Requires at most `kMaxMaskConstraints` constraints
   /// (fatal otherwise — callers returning `Status` validate first).
+  /// Looked up, and run on a miss, as `mask | dummy_constraints(target)`
+  /// — the same outcome under the `InfluenceGraph` contract.
   bool EvalConstraintSubset(std::uint64_t mask,
                             std::size_t target_index = 0) const;
 
@@ -253,7 +280,15 @@ class BlackBoxRepair {
     CellRef cell;
     std::uint32_t index = 0;  // linear cell index
     bool was_repaired = false;
+    /// Constraints that cannot reach the target's column (see
+    /// `dummy_constraints`).
+    std::uint64_t dummy_constraints = 0;
   };
+
+  /// `CacheEntry::request_id` of the seeded grand-coalition entry: hits
+  /// on it count as hits, never as cross-request hits.
+  static constexpr std::size_t kReferenceRequest =
+      std::numeric_limits<std::size_t>::max();
 
   /// One cell of a table-memo input's write set against T^d.
   struct MemoWrite {
@@ -344,6 +379,9 @@ class BlackBoxRepair {
   std::uint64_t dirty_fp64_ = 0;
   Hash128 dirty_fp128_;
   std::vector<TargetInfo> targets_;
+  /// Per column, the dummy-constraint mask of its targets; empty when
+  /// the algorithm exposes no influence graph or |C| > 64.
+  std::vector<std::uint64_t> column_dummy_masks_;
   std::unordered_map<CellRef, std::size_t, CellRefHash> target_index_;
   bool cache_enabled_ = true;
   /// Test-only fingerprint override (null in production).

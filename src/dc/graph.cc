@@ -26,6 +26,12 @@ void AttributeGraph::AddInfluence(std::size_t from_col, std::size_t to_col) {
   reverse_edges_[to_col].insert(from_col);
 }
 
+const std::set<std::size_t>& AttributeGraph::Influencers(
+    std::size_t col) const {
+  TREX_CHECK_LT(col, reverse_edges_.size());
+  return reverse_edges_[col];
+}
+
 std::set<std::size_t> AttributeGraph::InfluencingColumns(
     std::size_t target_col) const {
   TREX_CHECK_LT(target_col, reverse_edges_.size());

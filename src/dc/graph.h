@@ -38,6 +38,10 @@ class AttributeGraph {
 
   std::size_t num_columns() const { return reverse_edges_.size(); }
 
+  /// The direct influencers of `col` (its incoming edges). Non-empty iff
+  /// the graph's algorithm may write `col`.
+  const std::set<std::size_t>& Influencers(std::size_t col) const;
+
   /// All columns that can transitively influence `target_col`, including
   /// `target_col` itself (reverse reachability).
   std::set<std::size_t> InfluencingColumns(std::size_t target_col) const;

@@ -46,6 +46,16 @@ class RepairAlgorithm {
   /// algorithm (reads -> writes), enabling *sound* relevant-cell pruning
   /// in the cell explainer. Black-box algorithms return nullopt and the
   /// explainer falls back to the conservative DC-derived graph.
+  ///
+  /// Contract for a returned graph, which the constraint game's memo
+  /// relies on (`BlackBoxRepair::dummy_constraints`):
+  ///   * it is the union of the single-constraint graphs
+  ///     `InfluenceGraph(dcs.Subset({c}))` over c in `dcs`;
+  ///   * a constraint's presence changes only the columns its
+  ///     single-constraint graph writes (those with an incoming edge)
+  ///     and the columns those reach. A constraint whose written columns
+  ///     cannot reach column A therefore leaves every cell of A
+  ///     unchanged: Alg(S)[A] = Alg(S ∪ {c})[A] for every S.
   virtual std::optional<dc::AttributeGraph> InfluenceGraph(
       const dc::DcSet& dcs, const Schema& schema) const {
     (void)dcs;

@@ -98,10 +98,13 @@ TEST(EngineTest, ConstraintBatchSharesTheSubsetSweepAcrossTargets) {
   }
   auto batch = engine.ExplainBatch(requests);
   ASSERT_TRUE(batch.ok()) << batch.status();
-  // 4 constraints -> 16 subset repairs + 1 reference, paid once by the
-  // first request; the other two requests answer every subset from the
-  // shared cache.
-  EXPECT_EQ(batch->stats.algorithm_calls, 17u);
+  // Subset lookups hold a target's dummy constraints present (see
+  // repair_game.h): C2-C4 cannot reach City, C4 cannot reach Country.
+  // The City targets' 16 subsets collapse onto {C2,C3,C4} and the
+  // grand coalition, which is seeded from the reference repair: t3[City]
+  // pays 1 run, t5[City] reuses it. t5[Country]'s 8 subsets containing
+  // C4 are the seed, {C2,C3,C4} (shared) and 6 fresh runs.
+  EXPECT_EQ(batch->stats.algorithm_calls, 8u);
   const auto& first = batch->results[0];
   const auto& second = batch->results[1];
   const auto& third = batch->results[2];
@@ -109,14 +112,16 @@ TEST(EngineTest, ConstraintBatchSharesTheSubsetSweepAcrossTargets) {
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(third.ok());
   // The reference run is charged to the batch, not to any one request.
-  EXPECT_EQ(first->algorithm_calls, 16u);
+  EXPECT_EQ(first->algorithm_calls, 1u);
   EXPECT_EQ(second->algorithm_calls, 0u);
-  EXPECT_EQ(third->algorithm_calls, 0u);
-  EXPECT_EQ(second->cross_request_hits, 16u);
-  EXPECT_EQ(third->cross_request_hits, 16u);
-  EXPECT_EQ(batch->stats.cross_request_hits, 32u);
+  EXPECT_EQ(third->algorithm_calls, 6u);
+  // Hits on the seeded grand coalition are never cross-request hits;
+  // the 8 + 2 lookups of {C2,C3,C4} that t3[City] paid for are.
+  EXPECT_EQ(second->cross_request_hits, 8u);
+  EXPECT_EQ(third->cross_request_hits, 2u);
+  EXPECT_EQ(batch->stats.cross_request_hits, 10u);
   // The naive serial loop (fresh engine per target) would have paid
-  // 3 * 17 calls; the batch pays 17.
+  // 2 + 2 + 8 calls; the batch pays 8.
 }
 
 TEST(EngineTest, BatchMatchesSerialExplainBitIdentically) {
@@ -279,13 +284,30 @@ TEST(EngineTest, SequentialExplainCallsShareTheEngineCache) {
   Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
   auto first = engine.Explain(ConstraintRequest(data::SoccerTargetCell()));
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->algorithm_calls, 17u);
+  // 1 reference + 7 subsets: C4 cannot reach Country and is held
+  // present, and the grand coalition is the reference repair.
+  EXPECT_EQ(first->algorithm_calls, 8u);
   auto second =
       engine.Explain(ConstraintRequest(data::SoccerCell(5, "City")));
   ASSERT_TRUE(second.ok());
+  // t5[City]'s subsets collapse onto {C2,C3,C4} (paid by the first
+  // request) and the seeded grand coalition (not a cross-request hit).
   EXPECT_EQ(second->algorithm_calls, 0u);
-  EXPECT_EQ(second->cross_request_hits, 16u);
-  EXPECT_EQ(engine.num_algorithm_calls(), 17u);
+  EXPECT_EQ(second->cache_hits, 16u);
+  EXPECT_EQ(second->cross_request_hits, 8u);
+  EXPECT_EQ(engine.num_algorithm_calls(), 8u);
+}
+
+TEST(EngineTest, SingleConstraintRequestHasNoCrossRequestHits) {
+  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+  auto result = engine.Explain(ConstraintRequest(data::SoccerTargetCell()));
+  ASSERT_TRUE(result.ok()) << result.status();
+  // The 16 subsets map onto 8 canonical masks (C4 held present): 7
+  // runs, 2 hits on the seeded grand coalition and 7 on entries this
+  // request wrote itself - none written by another request.
+  EXPECT_EQ(result->cache_hits, 9u);
+  EXPECT_EQ(result->cross_request_hits, 0u);
+  EXPECT_EQ(engine.num_cross_request_hits(), 0u);
 }
 
 TEST(EngineTest, PerRequestFailuresStayInTheirSlot) {
@@ -370,7 +392,8 @@ TEST(EngineTest, ExplanationReportsPerRequestCostOnWarmEngine) {
   Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
   auto first = engine.Explain(ConstraintRequest(data::SoccerTargetCell()));
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(first->explanation->algorithm_calls, 17u);
+  // 1 reference + 7 subsets (C4 held present, grand coalition seeded).
+  EXPECT_EQ(first->explanation->algorithm_calls, 8u);
   auto second =
       engine.Explain(ConstraintRequest(data::SoccerCell(5, "City")));
   ASSERT_TRUE(second.ok());

@@ -220,12 +220,22 @@ TEST(BlackBoxRepairTest, OneCachedEvalAnswersEveryTarget) {
       {data::SoccerTargetCell(), data::SoccerCell(5, "City")});
   ASSERT_TRUE(box.ok());
   const std::size_t base = box->num_algorithm_calls();
-  // C3 alone repairs t5[Country] but never touches t5[City].
-  EXPECT_TRUE(box->EvalConstraintSubset(0b0100, 0));
-  EXPECT_FALSE(box->EvalConstraintSubset(0b0100, 1));
-  // The second target's answer came from the cached repaired table.
+  // C4 writes only Place, which reaches neither target; C2 and C3 write
+  // Country, which cannot reach City. Lookups hold these present.
+  EXPECT_EQ(box->dummy_constraints(0), 0b1000u);
+  EXPECT_EQ(box->dummy_constraints(1), 0b1110u);
+  // Without C1, C3 still repairs t5[Country] but t5[City] stays dirty.
+  // Both lookups are the canonical mask {C2,C3,C4}: one run answers the
+  // two targets.
+  EXPECT_TRUE(box->EvalConstraintSubset(0b1110, 0));
+  EXPECT_FALSE(box->EvalConstraintSubset(0b0000, 1));
   EXPECT_EQ(box->num_algorithm_calls(), base + 1);
   EXPECT_EQ(box->num_cache_hits(), 1u);
+  // t5[City] under {C1} is the grand coalition, seeded from the
+  // reference repair: answered with zero calls.
+  EXPECT_TRUE(box->EvalConstraintSubset(0b0001, 1));
+  EXPECT_EQ(box->num_algorithm_calls(), base + 1);
+  EXPECT_EQ(box->num_cache_hits(), 2u);
   // C1+C2 repair the city (and through it the country).
   EXPECT_TRUE(box->EvalConstraintSubset(0b0011, 0));
   EXPECT_TRUE(box->EvalConstraintSubset(0b0011, 1));

@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "repair/holoclean.h"
 #include "repair/rule_repair.h"
 #include "repair/soccer_algorithm1.h"
+#include "table/diff.h"
 
 namespace trex::repair {
 namespace {
@@ -191,6 +193,79 @@ TEST_P(RepairPropertyTest, RepairersOnlyTouchConstraintColumns) {
                                               before == after);
         EXPECT_TRUE(same) << alg->name() << " rewrote t" << (r + 1)
                           << " col " << c << " seed " << GetParam();
+      }
+    }
+  }
+}
+
+TEST_P(RepairPropertyTest, InfluenceGraphDummyConstraintsAreSound) {
+  // The contract `BlackBoxRepair`'s canonical mask keys rely on (see
+  // RepairAlgorithm::InfluenceGraph): a returned graph is the union of
+  // its single-constraint graphs, and a constraint that writes no column
+  // reaching A leaves every cell of A unchanged. Swap, typo and missing
+  // errors over every column, so C4's Place rule fires too.
+  auto generated = data::GenerateSoccer({.num_rows = 30,
+                                         .seed = GetParam() + 300});
+  data::ErrorInjectorOptions inject;
+  inject.error_rate = 0.1;
+  inject.seed = GetParam() + 301;
+  const Table dirty = data::InjectErrors(generated.clean, inject).dirty;
+  const dc::DcSet& dcs = generated.dcs;
+  const Schema& schema = dirty.schema();
+  const std::size_t num_masks = std::size_t{1} << dcs.size();
+  std::vector<CellRef> column_targets;
+  for (std::size_t col = 0; col < schema.size(); ++col) {
+    column_targets.push_back(CellRef{0, col});
+  }
+
+  const std::vector<std::shared_ptr<const RepairAlgorithm>> algorithms = {
+      repair::MakeAlgorithm1(), std::make_shared<FdRepair>()};
+  for (const auto& alg : algorithms) {
+    SCOPED_TRACE(alg->name() + " seed " + std::to_string(GetParam()));
+    std::vector<dc::AttributeGraph> singles;
+    for (std::size_t c = 0; c < dcs.size(); ++c) {
+      auto single = alg->InfluenceGraph(dcs.Subset(std::uint64_t{1} << c),
+                                        schema);
+      ASSERT_TRUE(single.has_value());
+      singles.push_back(*single);
+    }
+    std::vector<Table> outputs;
+    for (std::uint64_t mask = 0; mask < num_masks; ++mask) {
+      const dc::DcSet subset = dcs.Subset(mask);
+      auto graph = alg->InfluenceGraph(subset, schema);
+      ASSERT_TRUE(graph.has_value());
+      for (std::size_t col = 0; col < schema.size(); ++col) {
+        std::set<std::size_t> united;
+        for (std::size_t c = 0; c < dcs.size(); ++c) {
+          if ((mask >> c) & 1) {
+            const std::set<std::size_t>& in = singles[c].Influencers(col);
+            united.insert(in.begin(), in.end());
+          }
+        }
+        EXPECT_EQ(graph->Influencers(col), united)
+            << "mask " << mask << " col " << col;
+      }
+      auto repaired = alg->Repair(subset, dirty);
+      ASSERT_TRUE(repaired.ok()) << repaired.status();
+      outputs.push_back(std::move(*repaired));
+    }
+
+    auto box = BlackBoxRepair::MakeMultiTarget(alg.get(), dcs, dirty,
+                                               column_targets);
+    ASSERT_TRUE(box.ok()) << box.status();
+    // Country is reachable by C1-C3 but never by C4 (it writes Place):
+    // the oracle is not vacuous.
+    EXPECT_EQ(box->dummy_constraints(*schema.IndexOf("Country")) & 0b1000u,
+              0b1000u);
+    for (std::size_t col = 0; col < schema.size(); ++col) {
+      const std::uint64_t dummy = box->dummy_constraints(col);
+      for (std::uint64_t mask = 0; mask < num_masks; ++mask) {
+        const Table& held = outputs[mask | dummy];
+        for (std::size_t r = 0; r < dirty.num_rows(); ++r) {
+          const CellRef cell{r, col};
+          EXPECT_TRUE(CellRepairedTo(outputs[mask], held, cell))
+              << cell.ToString() << " mask " << mask << " dummy " << dummy;
+        }
       }
     }
   }
