@@ -16,11 +16,12 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "core/shapley_sampling.h"
 #include "data/errors.h"
@@ -58,31 +59,41 @@ void MemoizationAblation(const repair::RuleRepair& alg) {
   bench::Verdict(true, "cache replaces repair runs with hash lookups");
 }
 
-void PruningAblation(const repair::RuleRepair& alg) {
+/// Ranks the cells behind t5[Country]'s repair on a fresh engine, or
+/// exits.
+Explanation RankCells(std::shared_ptr<const repair::RepairAlgorithm> alg,
+                      const CellOptions& options) {
+  Engine engine(std::move(alg), data::SoccerConstraints(),
+                data::SoccerDirtyTable());
+  ExplainRequest request;
+  request.target = data::SoccerTargetCell();
+  request.kind = ExplainKind::kCells;
+  request.cells = options;
+  auto result = engine.Explain(request);
+  if (!result.ok()) std::exit(1);
+  return std::move(*result->explanation);
+}
+
+void PruningAblation(std::shared_ptr<const repair::RuleRepair> alg) {
   std::printf("\n--- (2) relevant-cell pruning ---\n");
   std::printf("%-10s %10s %12s %10s\n", "prune", "players", "calls",
               "seconds");
   std::map<std::string, double> pruned_values;
   std::map<std::string, double> full_values;
   for (bool prune : {true, false}) {
-    CellExplainerOptions options;
+    CellOptions options;
     options.policy = AbsentCellPolicy::kNull;
     options.method = CellMethod::kSampling;
     options.num_samples = 400;
     options.seed = 505;
     options.prune = prune;
-    CellExplainer explainer(options);
-    Result<Explanation> ex = Status::Internal("unset");
-    const double seconds = bench::TimeSeconds([&] {
-      ex = explainer.Explain(alg, data::SoccerConstraints(),
-                             data::SoccerDirtyTable(),
-                             data::SoccerTargetCell());
-    });
-    if (!ex.ok()) std::exit(1);
+    Explanation ex;
+    const double seconds =
+        bench::TimeSeconds([&] { ex = RankCells(alg, options); });
     std::printf("%-10s %10zu %12zu %10.3f\n", prune ? "on" : "off",
-                ex->ranked.size(), ex->algorithm_calls, seconds);
+                ex.ranked.size(), ex.algorithm_calls, seconds);
     auto& sink = prune ? pruned_values : full_values;
-    for (const PlayerScore& p : ex->ranked) sink[p.label] = p.shapley;
+    for (const PlayerScore& p : ex.ranked) sink[p.label] = p.shapley;
   }
   // Pruned-out cells must be ~0 in the full game (they are dummies).
   double max_excluded = 0;
@@ -98,24 +109,20 @@ void PruningAblation(const repair::RuleRepair& alg) {
                  "Algorithm 1's influence graph)");
 }
 
-void PolicyAblation(const repair::RuleRepair& alg) {
+void PolicyAblation(std::shared_ptr<const repair::RuleRepair> alg) {
   std::printf("\n--- (3) absent-cell policy: null vs column-sample ---\n");
   for (AbsentCellPolicy policy :
        {AbsentCellPolicy::kNull, AbsentCellPolicy::kSampleFromColumn}) {
-    CellExplainerOptions options;
+    CellOptions options;
     options.policy = policy;
     options.method = CellMethod::kSampling;
     options.num_samples = 800;
     options.seed = 606;
-    CellExplainer explainer(options);
-    auto ex = explainer.Explain(alg, data::SoccerConstraints(),
-                                data::SoccerDirtyTable(),
-                                data::SoccerTargetCell());
-    if (!ex.ok()) std::exit(1);
+    const Explanation ex = RankCells(alg, options);
     std::printf("policy=%-14s top-3:", AbsentCellPolicyToString(policy));
-    for (std::size_t i = 0; i < 3 && i < ex->ranked.size(); ++i) {
-      std::printf("  %s=%.3f", ex->ranked[i].label.c_str(),
-                  ex->ranked[i].shapley);
+    for (std::size_t i = 0; i < 3 && i < ex.ranked.size(); ++i) {
+      std::printf("  %s=%.3f", ex.ranked[i].label.c_str(),
+                  ex.ranked[i].shapley);
     }
     std::printf("\n");
   }
@@ -270,8 +277,8 @@ int main() {
                 "incremental index, stratified, top-k");
   auto alg = repair::MakeAlgorithm1();
   MemoizationAblation(*alg);
-  PruningAblation(*alg);
-  PolicyAblation(*alg);
+  PruningAblation(alg);
+  PolicyAblation(alg);
   AntitheticAblation(*alg);
   IncrementalIndexAblation();
   StratifiedAblation(*alg);

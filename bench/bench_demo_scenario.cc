@@ -101,7 +101,7 @@ void ScenarioB() {
   bench::Verdict(premise, "poisoned cell causes a wrong repair");
   if (!premise) return;
 
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 800;
   options.seed = 92;

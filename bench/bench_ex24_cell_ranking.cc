@@ -16,7 +16,7 @@
 #include <map>
 
 #include "bench_util.h"
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "serving/report.h"
 #include "data/soccer.h"
 #include "repair/soccer_algorithm1.h"
@@ -26,23 +26,23 @@ namespace {
 using namespace trex;  // NOLINT
 
 Explanation Rank(AbsentCellPolicy policy, bool prune) {
-  CellExplainerOptions options;
-  options.policy = policy;
-  options.method = CellMethod::kSampling;
-  options.num_samples = 1500;
-  options.seed = 20200708;  // the paper's arXiv date, for fun
-  options.prune = prune;
-  CellExplainer explainer(options);
-  auto alg = repair::MakeAlgorithm1();
-  auto ex = explainer.Explain(*alg, data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
-  if (!ex.ok()) {
+  ExplainRequest request;
+  request.target = data::SoccerTargetCell();
+  request.kind = ExplainKind::kCells;
+  request.cells.policy = policy;
+  request.cells.method = CellMethod::kSampling;
+  request.cells.num_samples = 1500;
+  request.cells.seed = 20200708;  // the paper's arXiv date, for fun
+  request.cells.prune = prune;
+  Engine engine(repair::MakeAlgorithm1(), data::SoccerConstraints(),
+                data::SoccerDirtyTable());
+  auto result = engine.Explain(request);
+  if (!result.ok()) {
     std::fprintf(stderr, "explain failed: %s\n",
-                 ex.status().ToString().c_str());
+                 result.status().ToString().c_str());
     std::exit(1);
   }
-  return std::move(ex).value();
+  return std::move(*result->explanation);
 }
 
 }  // namespace

@@ -10,9 +10,12 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "serving/report.h"
 #include "data/soccer.h"
@@ -23,25 +26,34 @@ namespace {
 
 using namespace trex;  // NOLINT
 
-std::map<std::string, double> Explain(const repair::RepairAlgorithm& alg,
-                                      double* seconds,
-                                      std::size_t* calls) {
-  ConstraintExplainer explainer;
-  Result<Explanation> ex = Status::Internal("unset");
-  *seconds = bench::TimeSeconds([&] {
-    ex = explainer.Explain(alg, data::SoccerConstraints(),
-                           data::SoccerDirtyTable(),
-                           data::SoccerTargetCell());
-  });
-  if (!ex.ok()) {
+/// Serves `request` about t5[Country] on a fresh engine over the
+/// running example, or exits.
+ExplainResult ExplainTarget(
+    std::shared_ptr<const repair::RepairAlgorithm> alg,
+    ExplainRequest request) {
+  Engine engine(std::move(alg), data::SoccerConstraints(),
+                data::SoccerDirtyTable());
+  request.target = data::SoccerTargetCell();
+  Result<ExplainResult> result = engine.Explain(request);
+  if (!result.ok()) {
     std::fprintf(stderr, "explain failed: %s\n",
-                 ex.status().ToString().c_str());
+                 result.status().ToString().c_str());
     std::exit(1);
   }
-  *calls = ex->algorithm_calls;
-  std::printf("%s", RenderRanking(*ex).c_str());
+  return std::move(result).value();
+}
+
+std::map<std::string, double> Explain(
+    std::shared_ptr<const repair::RepairAlgorithm> alg, double* seconds,
+    std::size_t* calls) {
+  Explanation ex;
+  *seconds = bench::TimeSeconds([&] {
+    ex = *ExplainTarget(std::move(alg), {}).explanation;
+  });
+  *calls = ex.algorithm_calls;
+  std::printf("%s", RenderRanking(ex).c_str());
   std::map<std::string, double> values;
-  for (const PlayerScore& p : ex->ranked) values[p.label] = p.shapley;
+  for (const PlayerScore& p : ex.ranked) values[p.label] = p.shapley;
   return values;
 }
 
@@ -54,7 +66,7 @@ int main() {
   double seconds = 0;
   std::size_t calls = 0;
   auto alg1 = repair::MakeAlgorithm1();
-  const auto values = Explain(*alg1, &seconds, &calls);
+  const auto values = Explain(alg1, &seconds, &calls);
   std::printf("wall clock: %.4fs (%zu black-box repair calls)\n", seconds,
               calls);
 
@@ -98,14 +110,13 @@ int main() {
   // Pairwise interaction indices — the quantitative form of Example
   // 2.3's "contribution of C1 and C2, as a pair" discussion.
   std::printf("\n--- constraint-pair Shapley interactions ---\n");
-  ConstraintExplainer interaction_explainer;
-  auto interactions = interaction_explainer.ExplainInteractions(
-      *alg1, data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell());
-  if (!interactions.ok()) return 1;
+  ExplainRequest interaction_request;
+  interaction_request.kind = ExplainKind::kInteractions;
+  const std::vector<InteractionScore> interactions =
+      ExplainTarget(alg1, interaction_request).interactions;
   double i_c1c2 = 0;
   double i_c1c3 = 0;
-  for (const InteractionScore& score : *interactions) {
+  for (const InteractionScore& score : interactions) {
     std::printf("  I(%s, %s) = %+ .4f\n", score.label_a.c_str(),
                 score.label_b.c_str(), score.interaction);
     if (score.label_a == "C1" && score.label_b == "C2") {
@@ -121,11 +132,11 @@ int main() {
 
   // Counterfactual reading: what must be removed to stop the repair.
   std::printf("\n--- minimal removal sets (counterfactual view) ---\n");
-  auto removal_sets = interaction_explainer.ExplainRemovalSets(
-      *alg1, data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell());
-  if (!removal_sets.ok()) return 1;
-  for (const auto& removal : *removal_sets) {
+  ExplainRequest removal_request;
+  removal_request.kind = ExplainKind::kRemovalSets;
+  const std::vector<std::vector<std::string>> removal_sets =
+      ExplainTarget(alg1, removal_request).removal_sets;
+  for (const auto& removal : removal_sets) {
     std::string joined;
     for (const std::string& name : removal) {
       if (!joined.empty()) joined += ", ";
@@ -135,28 +146,25 @@ int main() {
                 joined.c_str());
   }
   bench::Verdict(
-      removal_sets->size() == 2,
+      removal_sets.size() == 2,
       "two minimal removal sets ({C1,C3}, {C2,C3}): C3 must go along "
       "with either half of the C1-C2 pipeline");
 
   // Banzhaf values for comparison (equal coalition weighting).
   std::printf("\n--- Banzhaf values (comparison attribution) ---\n");
-  ConstraintExplainerOptions banzhaf_options;
-  banzhaf_options.use_banzhaf = true;
-  ConstraintExplainer banzhaf_explainer(banzhaf_options);
-  auto banzhaf = banzhaf_explainer.Explain(
-      *alg1, data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell());
-  if (!banzhaf.ok()) return 1;
-  std::printf("%s", RenderRanking(*banzhaf).c_str());
-  bench::Verdict(banzhaf->ranked[0].label == "C3",
+  ExplainRequest banzhaf_request;
+  banzhaf_request.constraints.use_banzhaf = true;
+  const Explanation banzhaf =
+      *ExplainTarget(alg1, banzhaf_request).explanation;
+  std::printf("%s", RenderRanking(banzhaf).c_str());
+  bench::Verdict(banzhaf.ranked[0].label == "C3",
                  "Banzhaf agrees on the ranking (values differ: 3/4 vs "
                  "2/3 for C3 — no efficiency axiom)");
 
   // The same explanation against the HoloClean-style black box.
   std::printf("\n--- HoloClean-style repairer (the demo's black box) ---\n");
-  repair::HoloCleanRepair holoclean;
-  const auto hc_values = Explain(holoclean, &seconds, &calls);
+  const auto hc_values = Explain(std::make_shared<repair::HoloCleanRepair>(),
+                                 &seconds, &calls);
   std::printf("wall clock: %.4fs (%zu black-box repair calls)\n", seconds,
               calls);
   bench::Verdict(hc_values.at("C4") <= hc_values.at("C3"),

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "core/shapley_exact.h"
 #include "core/shapley_sampling.h"
@@ -122,22 +122,23 @@ void CellGameConvergence(const repair::RuleRepair& alg) {
                  "(max error < 0.05 at m = 1024)");
 }
 
-void SingleCellLoop(const repair::RuleRepair& alg) {
+void SingleCellLoop(std::shared_ptr<const repair::RuleRepair> alg) {
   std::printf("\n--- (3) Example 2.5 single-cell loop: "
               "Shap(t5[City]) for target t5[Country] ---\n");
   std::printf("%8s %12s %12s\n", "m", "estimate", "std_error");
   for (std::size_t m : {50u, 200u, 800u}) {
-    CellExplainerOptions options;
-    options.num_samples = m;
-    options.seed = 303;
-    options.policy = AbsentCellPolicy::kSampleFromColumn;
-    CellExplainer explainer(options);
-    auto score = explainer.ExplainSingleCell(
-        alg, data::SoccerConstraints(), data::SoccerDirtyTable(),
-        data::SoccerTargetCell(), data::SoccerCell(5, "City"));
-    if (!score.ok()) std::exit(1);
-    std::printf("%8zu %12.5f %12.5f\n", m, score->shapley,
-                score->std_error);
+    ExplainRequest request;
+    request.target = data::SoccerTargetCell();
+    request.kind = ExplainKind::kSingleCell;
+    request.single_cell = data::SoccerCell(5, "City");
+    request.cells.num_samples = m;
+    request.cells.seed = 303;
+    request.cells.policy = AbsentCellPolicy::kSampleFromColumn;
+    Engine engine(alg, data::SoccerConstraints(), data::SoccerDirtyTable());
+    auto result = engine.Explain(request);
+    if (!result.ok()) std::exit(1);
+    std::printf("%8zu %12.5f %12.5f\n", m, result->single_cell->shapley,
+                result->single_cell->std_error);
   }
   bench::Verdict(true, "Example 2.5 loop runs (2 black-box calls/sample)");
 }
@@ -276,7 +277,7 @@ int main(int argc, char** argv) {
     auto alg = repair::MakeAlgorithm1();
     ConstraintGameConvergence(*alg);
     CellGameConvergence(*alg);
-    SingleCellLoop(*alg);
+    SingleCellLoop(alg);
   }
   AnytimeScenario();
   return 0;

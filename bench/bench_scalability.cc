@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "core/shapley_exact.h"
 #include "data/errors.h"
@@ -126,20 +126,25 @@ void SamplingCellShapley(benchmark::State& state) {
   auto injected = data::InjectErrors(generated.clean, inject);
   auto alg = repair::MakeAlgorithm1();
 
-  CellExplainerOptions options;
-  options.num_samples = 3;  // fixed tiny m: measure per-sweep cost
-  options.policy = AbsentCellPolicy::kNull;
-  options.method = CellMethod::kSampling;
-  options.seed = 7;
-  CellExplainer explainer(options);
+  ExplainRequest request;
+  request.kind = ExplainKind::kCells;
+  request.cells.num_samples = 3;  // fixed tiny m: measure per-sweep cost
+  request.cells.policy = AbsentCellPolicy::kNull;
+  request.cells.method = CellMethod::kSampling;
+  request.cells.seed = 7;
+  // A fresh engine per call: each one pays the reference repair and
+  // starts from a cold memo.
+  auto explain = [&](CellRef cell) {
+    Engine engine(alg, generated.dcs, injected.dirty);
+    request.target = cell;
+    return engine.Explain(request);
+  };
 
   // Find an injected error the algorithm actually repairs back.
   CellRef target{};
   bool found = false;
   for (const RepairedCell& error : injected.injected) {
-    auto ex =
-        explainer.Explain(*alg, generated.dcs, injected.dirty, error.cell);
-    if (ex.ok()) {
+    if (explain(error.cell).ok()) {
       target = error.cell;
       found = true;
       break;
@@ -152,13 +157,12 @@ void SamplingCellShapley(benchmark::State& state) {
 
   std::size_t players = 0;
   for (auto _ : state) {
-    auto ex = explainer.Explain(*alg, generated.dcs, injected.dirty,
-                                target);
+    auto ex = explain(target);
     if (!ex.ok()) {
       state.SkipWithError(ex.status().ToString().c_str());
       return;
     }
-    players = ex->ranked.size();
+    players = ex->explanation->ranked.size();
     benchmark::DoNotOptimize(ex);
   }
   state.counters["players"] = static_cast<double>(players);

@@ -97,7 +97,7 @@ int main() {
       break;
     }
   }
-  CellExplainerOptions single;
+  CellOptions single;
   single.policy = AbsentCellPolicy::kNull;
   single.num_samples = 25;
   single.seed = 101;
@@ -114,7 +114,7 @@ int main() {
   TRexSession fd_session(std::make_shared<repair::FdRepair>(),
                          generated.dcs, injected.dirty);
   if (!fd_session.Repair().ok()) return 1;
-  CellExplainerOptions ranking;
+  CellOptions ranking;
   ranking.policy = AbsentCellPolicy::kNull;
   ranking.num_samples = 80;
   ranking.seed = 102;

@@ -51,7 +51,7 @@ int main() {
   std::printf("why was t5[Country] repaired? — by constraint:\n%s\n",
               RenderRanking(*constraint_ex).c_str());
 
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;  // the paper's definition
   options.num_samples = 800;
   auto cell_ex = session.ExplainCells(target, options);
@@ -76,12 +76,13 @@ int main() {
                 interactions->front().label_b.c_str(),
                 interactions->front().interaction);
   }
-  ConstraintExplainer cf_explainer;
-  auto removal_sets = cf_explainer.ExplainRemovalSets(
-      session.algorithm(), session.dcs(), session.dirty(), target);
+  ExplainRequest removal_request;
+  removal_request.target = target;
+  removal_request.kind = ExplainKind::kRemovalSets;
+  auto removal_sets = session.SubmitExplain(removal_request).Wait();
   if (removal_sets.ok()) {
     std::printf("to stop this repair, remove any of:");
-    for (const auto& removal : *removal_sets) {
+    for (const auto& removal : removal_sets->removal_sets) {
       std::printf("  {");
       for (std::size_t i = 0; i < removal.size(); ++i) {
         std::printf("%s%s", i ? "," : "", removal[i].c_str());

@@ -85,7 +85,7 @@ int DebugPoisonedCell() {
               session.clean().at(data::SoccerCell(3, "City"))
                   .ToString().c_str());
 
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 600;
   auto ex = session.ExplainCells(data::SoccerCell(3, "City"), options);

@@ -8,7 +8,7 @@
 #include <cstddef>
 
 #include "common/status.h"
-#include "core/explainer.h"
+#include "core/engine.h"
 
 namespace trex {
 

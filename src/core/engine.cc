@@ -42,6 +42,27 @@ Explanation MakeBaseExplanation(const BlackBoxRepair& box,
 
 }  // namespace
 
+const char* AbsentCellPolicyToString(AbsentCellPolicy policy) {
+  switch (policy) {
+    case AbsentCellPolicy::kNull:
+      return "null";
+    case AbsentCellPolicy::kSampleFromColumn:
+      return "column-sample";
+  }
+  return "?";
+}
+
+std::vector<PlayerScore> Explanation::TopK(std::size_t k) const {
+  const std::size_t count = std::min(k, ranked.size());
+  return {ranked.begin(), ranked.begin() + count};
+}
+
+double Explanation::TotalAttribution() const {
+  double total = 0;
+  for (const PlayerScore& p : ranked) total += p.shapley;
+  return total;
+}
+
 const char* ExplainKindToString(ExplainKind kind) {
   switch (kind) {
     case ExplainKind::kConstraints:
@@ -72,14 +93,6 @@ Engine::Engine(std::shared_ptr<const repair::RepairAlgorithm> algorithm,
       options_(options) {
   TREX_CHECK(algorithm_ != nullptr);
   TREX_CHECK(dirty_ != nullptr);
-}
-
-Engine Engine::Wrap(const repair::RepairAlgorithm& algorithm, dc::DcSet dcs,
-                    Table dirty, EngineOptions options) {
-  // Aliasing shared_ptr: shares no ownership, just points at `algorithm`.
-  return Engine(std::shared_ptr<const repair::RepairAlgorithm>(
-                    std::shared_ptr<const void>(), &algorithm),
-                std::move(dcs), std::move(dirty), options);
 }
 
 Status Engine::EnsureRepair() {
@@ -380,7 +393,7 @@ void RecordOutcome(const shap::SweepOutcome& outcome, ExplainResult* result) {
 Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
                                                const ExplainRequest& request,
                                                ExplainResult* result) {
-  const ConstraintExplainerOptions& options = request.constraints;
+  const ConstraintOptions& options = request.constraints;
   const CancelToken& cancel = request.cancel;
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
 
@@ -418,11 +431,11 @@ Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
     }
     ex.method = options.use_banzhaf ? "exact(banzhaf)" : "exact";
   } else {
-    // The request and the engine own stopping, threading and
-    // cancellation; `options.sampling` contributes only the budget, seed,
-    // antithetic flag and shard size (see ConstraintExplainerOptions).
-    shap::SamplingOptions sampling = options.sampling;
-    sampling.num_samples = EffectiveBudget(request, sampling.num_samples);
+    shap::SamplingOptions sampling;
+    sampling.num_samples = EffectiveBudget(request, options.num_samples);
+    sampling.seed = options.seed;
+    sampling.antithetic = options.antithetic;
+    sampling.shard_size = options.shard_size;
     sampling.stop = EffectiveStopRule(request);
     sampling.check_interval = EffectiveAnytime(request).check_interval;
     sampling.num_threads = options_.num_threads;
@@ -450,7 +463,7 @@ Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
 }
 
 Result<std::vector<InteractionScore>> Engine::ExplainInteractions(
-    std::size_t target_index, const ConstraintExplainerOptions& options,
+    std::size_t target_index, const ConstraintOptions& options,
     const CancelToken& cancel) {
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
 
@@ -479,7 +492,7 @@ Result<std::vector<InteractionScore>> Engine::ExplainInteractions(
 }
 
 Result<std::vector<std::vector<std::string>>> Engine::ExplainRemovalSets(
-    std::size_t target_index, const ConstraintExplainerOptions& options,
+    std::size_t target_index, const ConstraintOptions& options,
     std::size_t max_set_size, const CancelToken& cancel) {
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
 
@@ -502,7 +515,7 @@ Result<std::vector<std::vector<std::string>>> Engine::ExplainRemovalSets(
 }
 
 Result<std::vector<CellRef>> Engine::PlayerCells(
-    const CellExplainerOptions& options, CellRef target) const {
+    const CellOptions& options, CellRef target) const {
   if (!options.prune) return dirty_->AllCells();
   std::optional<dc::AttributeGraph> graph =
       algorithm_->InfluenceGraph(dcs_, dirty_->schema());
@@ -515,7 +528,7 @@ Result<std::vector<CellRef>> Engine::PlayerCells(
 Result<Explanation> Engine::ExplainCells(std::size_t target_index,
                                          const ExplainRequest& request,
                                          ExplainResult* result) {
-  const CellExplainerOptions& options = request.cells;
+  const CellOptions& options = request.cells;
   const CancelToken& cancel = request.cancel;
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));
   const CellRef target = box_->target(target_index);
@@ -691,7 +704,7 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
 Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
                                               const ExplainRequest& request,
                                               ExplainResult* result) {
-  const CellExplainerOptions& options = request.cells;
+  const CellOptions& options = request.cells;
   const CancelToken& cancel = request.cancel;
   const CellRef player_cell = *request.single_cell;
   TREX_RETURN_NOT_OK(RequireRepairedTarget(target_index));

@@ -75,8 +75,9 @@
 //     the engine's single-caller invariant holds under concurrent
 //     traffic.
 //
-// `ConstraintExplainer`, `CellExplainer`, and `TRexSession` are thin
-// adapters over this stack.
+// `TRexSession` (serving/session.h) is the only adapter left over this
+// stack: it routes the paper's interactive single-table loop through the
+// service.
 
 #ifndef TREX_CORE_ENGINE_H_
 #define TREX_CORE_ENGINE_H_
@@ -87,10 +88,11 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/explainer.h"
 #include "core/repair_game.h"
+#include "core/shapley_sampling.h"
 #include "dc/constraint.h"
 #include "repair/algorithm.h"
 #include "common/cancel.h"
@@ -161,16 +163,129 @@ struct AnytimeOptions {
   }
 };
 
+/// How absent cells are materialized in cell coalitions.
+enum class AbsentCellPolicy {
+  /// Set to null (the paper's formal definition, §2.2).
+  kNull,
+  /// Replace with a draw from the cell's column distribution in T^d
+  /// (the paper's sampling estimator, Example 2.5).
+  kSampleFromColumn,
+};
+
+const char* AbsentCellPolicyToString(AbsentCellPolicy policy);
+
+/// One ranked player (a DC or a cell) in an explanation.
+struct PlayerScore {
+  /// Display label: the constraint name ("C3") or the paper-style cell
+  /// name ("t5[League]").
+  std::string label;
+  double shapley = 0.0;
+  /// Standard error (0 for exact computations).
+  double std_error = 0.0;
+  std::size_t num_samples = 0;
+  /// Set for cell explanations.
+  std::optional<CellRef> cell;
+  /// Set for constraint explanations.
+  std::optional<std::size_t> constraint_index;
+};
+
+/// A ranking of the players behind the repair of one cell
+/// (kConstraints / kCells).
+struct Explanation {
+  /// Players ranked by Shapley value, descending (ties keep player
+  /// order, so output is deterministic).
+  std::vector<PlayerScore> ranked;
+  /// The explained cell and its repair.
+  CellRef target;
+  std::string target_label;
+  Value old_value;
+  Value new_value;
+  /// Cost accounting: black-box repair invocations / memo hits.
+  std::size_t algorithm_calls = 0;
+  std::size_t cache_hits = 0;
+  /// "exact" or "sampling(...)": how the values were computed.
+  std::string method;
+
+  /// The top-k players (k clamped to size).
+  std::vector<PlayerScore> TopK(std::size_t k) const;
+
+  /// Sum of all Shapley values (= v(N) − v(∅) for exact computations —
+  /// the efficiency axiom; ≈ for sampled ones).
+  double TotalAttribution() const;
+};
+
+/// One constraint pair's interaction (see core/interaction.h; positive
+/// = the pair acts as a complement, like the paper's C1 & C2).
+struct InteractionScore {
+  std::string label_a;
+  std::string label_b;
+  double interaction = 0.0;
+};
+
+/// Options for kConstraints / kInteractions / kRemovalSets. Constraint
+/// games are exact by subset enumeration up to `max_exact_players` ("the
+/// number of DCs is usually small") and sampled past it.
+struct ConstraintOptions {
+  /// Use exact enumeration up to this many constraints, sampling beyond.
+  std::size_t max_exact_players = 20;
+  /// Force the sampling path regardless of size (testing/ablation).
+  bool force_sampling = false;
+  /// Attribute with Banzhaf values instead of Shapley (exact path only;
+  /// Banzhaf weighs every coalition equally and drops the efficiency
+  /// axiom — a common comparison point for attribution semantics).
+  bool use_banzhaf = false;
+  /// Sampling path only: permutation sweeps (an upper bound under
+  /// anytime stopping). The stop rule and cancel token come from the
+  /// request, the threads and pool from the engine.
+  std::size_t num_samples = 500;
+  /// Sampling path only: equal seeds give identical estimates.
+  std::uint64_t seed = Rng::kDefaultSeed;
+  /// Sampling path only: also evaluate each permutation reversed.
+  bool antithetic = false;
+  /// Sampling path only: permutation sweeps per shard (the unit of
+  /// parallel work).
+  std::size_t shard_size = 32;
+};
+
+/// Computation method for cell explanations.
+enum class CellMethod {
+  /// Exact when the (pruned) player set is small and the policy is
+  /// kNull; sampling otherwise.
+  kAuto,
+  kExact,
+  kSampling,
+};
+
+/// Options for kCells / kSingleCell. Cells are ranked with the
+/// Strumbelj–Kononenko permutation sampler (Example 2.5), exact for
+/// small player sets under kNull.
+struct CellOptions {
+  CellMethod method = CellMethod::kAuto;
+  AbsentCellPolicy policy = AbsentCellPolicy::kSampleFromColumn;
+  /// Permutation sweeps for the all-cells ranking; each sweep costs
+  /// (#players + 1) black-box evaluations. kSingleCell runs this many
+  /// (permutation, draw) iterations of two evaluations each.
+  std::size_t num_samples = 300;
+  std::uint64_t seed = Rng::kDefaultSeed;
+  /// Restrict players to cells that can influence the target under the
+  /// algorithm's influence graph (falls back to the conservative DC
+  /// graph when the algorithm exposes none). Cells outside the player
+  /// set are reported with Shapley 0.
+  bool prune = true;
+  /// Exact-path player cap (2^n coalition values are materialized; the
+  /// subset walk refuses more than `shap::kMaxSubsetWalkPlayers`
+  /// whatever this allows).
+  std::size_t max_exact_players = 20;
+};
+
 /// One explanation query: a target cell, the kind of explanation, and
 /// the options for that kind (unused option groups are ignored).
 struct ExplainRequest {
   /// The repaired cell to explain.
   CellRef target;
   ExplainKind kind = ExplainKind::kConstraints;
-  /// Options for kConstraints / kInteractions / kRemovalSets.
-  ConstraintExplainerOptions constraints;
-  /// Options for kCells / kSingleCell.
-  CellExplainerOptions cells;
+  ConstraintOptions constraints;
+  CellOptions cells;
   /// kRemovalSets: largest removal-set size searched.
   std::size_t max_removal_set_size = 3;
   /// kSingleCell: the player cell whose contribution is estimated.
@@ -289,11 +404,6 @@ class Engine {
          dc::DcSet dcs, std::shared_ptr<const Table> dirty,
          EngineOptions options = {});
 
-  /// Non-owning adapter for callers holding a bare reference; the
-  /// algorithm must outlive the engine.
-  static Engine Wrap(const repair::RepairAlgorithm& algorithm, dc::DcSet dcs,
-                     Table dirty, EngineOptions options = {});
-
   const Table& dirty() const { return *dirty_; }
   /// The shared dirty-table handle (for callers that want to alias it).
   const std::shared_ptr<const Table>& shared_dirty() const { return dirty_; }
@@ -364,10 +474,10 @@ class Engine {
                                          const ExplainRequest& request,
                                          ExplainResult* result);
   [[nodiscard]] Result<std::vector<InteractionScore>> ExplainInteractions(
-      std::size_t target_index, const ConstraintExplainerOptions& options,
+      std::size_t target_index, const ConstraintOptions& options,
       const CancelToken& cancel);
   [[nodiscard]] Result<std::vector<std::vector<std::string>>> ExplainRemovalSets(
-      std::size_t target_index, const ConstraintExplainerOptions& options,
+      std::size_t target_index, const ConstraintOptions& options,
       std::size_t max_set_size, const CancelToken& cancel);
   [[nodiscard]] Result<Explanation> ExplainCells(std::size_t target_index,
                                    const ExplainRequest& request,
@@ -376,7 +486,7 @@ class Engine {
                                         const ExplainRequest& request,
                                         ExplainResult* result);
 
-  [[nodiscard]] Result<std::vector<CellRef>> PlayerCells(const CellExplainerOptions& options,
+  [[nodiscard]] Result<std::vector<CellRef>> PlayerCells(const CellOptions& options,
                                            CellRef target) const;
   [[nodiscard]] Status RequireRepairedTarget(std::size_t target_index) const;
   [[nodiscard]] Status RequireMaskableConstraints() const;

@@ -9,11 +9,11 @@ Result<std::vector<double>> MaterializeCoalitionValues(
     const Game& game, const SubsetWalkOptions& options, const char* context) {
   const std::size_t n = game.num_players();
   if (n == 0) return std::vector<double>{};
-  if (n > options.max_players) {
+  const std::size_t cap = std::min(options.max_players, kMaxSubsetWalkPlayers);
+  if (n > cap) {
     std::string message = std::string(context) + " over " +
-                          std::to_string(n) +
-                          " players exceeds the configured cap of " +
-                          std::to_string(options.max_players);
+                          std::to_string(n) + " players exceeds the cap of " +
+                          std::to_string(cap);
     if (options.over_cap_hint != nullptr) {
       message += std::string(" ") + options.over_cap_hint;
     }

@@ -19,6 +19,7 @@
 #ifndef TREX_CORE_SUBSET_WALK_H_
 #define TREX_CORE_SUBSET_WALK_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/status.h"
@@ -27,6 +28,11 @@
 #include "common/cancel.h"
 
 namespace trex::shap {
+
+/// Fixed ceiling on the walk's player count, whatever a caller's
+/// `max_players`: 2^30 coalitions are already 8 GiB of values and 2^30
+/// black-box repairs.
+inline constexpr std::size_t kMaxSubsetWalkPlayers = 30;
 
 /// Options for the sharded subset walk.
 struct SubsetWalkOptions {
@@ -53,7 +59,8 @@ struct SubsetWalkOptions {
 
 /// Materializes v over all 2^n coalitions (index = bitmask, bit i =
 /// player i present). Fails with InvalidArgument past
-/// `options.max_players`, `Status::Cancelled` on cancellation.
+/// `options.max_players` or `kMaxSubsetWalkPlayers`,
+/// `Status::Cancelled` on cancellation.
 /// `context` names the caller in error messages ("exact Shapley", ...).
 [[nodiscard]] Result<std::vector<double>> MaterializeCoalitionValues(
     const Game& game, const SubsetWalkOptions& options, const char* context);

@@ -1,6 +1,5 @@
 #include "data/generator.h"
 
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,20 +63,26 @@ GeneratedData GenerateSoccer(const SoccerGenOptions& options) {
     }
   }
 
-  // Emit standings rows: pick a team (Zipf-skewed), a year, and a place
-  // unused for that (league, year) so C4 holds on clean data.
+  // Emit standings rows: pick a team (Zipf-skewed) and a year, each
+  // (team, year) at most once, and give the row the smallest place free
+  // for its (league, year) so C4 holds on clean data. Places are never
+  // freed, so a (league, year) always holds places 1..k and the next one
+  // is its counter plus one. Teams are laid out league by league.
   const std::vector<double> team_cdf =
       ZipfTable(teams.size(), options.zipf_exponent);
-  std::set<std::tuple<std::string, int, int>> used_places;
-  std::set<std::pair<std::size_t, int>> used_team_years;
+  std::vector<bool> used_team_years(teams.size() * num_years, false);
+  std::vector<int> places_taken(
+      teams.size() / options.teams_per_league * num_years, 0);
 
   Table table(SoccerSchema());
   std::size_t emitted = 0;
-  const auto emit = [&](const TeamInfo& team, int year) {
-    // Find the smallest free place for this (league, year).
-    int place = 1;
-    while (used_places.count({team.league, year, place}) > 0) ++place;
-    used_places.emplace(team.league, year, place);
+  const auto emit = [&](std::size_t team_index, int year) {
+    const std::size_t y = static_cast<std::size_t>(year - options.first_year);
+    if (used_team_years[team_index * num_years + y]) return;
+    used_team_years[team_index * num_years + y] = true;
+    const int place =
+        ++places_taken[team_index / options.teams_per_league * num_years + y];
+    const TeamInfo& team = teams[team_index];
     TREX_CHECK(table
                    .AppendRow({Value(team.name), Value(team.city),
                                Value(team.country), Value(team.league),
@@ -93,8 +98,7 @@ GeneratedData GenerateSoccer(const SoccerGenOptions& options) {
     const std::size_t team_index = rng.Zipf(team_cdf);
     const int year = static_cast<int>(
         rng.UniformInt(options.first_year, options.last_year));
-    if (!used_team_years.emplace(team_index, year).second) continue;
-    emit(teams[team_index], year);
+    emit(team_index, year);
   }
 
   // Sampling collisions under saturation can exhaust the attempt budget
@@ -105,8 +109,7 @@ GeneratedData GenerateSoccer(const SoccerGenOptions& options) {
        ++t) {
     for (int year = options.first_year;
          emitted < options.num_rows && year <= options.last_year; ++year) {
-      if (!used_team_years.emplace(t, year).second) continue;
-      emit(teams[t], year);
+      emit(t, year);
     }
   }
   TREX_CHECK_EQ(emitted, options.num_rows)

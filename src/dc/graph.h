@@ -1,7 +1,7 @@
 // Attribute dependency graph: which columns can influence which through
 // the constraint set / repair actions.
 //
-// Used for *relevant-cell pruning* in the Shapley cell explainer: cells in
+// Used for *relevant-cell pruning* in Shapley cell explanations: cells in
 // columns that cannot (transitively) influence the target cell's column
 // are dummy players and can be skipped. Two builders exist:
 //

@@ -44,8 +44,8 @@ class RepairAlgorithm {
 
   /// Optionally exposes which columns can influence which under this
   /// algorithm (reads -> writes), enabling *sound* relevant-cell pruning
-  /// in the cell explainer. Black-box algorithms return nullopt and the
-  /// explainer falls back to the conservative DC-derived graph.
+  /// in cell explanations. Black-box algorithms return nullopt and the
+  /// engine falls back to the conservative DC-derived graph.
   ///
   /// Contract for a returned graph, which the constraint game's memo
   /// relies on (`BlackBoxRepair::dummy_constraints`):

@@ -11,7 +11,7 @@
 
 #include <string>
 
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "serving/session.h"
 #include "table/printer.h"
 

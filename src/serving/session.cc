@@ -109,7 +109,7 @@ void TRexSession::InvalidateRepair() {
 }
 
 Result<Explanation> TRexSession::ExplainConstraints(
-    CellRef target, const ConstraintExplainerOptions& options) const {
+    CellRef target, const ConstraintOptions& options) const {
   TREX_RETURN_NOT_OK(RequireRepair());
   ExplainRequest request;
   request.target = target;
@@ -125,7 +125,7 @@ Result<Explanation> TRexSession::ExplainConstraints(
 
 Result<std::vector<InteractionScore>>
 TRexSession::ExplainConstraintInteractions(
-    CellRef target, const ConstraintExplainerOptions& options) const {
+    CellRef target, const ConstraintOptions& options) const {
   TREX_RETURN_NOT_OK(RequireRepair());
   ExplainRequest request;
   request.target = target;
@@ -138,7 +138,7 @@ TRexSession::ExplainConstraintInteractions(
 }
 
 Result<Explanation> TRexSession::ExplainCells(
-    CellRef target, const CellExplainerOptions& options) const {
+    CellRef target, const CellOptions& options) const {
   TREX_RETURN_NOT_OK(RequireRepair());
   ExplainRequest request;
   request.target = target;
@@ -152,7 +152,7 @@ Result<Explanation> TRexSession::ExplainCells(
 
 Result<PlayerScore> TRexSession::ExplainSingleCell(
     CellRef target, CellRef player_cell,
-    const CellExplainerOptions& options) const {
+    const CellOptions& options) const {
   TREX_RETURN_NOT_OK(RequireRepair());
   ExplainRequest request;
   request.target = target;

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "core/explainer.h"
 #include "dc/constraint.h"
 #include "repair/algorithm.h"
 #include "serving/service.h"
@@ -104,21 +103,21 @@ class TRexSession {
 
   /// Ranks the DCs by contribution to the repair of `target`.
   [[nodiscard]] Result<Explanation> ExplainConstraints(
-      CellRef target, const ConstraintExplainerOptions& options = {}) const;
+      CellRef target, const ConstraintOptions& options = {}) const;
 
   /// Pairwise constraint interactions for the repair of `target`
   /// (complements / substitutes; see core/interaction.h).
   [[nodiscard]] Result<std::vector<InteractionScore>> ExplainConstraintInteractions(
-      CellRef target, const ConstraintExplainerOptions& options = {}) const;
+      CellRef target, const ConstraintOptions& options = {}) const;
 
   /// Ranks the cells of T^d by contribution to the repair of `target`.
   [[nodiscard]] Result<Explanation> ExplainCells(
-      CellRef target, const CellExplainerOptions& options = {}) const;
+      CellRef target, const CellOptions& options = {}) const;
 
   /// Estimates a single cell's contribution (Example 2.5).
   [[nodiscard]] Result<PlayerScore> ExplainSingleCell(
       CellRef target, CellRef player_cell,
-      const CellExplainerOptions& options = {}) const;
+      const CellOptions& options = {}) const;
 
   /// Serves a heterogeneous batch of explanation requests against the
   /// session's repair, sharing one reference run and the memo caches.

@@ -8,7 +8,7 @@
 #include <functional>
 #include <map>
 
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/shapley_exact.h"
 #include "data/soccer.h"
 #include "repair/soccer_algorithm1.h"
@@ -33,6 +33,25 @@ class LambdaGame : public Game {
   std::size_t n_;
   std::function<double(std::uint64_t)> v_;
 };
+
+/// A request about the running example's target cell.
+trex::ExplainRequest SoccerRequest(trex::ExplainKind kind,
+                                   trex::ConstraintOptions options) {
+  trex::ExplainRequest request;
+  request.target = trex::data::SoccerTargetCell();
+  request.kind = kind;
+  request.constraints = options;
+  return request;
+}
+
+/// Serves `request` on a fresh engine over the running example.
+trex::Result<trex::ExplainResult> ExplainSoccer(
+    const trex::ExplainRequest& request) {
+  trex::Engine engine(trex::repair::MakeAlgorithm1(),
+                      trex::data::SoccerConstraints(),
+                      trex::data::SoccerDirtyTable());
+  return engine.Explain(request);
+}
 
 TEST(RemovalSetsTest, SingleNecessaryPlayer) {
   // v = 1 iff player 0 present: the only minimal removal set is {0}.
@@ -93,15 +112,13 @@ TEST(RemovalSetsTest, ZeroGrandCoalitionRejected) {
 TEST(RemovalSetsTest, PaperExampleRemovalSets) {
   // Running example: the repair of t5[Country] survives unless C3 is
   // removed together with C1 or C2.
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainer explainer;
-  auto sets = explainer.ExplainRemovalSets(
-      *alg, trex::data::SoccerConstraints(),
-      trex::data::SoccerDirtyTable(), trex::data::SoccerTargetCell());
-  ASSERT_TRUE(sets.ok()) << sets.status();
-  ASSERT_EQ(sets->size(), 2u);
-  EXPECT_EQ((*sets)[0], (std::vector<std::string>{"C1", "C3"}));
-  EXPECT_EQ((*sets)[1], (std::vector<std::string>{"C2", "C3"}));
+  auto result = ExplainSoccer(
+      SoccerRequest(trex::ExplainKind::kRemovalSets, {}));
+  ASSERT_TRUE(result.ok()) << result.status();
+  const auto& sets = result->removal_sets;
+  ASSERT_EQ(sets.size(), 2u);
+  EXPECT_EQ(sets[0], (std::vector<std::string>{"C1", "C3"}));
+  EXPECT_EQ(sets[1], (std::vector<std::string>{"C2", "C3"}));
 }
 
 TEST(BanzhafTest, MatchesShapleyOnSymmetricGames) {
@@ -154,20 +171,18 @@ TEST(BanzhafTest, CapAndEmptyGame) {
   EXPECT_FALSE(ComputeExactBanzhaf(big).ok());
 }
 
-TEST(BanzhafTest, ConstraintExplainerBanzhafMode) {
+TEST(BanzhafTest, ConstraintRequestBanzhafMode) {
   // Running example under Banzhaf: C3 pivotal in the 4 subsets without
   // {C1,C2} complete (of 8) -> 6/8? Count: v(S∪C3)-v(S) = 1 unless
   // {C1,C2} ⊆ S: subsets of {C1,C2,C4}: 8 total, 2 contain both C1,C2
   // -> pivotal in 6 -> 6/8 = 0.75. C1 pivotal iff C2 ∈ S, C3 ∉ S:
   // S ∈ {{C2},{C2,C4}} -> 2/8 = 0.25. C4 never pivotal -> 0.
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainerOptions options;
+  trex::ConstraintOptions options;
   options.use_banzhaf = true;
-  trex::ConstraintExplainer explainer(options);
-  auto ex = explainer.Explain(*alg, trex::data::SoccerConstraints(),
-                              trex::data::SoccerDirtyTable(),
-                              trex::data::SoccerTargetCell());
-  ASSERT_TRUE(ex.ok()) << ex.status();
+  auto result =
+      ExplainSoccer(SoccerRequest(trex::ExplainKind::kConstraints, options));
+  ASSERT_TRUE(result.ok()) << result.status();
+  const auto& ex = result->explanation;
   EXPECT_EQ(ex->method, "exact(banzhaf)");
   std::map<std::string, double> values;
   for (const auto& p : ex->ranked) values[p.label] = p.shapley;
@@ -180,15 +195,12 @@ TEST(BanzhafTest, ConstraintExplainerBanzhafMode) {
 }
 
 TEST(BanzhafTest, BanzhafWithSamplingRejected) {
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainerOptions options;
+  trex::ConstraintOptions options;
   options.use_banzhaf = true;
   options.force_sampling = true;
-  trex::ConstraintExplainer explainer(options);
-  auto ex = explainer.Explain(*alg, trex::data::SoccerConstraints(),
-                              trex::data::SoccerDirtyTable(),
-                              trex::data::SoccerTargetCell());
-  EXPECT_FALSE(ex.ok());
+  EXPECT_FALSE(
+      ExplainSoccer(SoccerRequest(trex::ExplainKind::kConstraints, options))
+          .ok());
 }
 
 }  // namespace

@@ -83,8 +83,8 @@ std::vector<ExplainRequest> ConstraintRequests(CellRef target) {
   requests.push_back(banzhaf);
   ExplainRequest sampled = Request(target, ExplainKind::kConstraints);
   sampled.constraints.force_sampling = true;
-  sampled.constraints.sampling.num_samples = 64;
-  sampled.constraints.sampling.seed = 5;
+  sampled.constraints.num_samples = 64;
+  sampled.constraints.seed = 5;
   requests.push_back(sampled);
   requests.push_back(Request(target, ExplainKind::kInteractions));
   ExplainRequest removal = Request(target, ExplainKind::kRemovalSets);

@@ -232,8 +232,8 @@ TEST(EngineTest, ThreadCountDoesNotChangeSampledValues) {
 TEST(EngineTest, ThreadedConstraintSamplingMatchesSerial) {
   ExplainRequest fixed = ConstraintRequest(data::SoccerTargetCell());
   fixed.constraints.force_sampling = true;
-  fixed.constraints.sampling.num_samples = 256;
-  fixed.constraints.sampling.seed = 5;
+  fixed.constraints.num_samples = 256;
+  fixed.constraints.seed = 5;
   for (const ExplainRequest& request : {fixed, WithTopOne(fixed, 256)}) {
     SCOPED_TRACE(request.anytime.has_value() ? "top-1" : "fixed budget");
     std::vector<ExplainResult> runs;
@@ -376,6 +376,34 @@ TEST(EngineTest, TooManyConstraintsForMaskRejected) {
   ExplainRequest removal = ConstraintRequest(data::SoccerTargetCell());
   removal.kind = ExplainKind::kRemovalSets;
   EXPECT_FALSE(engine.Explain(removal).ok());
+}
+
+TEST(EngineTest, ExactCellRequestPastTheWalkCeilingRejected) {
+  // Pruning off on a 20-row table: 120 cell players. The exact path
+  // must refuse 2^120 coalitions whatever max_exact_players allows,
+  // and the engine must keep serving afterwards.
+  auto generated = data::GenerateSoccer({.num_rows = 20, .seed = 41});
+  data::ErrorInjectorOptions inject;
+  inject.error_rate = 0.1;
+  inject.seed = 42;
+  const Table dirty = data::InjectErrors(generated.clean, inject).dirty;
+  Engine engine(Alg(), generated.dcs, dirty);
+  ASSERT_TRUE(engine.EnsureRepair().ok());
+  auto repaired = DiffTables(dirty, engine.reference_clean());
+  ASSERT_TRUE(repaired.ok());
+  ASSERT_FALSE(repaired->empty());
+  ExplainRequest exact;
+  exact.target = (*repaired)[0].cell;
+  exact.kind = ExplainKind::kCells;
+  exact.cells.method = CellMethod::kExact;
+  exact.cells.policy = AbsentCellPolicy::kNull;
+  exact.cells.prune = false;
+  exact.cells.max_exact_players = 1000;
+  auto rejected = engine.Explain(exact);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  auto served = engine.Explain(ConstraintRequest(exact.target));
+  EXPECT_TRUE(served.ok()) << served.status();
 }
 
 TEST(EngineTest, SingleCellRequestWithoutPlayerCellRejected) {

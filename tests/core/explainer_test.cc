@@ -1,12 +1,12 @@
-#include "core/explainer.h"
+// Value tests of the constraint and cell explanations that
+// `Engine::Explain` serves on the paper's running example.
+
+#include "core/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <map>
 
-#include "core/shapley_exact.h"
 #include "data/soccer.h"
 #include "repair/soccer_algorithm1.h"
 #include "dc/parser.h"
@@ -19,17 +19,59 @@ std::shared_ptr<repair::RuleRepair> Alg() {
   return alg;
 }
 
+/// Serves `request` on a fresh engine over (alg, dcs, dirty).
+Result<ExplainResult> ExplainOn(
+    std::shared_ptr<const repair::RepairAlgorithm> alg, dc::DcSet dcs,
+    Table dirty, const ExplainRequest& request) {
+  Engine engine(std::move(alg), std::move(dcs), std::move(dirty));
+  return engine.Explain(request);
+}
+
+/// Serves `request` on a fresh engine over the running example.
+Result<ExplainResult> ExplainSoccer(const ExplainRequest& request) {
+  return ExplainOn(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
+                   request);
+}
+
+ExplainRequest ConstraintRequest(ConstraintOptions options = {},
+                                 CellRef target = data::SoccerTargetCell()) {
+  ExplainRequest request;
+  request.target = target;
+  request.kind = ExplainKind::kConstraints;
+  request.constraints = options;
+  return request;
+}
+
+ExplainRequest CellRequest(CellOptions options,
+                           CellRef target = data::SoccerTargetCell()) {
+  ExplainRequest request;
+  request.target = target;
+  request.kind = ExplainKind::kCells;
+  request.cells = options;
+  return request;
+}
+
+ExplainRequest SingleCellRequest(CellOptions options, CellRef player) {
+  ExplainRequest request = CellRequest(options);
+  request.kind = ExplainKind::kSingleCell;
+  request.single_cell = player;
+  return request;
+}
+
+/// The ranking a kConstraints / kCells request returns.
+Result<Explanation> Rank(const ExplainRequest& request) {
+  TREX_ASSIGN_OR_RETURN(ExplainResult result, ExplainSoccer(request));
+  return std::move(*result.explanation);
+}
+
 std::map<std::string, double> AsMap(const Explanation& ex) {
   std::map<std::string, double> out;
   for (const PlayerScore& p : ex.ranked) out[p.label] = p.shapley;
   return out;
 }
 
-TEST(ConstraintExplainerTest, ReproducesFigure1Exactly) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+TEST(ConstraintExplanationTest, ReproducesFigure1Exactly) {
+  auto ex = Rank(ConstraintRequest());
   ASSERT_TRUE(ex.ok()) << ex.status();
   const auto values = AsMap(*ex);
   EXPECT_NEAR(values.at("C1"), 1.0 / 6.0, 1e-12);
@@ -40,11 +82,8 @@ TEST(ConstraintExplainerTest, ReproducesFigure1Exactly) {
   EXPECT_EQ(ex->ranked[0].label, "C3");  // ranked first
 }
 
-TEST(ConstraintExplainerTest, ExplanationMetadata) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+TEST(ConstraintExplanationTest, ExplanationMetadata) {
+  auto ex = Rank(ConstraintRequest());
   ASSERT_TRUE(ex.ok());
   EXPECT_EQ(ex->target_label, "t5[Country]");
   EXPECT_EQ(ex->old_value, Value("España"));
@@ -56,43 +95,32 @@ TEST(ConstraintExplainerTest, ExplanationMetadata) {
   EXPECT_EQ(ex->algorithm_calls, 8u);
 }
 
-TEST(ConstraintExplainerTest, TopKClamps) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+TEST(ConstraintExplanationTest, TopKClamps) {
+  auto ex = Rank(ConstraintRequest());
   ASSERT_TRUE(ex.ok());
   EXPECT_EQ(ex->TopK(2).size(), 2u);
   EXPECT_EQ(ex->TopK(100).size(), 4u);
   EXPECT_EQ(ex->TopK(0).size(), 0u);
 }
 
-TEST(ConstraintExplainerTest, UnrepairedCellRejected) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerCell(1, "Team"));
+TEST(ConstraintExplanationTest, UnrepairedCellRejected) {
+  auto ex = Rank(ConstraintRequest({}, data::SoccerCell(1, "Team")));
   EXPECT_FALSE(ex.ok());
   EXPECT_EQ(ex.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ConstraintExplainerTest, EmptyDcSetRejected) {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), dc::DcSet{},
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+TEST(ConstraintExplanationTest, EmptyDcSetRejected) {
+  auto ex = ExplainOn(Alg(), dc::DcSet{}, data::SoccerDirtyTable(),
+                      ConstraintRequest());
   EXPECT_FALSE(ex.ok());
 }
 
-TEST(ConstraintExplainerTest, SamplingPathApproximatesExact) {
-  ConstraintExplainerOptions options;
+TEST(ConstraintExplanationTest, SamplingPathApproximatesExact) {
+  ConstraintOptions options;
   options.force_sampling = true;
-  options.sampling.num_samples = 2000;
-  options.sampling.seed = 31;
-  ConstraintExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  options.num_samples = 2000;
+  options.seed = 31;
+  auto ex = Rank(ConstraintRequest(options));
   ASSERT_TRUE(ex.ok());
   const auto values = AsMap(*ex);
   EXPECT_NEAR(values.at("C3"), 2.0 / 3.0, 0.05);
@@ -101,46 +129,37 @@ TEST(ConstraintExplainerTest, SamplingPathApproximatesExact) {
   EXPECT_GT(ex->ranked[0].num_samples, 0u);
 }
 
-TEST(CellExplainerTest, NullPolicyRanksT5LeagueFirst) {
+TEST(CellExplanationTest, NullPolicyRanksT5LeagueFirst) {
   // The paper's Example 2.4 headline claim under the formal (null)
   // definition: t5[League] has the highest Shapley value.
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.method = CellMethod::kSampling;
   options.num_samples = 600;
   options.seed = 37;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = Rank(CellRequest(options));
   ASSERT_TRUE(ex.ok()) << ex.status();
   EXPECT_EQ(ex->ranked[0].label, "t5[League]");
 }
 
-TEST(CellExplainerTest, T5LeagueBeatsT6City) {
-  CellExplainerOptions options;
+TEST(CellExplanationTest, T5LeagueBeatsT6City) {
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.method = CellMethod::kSampling;
   options.num_samples = 600;
   options.seed = 41;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = Rank(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   const auto values = AsMap(*ex);
   EXPECT_GT(values.at("t5[League]"), values.at("t6[City]"));
 }
 
-TEST(CellExplainerTest, PruningExcludesPlaceAndYear) {
-  CellExplainerOptions options;
+TEST(CellExplanationTest, PruningExcludesPlaceAndYear) {
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.method = CellMethod::kSampling;
   options.num_samples = 50;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = Rank(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   // 24 players: {Team, City, Country, League} x 6 rows.
   EXPECT_EQ(ex->ranked.size(), 24u);
@@ -150,40 +169,34 @@ TEST(CellExplainerTest, PruningExcludesPlaceAndYear) {
   }
 }
 
-TEST(CellExplainerTest, NoPruningCoversAllCells) {
-  CellExplainerOptions options;
+TEST(CellExplanationTest, NoPruningCoversAllCells) {
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.method = CellMethod::kSampling;
   options.num_samples = 30;
   options.prune = false;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = Rank(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   EXPECT_EQ(ex->ranked.size(), 36u);
 }
 
-TEST(CellExplainerTest, PrunedCellsHaveZeroShapley) {
+TEST(CellExplanationTest, PrunedCellsHaveZeroShapley) {
   // t1[Place] is outside the influence graph; without pruning its
   // sampled Shapley value must still be ~0 (it is a dummy player).
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.method = CellMethod::kSampling;
   options.num_samples = 200;
   options.prune = false;
   options.seed = 43;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = Rank(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   const auto values = AsMap(*ex);
   EXPECT_NEAR(values.at("t1[Place]"), 0.0, 1e-12);
   EXPECT_NEAR(values.at("t4[Year]"), 0.0, 1e-12);
 }
 
-TEST(CellExplainerTest, ExactMatchesSamplingOnReducedGame) {
+TEST(CellExplanationTest, ExactMatchesSamplingOnReducedGame) {
   // Restrict the cell game to one row's relevant cells by using a tiny
   // table: 2 rows x 3 columns = 6 players, exact is feasible.
   const Schema schema = Schema::AllStrings({"Team", "City", "Country"});
@@ -203,7 +216,7 @@ C2: !(t1.City == t2.City & t1.Country != t2.Country)
   std::vector<repair::RepairRule> rules{
       {"C1", repair::RuleAction::kSetMostCommon, "City", ""},
       {"C2", repair::RuleAction::kSetMostCommonGiven, "Country", "City"}};
-  repair::RuleRepair alg("mini", rules);
+  auto alg = std::make_shared<repair::RuleRepair>("mini", rules);
   // Reference repair: t2[City] "Capital" -> ... most common city is
   // tie Madrid/Capital -> "Capital" wins? Counts: Madrid 1, Capital 1;
   // tie-break toward smaller value = "Capital". To avoid a degenerate
@@ -213,67 +226,56 @@ C2: !(t1.City == t2.City & t1.Country != t2.Country)
           .ok());
   const CellRef target{1, 1};  // t2[City]
 
-  CellExplainerOptions exact_options;
+  CellOptions exact_options;
   exact_options.policy = AbsentCellPolicy::kNull;
   exact_options.method = CellMethod::kExact;
   exact_options.prune = false;
-  CellExplainer exact(exact_options);
-  auto exact_ex = exact.Explain(alg, *dcs, dirty, target);
+  auto exact_ex =
+      ExplainOn(alg, *dcs, dirty, CellRequest(exact_options, target));
   ASSERT_TRUE(exact_ex.ok()) << exact_ex.status();
 
-  CellExplainerOptions sampling_options;
+  CellOptions sampling_options;
   sampling_options.policy = AbsentCellPolicy::kNull;
   sampling_options.method = CellMethod::kSampling;
   sampling_options.num_samples = 4000;
   sampling_options.prune = false;
   sampling_options.seed = 47;
-  CellExplainer sampling(sampling_options);
-  auto sampled_ex = sampling.Explain(alg, *dcs, dirty, target);
+  auto sampled_ex =
+      ExplainOn(alg, *dcs, dirty, CellRequest(sampling_options, target));
   ASSERT_TRUE(sampled_ex.ok());
 
-  const auto exact_map = AsMap(*exact_ex);
-  const auto sampled_map = AsMap(*sampled_ex);
+  const auto exact_map = AsMap(*exact_ex->explanation);
+  const auto sampled_map = AsMap(*sampled_ex->explanation);
   for (const auto& [label, exact_value] : exact_map) {
     EXPECT_NEAR(sampled_map.at(label), exact_value, 0.04) << label;
   }
 }
 
-TEST(CellExplainerTest, ExactRejectsColumnSamplePolicy) {
-  CellExplainerOptions options;
+TEST(CellExplanationTest, ExactRejectsColumnSamplePolicy) {
+  CellOptions options;
   options.method = CellMethod::kExact;
   options.policy = AbsentCellPolicy::kSampleFromColumn;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = Rank(CellRequest(options));
   EXPECT_FALSE(ex.ok());
 }
 
-TEST(CellExplainerTest, AutoPicksSamplingForLargePlayerSets) {
-  CellExplainerOptions options;
+TEST(CellExplanationTest, AutoPicksSamplingForLargePlayerSets) {
+  CellOptions options;
   options.method = CellMethod::kAuto;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 20;
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
+  auto ex = Rank(CellRequest(options));
   ASSERT_TRUE(ex.ok());
   // 24 players > max_exact_players (20) => sampling.
   EXPECT_NE(ex->method.find("sampling"), std::string::npos);
 }
 
-TEST(CellExplainerTest, DeterministicForSeed) {
-  CellExplainerOptions options;
+TEST(CellExplanationTest, DeterministicForSeed) {
+  CellOptions options;
   options.num_samples = 50;
   options.seed = 53;
-  CellExplainer explainer(options);
-  auto a = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                             data::SoccerDirtyTable(),
-                             data::SoccerTargetCell());
-  auto b = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                             data::SoccerDirtyTable(),
-                             data::SoccerTargetCell());
+  auto a = Rank(CellRequest(options));
+  auto b = Rank(CellRequest(options));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->ranked.size(), b->ranked.size());
@@ -283,47 +285,37 @@ TEST(CellExplainerTest, DeterministicForSeed) {
   }
 }
 
-TEST(CellExplainerTest, SingleCellEstimatorMatchesSweep) {
+TEST(CellExplanationTest, SingleCellEstimatorMatchesSweep) {
   // Example 2.5's per-cell loop should agree with the sweep estimate for
   // the same policy within sampling error.
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 800;
   options.seed = 59;
-  CellExplainer explainer(options);
 
-  auto single = explainer.ExplainSingleCell(
-      *Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell(), data::SoccerCell(5, "League"));
+  auto single = ExplainSoccer(
+      SingleCellRequest(options, data::SoccerCell(5, "League")));
   ASSERT_TRUE(single.ok()) << single.status();
 
   options.method = CellMethod::kSampling;
-  CellExplainer sweeper(options);
-  auto sweep = sweeper.Explain(*Alg(), data::SoccerConstraints(),
-                               data::SoccerDirtyTable(),
-                               data::SoccerTargetCell());
+  auto sweep = Rank(CellRequest(options));
   ASSERT_TRUE(sweep.ok());
   const auto values = AsMap(*sweep);
-  EXPECT_NEAR(single->shapley, values.at("t5[League]"), 0.08);
+  EXPECT_NEAR(single->single_cell->shapley, values.at("t5[League]"), 0.08);
 }
 
-TEST(CellExplainerTest, SingleCellForIrrelevantCellIsZero) {
-  CellExplainerOptions options;
+TEST(CellExplanationTest, SingleCellForIrrelevantCellIsZero) {
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 100;
-  CellExplainer explainer(options);
-  auto score = explainer.ExplainSingleCell(
-      *Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell(), data::SoccerCell(1, "Place"));
+  auto score = ExplainSoccer(
+      SingleCellRequest(options, data::SoccerCell(1, "Place")));
   ASSERT_TRUE(score.ok());
-  EXPECT_NEAR(score->shapley, 0.0, 1e-12);
+  EXPECT_NEAR(score->single_cell->shapley, 0.0, 1e-12);
 }
 
-TEST(CellExplainerTest, SingleCellOutOfRangeRejected) {
-  CellExplainer explainer;
-  auto score = explainer.ExplainSingleCell(
-      *Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
-      data::SoccerTargetCell(), CellRef{77, 0});
+TEST(CellExplanationTest, SingleCellOutOfRangeRejected) {
+  auto score = ExplainSoccer(SingleCellRequest({}, CellRef{77, 0}));
   EXPECT_FALSE(score.ok());
 }
 

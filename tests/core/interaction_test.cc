@@ -6,7 +6,7 @@
 #include <functional>
 #include <map>
 
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "data/soccer.h"
 #include "repair/soccer_algorithm1.h"
@@ -31,6 +31,18 @@ class LambdaGame : public Game {
   std::size_t n_;
   std::function<double(std::uint64_t)> v_;
 };
+
+/// Serves a kInteractions request on a fresh engine over the running
+/// example's table and Algorithm 1, attributing over `dcs`.
+trex::Result<trex::ExplainResult> ExplainInteractions(trex::dc::DcSet dcs,
+                                                      trex::CellRef target) {
+  trex::Engine engine(trex::repair::MakeAlgorithm1(), std::move(dcs),
+                      trex::data::SoccerDirtyTable());
+  trex::ExplainRequest request;
+  request.target = target;
+  request.kind = trex::ExplainKind::kInteractions;
+  return engine.Explain(request);
+}
 
 TEST(InteractionTest, PureComplementPair) {
   // v = 1 iff both players present: I(0,1) should be 1 (n = 2 and the
@@ -123,14 +135,12 @@ TEST(InteractionTest, PaperPairReadingOfExample23) {
   // The running example: C1 and C2 are complements (each useless alone
   // for t5[Country], jointly sufficient); C3 substitutes for the pair;
   // C4 interacts with nothing.
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainer explainer;
-  auto interactions = explainer.ExplainInteractions(
-      *alg, trex::data::SoccerConstraints(),
-      trex::data::SoccerDirtyTable(), trex::data::SoccerTargetCell());
-  ASSERT_TRUE(interactions.ok()) << interactions.status();
+  auto result = ExplainInteractions(trex::data::SoccerConstraints(),
+                                    trex::data::SoccerTargetCell());
+  ASSERT_TRUE(result.ok()) << result.status();
+  const auto& interactions = result->interactions;
   std::map<std::pair<std::string, std::string>, double> by_pair;
-  for (const trex::InteractionScore& score : *interactions) {
+  for (const trex::InteractionScore& score : interactions) {
     by_pair[{score.label_a, score.label_b}] = score.interaction;
   }
   EXPECT_GT(by_pair.at({"C1", "C2"}), 0.0);   // complements
@@ -140,21 +150,18 @@ TEST(InteractionTest, PaperPairReadingOfExample23) {
   EXPECT_NEAR(by_pair.at({"C2", "C4"}), 0.0, 1e-12);
   EXPECT_NEAR(by_pair.at({"C3", "C4"}), 0.0, 1e-12);
   // Ranked by |interaction|: the C4 pairs come last.
-  EXPECT_EQ(interactions->back().interaction, 0.0);
+  EXPECT_EQ(interactions.back().interaction, 0.0);
 }
 
 TEST(InteractionTest, ExplainInteractionsErrors) {
-  auto alg = trex::repair::MakeAlgorithm1();
-  trex::ConstraintExplainer explainer;
   // Unrepaired target rejected.
-  auto bad = explainer.ExplainInteractions(
-      *alg, trex::data::SoccerConstraints(),
-      trex::data::SoccerDirtyTable(), trex::data::SoccerCell(1, "Team"));
+  auto bad = ExplainInteractions(trex::data::SoccerConstraints(),
+                                 trex::data::SoccerCell(1, "Team"));
   EXPECT_FALSE(bad.ok());
   // Fewer than 2 constraints rejected.
-  auto single = explainer.ExplainInteractions(
-      *alg, trex::data::SoccerConstraints().Subset(0b0100),
-      trex::data::SoccerDirtyTable(), trex::data::SoccerTargetCell());
+  auto single = ExplainInteractions(
+      trex::data::SoccerConstraints().Subset(0b0100),
+      trex::data::SoccerTargetCell());
   EXPECT_FALSE(single.ok());
 }
 

@@ -21,7 +21,7 @@ Explanation SoccerCellExplanation() {
   TRexSession session(repair::MakeAlgorithm1(), data::SoccerConstraints(),
                       data::SoccerDirtyTable());
   EXPECT_TRUE(session.Repair().ok());
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 100;
   auto ex = session.ExplainCells(data::SoccerTargetCell(), options);

@@ -89,7 +89,7 @@ TEST(SessionTest, ExplainConstraintsAfterRepair) {
 TEST(SessionTest, ExplainCellsAfterRepair) {
   TRexSession session = MakeSession();
   ASSERT_TRUE(session.Repair().ok());
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 100;
   auto ex = session.ExplainCells(data::SoccerTargetCell(), options);
@@ -100,7 +100,7 @@ TEST(SessionTest, ExplainCellsAfterRepair) {
 TEST(SessionTest, ExplainSingleCellWorks) {
   TRexSession session = MakeSession();
   ASSERT_TRUE(session.Repair().ok());
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 100;
   auto score = session.ExplainSingleCell(

@@ -143,6 +143,17 @@ TEST(ExactShapleyTest, CapIsConfigurable) {
   EXPECT_TRUE(ComputeExactShapley(game, options).ok());
 }
 
+TEST(ExactShapleyTest, WalkCeilingHoldsWhateverTheCap) {
+  // 2^64 coalitions: past the subset walk's fixed ceiling, so no caller
+  // cap admits the game (the mask count would not even fit a size_t).
+  LambdaGame game(64, [](std::uint64_t) { return 0.0; });
+  ExactShapleyOptions options;
+  options.max_players = 1000;
+  auto values = ComputeExactShapley(game, options);
+  ASSERT_FALSE(values.ok());
+  EXPECT_EQ(values.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(PermutationOracleTest, RefusesLargeGames) {
   LambdaGame game(11, [](std::uint64_t) { return 0.0; });
   EXPECT_FALSE(ComputeExactShapleyByPermutations(game).ok());

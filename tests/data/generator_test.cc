@@ -145,6 +145,30 @@ TEST(GeneratorTest, ScalesToLargeWorlds) {
   EXPECT_EQ(generated.clean.num_rows(), 20000u);
 }
 
+// Golden fingerprints: the generator's output is pinned bit for bit
+// across shapes that exercise the Zipf phase, the backfill sweep of a
+// saturated world, a grown world and multi-league countries.
+TEST(GeneratorTest, GoldenFingerprints) {
+  const struct {
+    SoccerGenOptions options;
+    std::uint64_t fingerprint;
+  } cases[] = {
+      {{}, 0x43c4ede9cecf5c00ULL},
+      {{.num_rows = 5000}, 0xefda00c8919d6851ULL},
+      {{.num_rows = 16, .teams_per_league = 2, .first_year = 2018},
+       0x2e4165a0080d9017ULL},
+      {{.num_rows = 1500, .seed = 37}, 0xf9305e614614f722ULL},
+      {{.num_rows = 200, .zipf_exponent = 0.0, .seed = 3},
+       0x8050716860bf7282ULL},
+      {{.num_rows = 300, .leagues_per_country = 3, .seed = 4},
+       0x9b22d65c6e6fe36bULL},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(GenerateSoccer(c.options).clean.Fingerprint(), c.fingerprint)
+        << c.options.num_rows << " rows, seed " << c.options.seed;
+  }
+}
+
 TEST(WorldGeneratorTest, ProducesRequestedTables) {
   WorldGenOptions options;
   options.table.num_rows = 50;

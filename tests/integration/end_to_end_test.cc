@@ -118,7 +118,7 @@ TEST(EndToEnd, DemoScenarioBadCellDebugging) {
 
   // Explain the wrong repair of t3[City]; influential cells should
   // include the poisoned t6[City].
-  CellExplainerOptions options;
+  CellOptions options;
   options.policy = AbsentCellPolicy::kNull;
   options.num_samples = 400;
   options.seed = 73;
@@ -164,7 +164,7 @@ TEST(EndToEnd, AllRepairersAreExplainable) {
     EXPECT_EQ(constraint_ex->ranked.size(), 4u) << alg->name();
     EXPECT_GT(constraint_ex->TotalAttribution(), 0.0) << alg->name();
 
-    CellExplainerOptions options;
+    CellOptions options;
     options.policy = AbsentCellPolicy::kNull;
     options.num_samples = 60;
     auto cell_ex =

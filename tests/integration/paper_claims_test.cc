@@ -12,7 +12,7 @@
 #include <cmath>
 #include <map>
 
-#include "core/explainer.h"
+#include "core/engine.h"
 #include "core/repair_game.h"
 #include "core/shapley_exact.h"
 #include "data/soccer.h"
@@ -26,15 +26,23 @@ std::shared_ptr<repair::RuleRepair> Alg() {
   return alg;
 }
 
-std::map<std::string, double> Constraints() {
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
-  EXPECT_TRUE(ex.ok()) << ex.status();
+/// Serves `request` about t5[Country] on a fresh engine over `dcs`.
+Result<ExplainResult> ExplainTarget(dc::DcSet dcs, ExplainRequest request) {
+  Engine engine(Alg(), std::move(dcs), data::SoccerDirtyTable());
+  request.target = data::SoccerTargetCell();
+  return engine.Explain(request);
+}
+
+std::map<std::string, double> ByLabel(const Explanation& ex) {
   std::map<std::string, double> out;
-  for (const PlayerScore& p : ex->ranked) out[p.label] = p.shapley;
+  for (const PlayerScore& p : ex.ranked) out[p.label] = p.shapley;
   return out;
+}
+
+std::map<std::string, double> Constraints() {
+  auto result = ExplainTarget(data::SoccerConstraints(), {});
+  EXPECT_TRUE(result.ok()) << result.status();
+  return ByLabel(*result->explanation);
 }
 
 // Figure 1: Shap(C1) = 1/6, Shap(C2) = 1/6, Shap(C3) = 2/3, Shap(C4) = 0.
@@ -124,21 +132,19 @@ TEST(PaperClaims, Example24CoalitionCounts) {
 // t5[League] is the top-ranked cell, t5[League] > t6[City], and
 // t1[Place] contributes 0.
 TEST(PaperClaims, Example24CellRanking) {
-  CellExplainerOptions options;
-  options.policy = AbsentCellPolicy::kNull;
-  options.method = CellMethod::kSampling;
-  options.num_samples = 800;
-  options.seed = 61;
-  options.prune = false;  // include t1[Place] so we can check it
-  CellExplainer explainer(options);
-  auto ex = explainer.Explain(*Alg(), data::SoccerConstraints(),
-                              data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
-  ASSERT_TRUE(ex.ok()) << ex.status();
-  std::map<std::string, double> values;
-  for (const PlayerScore& p : ex->ranked) values[p.label] = p.shapley;
+  ExplainRequest request;
+  request.kind = ExplainKind::kCells;
+  request.cells.policy = AbsentCellPolicy::kNull;
+  request.cells.method = CellMethod::kSampling;
+  request.cells.num_samples = 800;
+  request.cells.seed = 61;
+  request.cells.prune = false;  // include t1[Place] so we can check it
+  auto result = ExplainTarget(data::SoccerConstraints(), request);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const Explanation& ex = *result->explanation;
+  const auto values = ByLabel(ex);
 
-  EXPECT_EQ(ex->ranked[0].label, "t5[League]");
+  EXPECT_EQ(ex.ranked[0].label, "t5[League]");
   EXPECT_GT(values.at("t5[League]"), values.at("t6[City]"));
   EXPECT_NEAR(values.at("t1[Place]"), 0.0, 1e-12);
 }
@@ -210,13 +216,10 @@ TEST(PaperClaims, Section23SamplingConvergence) {
 // in T^d" — removing the top-ranked DC changes the explanation.
 TEST(PaperClaims, Section3IterationLoop) {
   const dc::DcSet without_c3 = data::SoccerConstraints().Without(2);
-  ConstraintExplainer explainer;
-  auto ex = explainer.Explain(*Alg(), without_c3, data::SoccerDirtyTable(),
-                              data::SoccerTargetCell());
-  ASSERT_TRUE(ex.ok());
+  auto result = ExplainTarget(without_c3, {});
+  ASSERT_TRUE(result.ok());
   // With C3 gone, C1 and C2 carry the whole repair: 1/2 each.
-  std::map<std::string, double> values;
-  for (const PlayerScore& p : ex->ranked) values[p.label] = p.shapley;
+  const auto values = ByLabel(*result->explanation);
   EXPECT_NEAR(values.at("C1"), 0.5, 1e-12);
   EXPECT_NEAR(values.at("C2"), 0.5, 1e-12);
   EXPECT_NEAR(values.at("C4"), 0.0, 1e-12);

@@ -228,8 +228,8 @@ TEST(ExplainServiceTest, ServicePathBitIdenticalToSynchronousExplain) {
   ASSERT_TRUE(sync_cells.ok()) << sync_cells.status();
   ExplainRequest sampled_constraints = ConstraintRequest();
   sampled_constraints.constraints.force_sampling = true;
-  sampled_constraints.constraints.sampling.num_samples = 64;
-  sampled_constraints.constraints.sampling.seed = 41;
+  sampled_constraints.constraints.num_samples = 64;
+  sampled_constraints.constraints.seed = 41;
   auto sync_constraints = engine.Explain(sampled_constraints);
   ASSERT_TRUE(sync_constraints.ok()) << sync_constraints.status();
 
