@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <set>
 #include <utility>
@@ -17,23 +19,45 @@ namespace {
 /// The per-thread evaluation scratch: one resident dirty-table copy per
 /// thread, owned by whichever box evaluated last on this thread
 /// (`owner` is the box's globally unique scratch id). Switching boxes
-/// re-copies; staying on one box resets in O(#previous writes).
+/// re-copies; staying on one box resets in O(#previous writes). When the
+/// owner's algorithm opens a `RepairSession`, the scratch keeps it bound
+/// to `table` and every write goes through it.
 ///
 /// Retention trade-off: the copy outlives the owning box (thread-locals
 /// cannot be reclaimed from another thread, e.g. when the router evicts
 /// an engine) and is not part of `approx_memo_bytes` — a deliberate,
 /// bounded cost of one dirty-table copy per evaluating thread, the same
 /// order as the shared dirty table itself and reused in place by the
-/// next box the thread serves.
+/// next box the thread serves. The session's probe indices and counters
+/// are retained per thread the same way (a few per-row arrays per rule),
+/// and are not in `approx_memo_bytes` either.
 struct EvalScratch {
   std::uint64_t owner = 0;
   Table table;
+  /// Bound to `table` (declared after it, so destroyed first); null for
+  /// black boxes. References nothing but `table` (see
+  /// repair::RepairSession), so it may outlive the box that opened it.
+  std::unique_ptr<repair::RepairSession> session;
   /// Cells of `table` currently differing from the owner's dirty table.
   std::vector<CellRef> touched;
   /// Per-linear-index scratch marks (all zero between calls), used to
   /// intersect the previous and next write sets so consecutive
   /// evaluations reset/apply only what actually changed.
   std::vector<std::uint8_t> mark;
+  /// Reused buffers of a session repair: its undo log, the cells it or
+  /// the input wrote, and those plus the box's `static_diff_`.
+  std::vector<CellWrite> undo;
+  std::vector<std::uint32_t> moved;
+  std::vector<std::uint32_t> candidates;
+
+  /// Writes one cell, through the session when there is one.
+  void Set(CellRef cell, Value value) {
+    if (session != nullptr) {
+      session->Set(cell, std::move(value));
+    } else {
+      table.Set(cell, std::move(value));
+    }
+  }
 };
 
 /// Bit-level value equality, stricter than `Value::operator==` (which
@@ -155,6 +179,12 @@ Result<BlackBoxRepair> BlackBoxRepair::MakeMultiTarget(
     return Status::Internal("reference repair changed the table's shape");
   }
   box.state_->calls.store(1);
+  for (std::uint32_t i = 0; i < box.dirty_->num_cells(); ++i) {
+    if (!CellRepairedTo(*box.dirty_, box.clean_,
+                        box.dirty_->FromLinearIndex(i))) {
+      box.static_diff_.push_back(i);
+    }
+  }
   if (box.dcs_.size() <= kMaxMaskConstraints) {
     box.column_dummy_masks_ =
         DummyConstraintMasks(*algorithm, box.dcs_, box.dirty_->schema());
@@ -368,16 +398,19 @@ bool BlackBoxRepair::EvalConstraintSubset(std::uint64_t mask,
   return outcome;
 }
 
-const Table& BlackBoxRepair::MaterializeScratch(
+void BlackBoxRepair::MaterializeScratch(
     std::span<const CellWrite> writes) const {
   EvalScratch& scratch = ThreadEvalScratch();
   if (scratch.owner != state_->scratch_id) {
     // First evaluation of this box on this thread (or the thread last
-    // served another box): pay one full copy, then amortize it across
-    // every subsequent miss.
+    // served another box, or a session repair failed): pay one full
+    // copy, then amortize it across every subsequent miss. The old
+    // session is bound to the old content, so it goes first.
+    scratch.session.reset();
     scratch.table = *dirty_;
     scratch.touched.clear();
     scratch.mark.assign(dirty_->num_cells(), 0);
+    scratch.session = algorithm_->OpenSession(dcs_, &scratch.table);
     scratch.owner = state_->scratch_id;
     state_->eval_table_copies.fetch_add(1);
   }
@@ -390,18 +423,66 @@ const Table& BlackBoxRepair::MaterializeScratch(
   }
   for (const CellRef& cell : scratch.touched) {
     if (!scratch.mark[dirty_->LinearIndex(cell)]) {
-      scratch.table.Set(cell, dirty_->at(cell));
+      scratch.Set(cell, dirty_->at(cell));
     }
   }
   scratch.touched.clear();
   for (const CellWrite& write : writes) {
     if (!ExactlyEqual(scratch.table.at(write.cell), write.value)) {
-      scratch.table.Set(write.cell, write.value);
+      scratch.Set(write.cell, write.value);
     }
     scratch.touched.push_back(write.cell);
     scratch.mark[dirty_->LinearIndex(write.cell)] = 0;  // leave all-zero
   }
-  return scratch.table;
+}
+
+Result<std::vector<std::uint32_t>> BlackBoxRepair::RepairScratch(
+    std::span<const CellWrite> writes) const {
+  EvalScratch& scratch = ThreadEvalScratch();
+  if (scratch.session == nullptr) {
+    TREX_ASSIGN_OR_RETURN(Table repaired,
+                          algorithm_->Repair(dcs_, scratch.table));
+    return DiffAgainstClean(repaired);
+  }
+  scratch.undo.clear();
+  if (Status status = scratch.session->RepairInPlace(&scratch.undo);
+      !status.ok()) {
+    // The scratch may be partly repaired: re-copy on the next miss.
+    scratch.owner = 0;
+    return status;
+  }
+  // Only the input's writes and the repair's own writes can hold
+  // anything but their T^d value, so every other cell fails
+  // `CellRepairedTo` exactly when it is in `static_diff_`.
+  scratch.moved.clear();
+  for (const CellWrite& write : writes) {
+    scratch.moved.push_back(
+        static_cast<std::uint32_t>(dirty_->LinearIndex(write.cell)));
+  }
+  for (const CellWrite& write : scratch.undo) {
+    scratch.moved.push_back(
+        static_cast<std::uint32_t>(dirty_->LinearIndex(write.cell)));
+  }
+  std::sort(scratch.moved.begin(), scratch.moved.end());
+  scratch.moved.erase(std::unique(scratch.moved.begin(), scratch.moved.end()),
+                      scratch.moved.end());
+  scratch.candidates.clear();
+  std::set_union(static_diff_.begin(), static_diff_.end(),
+                 scratch.moved.begin(), scratch.moved.end(),
+                 std::back_inserter(scratch.candidates));
+  std::vector<std::uint32_t> diff;
+  for (const std::uint32_t index : scratch.candidates) {
+    if (!CellRepairedTo(scratch.table, clean_,
+                        dirty_->FromLinearIndex(index))) {
+      diff.push_back(index);
+    }
+  }
+  // Back to dirty+writes, through the session so it stays in step.
+  for (auto it = scratch.undo.rbegin(); it != scratch.undo.rend(); ++it) {
+    scratch.session->Set(it->cell, std::move(it->value));
+  }
+  diff.shrink_to_fit();  // as DiffAgainstClean: memo bytes read capacity
+  return diff;
 }
 
 bool BlackBoxRepair::EvalTable(const Table& perturbed,
@@ -478,11 +559,10 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
   }
 
   // Only a miss materializes, into the per-thread scratch.
-  const Table& perturbed = MaterializeScratch(writes);
+  MaterializeScratch(writes);
   auto diff = [&]() -> Result<std::vector<std::uint32_t>> {
     TREX_FAULT_INJECT("repair.eval_table_miss");
-    TREX_ASSIGN_OR_RETURN(Table repaired, algorithm_->Repair(dcs_, perturbed));
-    return DiffAgainstClean(repaired);
+    return RepairScratch(writes);
   }();
   if (!diff.ok()) {
     // See EvalConstraintSubset: record + abort, and return before any

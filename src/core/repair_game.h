@@ -65,6 +65,21 @@
 // evaluations make zero full-table copies (`num_eval_table_copies()`
 // counts the scratch (re)initializations).
 //
+// Repair sessions: when the algorithm opens a `repair::RepairSession`
+// on the scratch table (`RepairAlgorithm::OpenSession`; rule_repair
+// does, black boxes return null), every scratch write goes through it,
+// so the backend's probe indices and statistics follow the scratch from
+// one coalition to the next instead of being rebuilt per call. A miss
+// then repairs the scratch in place with an undo log, diffs only the
+// candidate cells — the input writes, the repair's own writes (the undo
+// log) and `static_diff_`, the cells where T^d itself fails
+// `CellRepairedTo` against T^c; every other cell still holds its T^d
+// value — and replays the log in reverse. The diff is the same sorted
+// vector `DiffAgainstClean` gives. A failed session repair drops the
+// scratch (the next miss re-copies it) and writes no memo entry. Black
+// boxes, wrappers that do not forward the hook, and the constraint-
+// subset path keep `Repair` plus `DiffAgainstClean`.
+//
 // `approx_memo_bytes()` estimates the resident payload of both memos
 // (entries × payload estimate) so the memo footprint is observable; the
 // engine surfaces it through `BatchStats` and the benches' JSON lines.
@@ -364,17 +379,28 @@ class BlackBoxRepair {
   /// Estimated resident payload of one memo entry.
   static std::size_t EntryPayloadBytes(const CacheEntry& entry);
 
-  /// The per-thread scratch table holding dirty+writes, (re)initialized
-  /// from the dirty table only when this thread last evaluated a
-  /// different box (counted in `eval_table_copies`), otherwise reset by
-  /// undoing the previous writes.
-  const Table& MaterializeScratch(std::span<const CellWrite> writes) const;
+  /// Brings the per-thread scratch table to dirty+writes: (re)initialized
+  /// from the dirty table, with a fresh session from the algorithm,
+  /// only when this thread last evaluated a different box (counted in
+  /// `eval_table_copies`), otherwise reset by undoing the previous
+  /// writes.
+  void MaterializeScratch(std::span<const CellWrite> writes) const;
+
+  /// Repairs the materialized scratch and returns its diff against T^c
+  /// (see "Delta evaluation" in the file comment). `writes` is the input
+  /// `MaterializeScratch` applied.
+  [[nodiscard]] Result<std::vector<std::uint32_t>> RepairScratch(
+      std::span<const CellWrite> writes) const;
 
   const repair::RepairAlgorithm* algorithm_ = nullptr;
   dc::DcSet dcs_;
   /// Shared with the owning engine/session (never null once constructed).
   std::shared_ptr<const Table> dirty_;
   Table clean_;
+  /// Sorted linear indices of the cells where T^d fails `CellRepairedTo`
+  /// against T^c: the session path's diff of every cell neither the
+  /// input nor the repair wrote.
+  std::vector<std::uint32_t> static_diff_;
   /// The dirty table's own fingerprints: the delta-evaluation base.
   std::uint64_t dirty_fp64_ = 0;
   Hash128 dirty_fp128_;

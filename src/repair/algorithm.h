@@ -14,8 +14,10 @@
 #ifndef TREX_REPAIR_ALGORITHM_H_
 #define TREX_REPAIR_ALGORITHM_H_
 
+#include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "dc/constraint.h"
@@ -23,6 +25,47 @@
 #include "table/table.h"
 
 namespace trex::repair {
+
+/// A repair bound to one caller-owned table, keeping the backend's
+/// derived state (probe indices, statistics) across repairs of inputs
+/// that differ in a few cells (see `RepairAlgorithm::OpenSession`).
+///
+/// Contract:
+///   * equality with `Repair`: after any sequence of `Set` calls,
+///     `RepairInPlace` leaves the bound table bit-identical (type and
+///     bytes of every cell) to `Repair(dcs, T)`, where T is the bound
+///     table as it stood before the call;
+///   * the undo log: `RepairInPlace(&undo)` appends one `CellWrite` per
+///     overwritten cell, holding the cell's prior value, in write order.
+///     Replaying the log in reverse through `Set` restores the input
+///     table bit for bit, and the session stays usable for the next
+///     input;
+///   * self-containment: a session references nothing but its bound
+///     table. It copies the constraint set and whatever it resolved from
+///     its algorithm, so it may outlive both (the evaluation scratch that
+///     holds one is thread-local and outlives boxes and algorithms);
+///   * one thread per session: sessions are not synchronized.
+///
+/// Every write to the bound table must go through `Set` while the
+/// session is open; the caller owns the table and keeps it alive.
+class RepairSession {
+ public:
+  RepairSession() = default;
+  RepairSession(const RepairSession&) = delete;
+  RepairSession& operator=(const RepairSession&) = delete;
+  virtual ~RepairSession() = default;
+
+  /// Writes `value` into `cell` of the bound table and brings the
+  /// session's derived state in step.
+  virtual void Set(CellRef cell, Value value) = 0;
+
+  /// Repairs the bound table in place; see the class comment for the
+  /// undo log. `undo` may be null when the caller keeps the output (a
+  /// one-shot repair), which lets the session drop derived state it
+  /// would otherwise retain. On failure the bound table may be partly
+  /// repaired and the session must be discarded.
+  [[nodiscard]] virtual Status RepairInPlace(std::vector<CellWrite>* undo) = 0;
+};
 
 /// Abstract deterministic repair algorithm.
 class RepairAlgorithm {
@@ -61,6 +104,20 @@ class RepairAlgorithm {
     (void)dcs;
     (void)schema;
     return std::nullopt;
+  }
+
+  /// Optionally opens a `RepairSession` over `table` (owned by the
+  /// caller, who must keep it alive and write it only through the
+  /// session) under the constraint set `dcs`. Black boxes return null,
+  /// the default, and callers fall back to `Repair`. `BlackBoxRepair`
+  /// opens one per evaluating thread on its scratch table, so
+  /// consecutive coalitions re-repair a table that moved by a few cells
+  /// without rebuilding the backend's indices.
+  virtual std::unique_ptr<RepairSession> OpenSession(const dc::DcSet& dcs,
+                                                     Table* table) const {
+    (void)dcs;
+    (void)table;
+    return nullptr;
   }
 };
 

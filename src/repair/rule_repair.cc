@@ -1,9 +1,12 @@
 #include "repair/rule_repair.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
+#include "common/logging.h"
 #include "dc/row_index.h"
 #include "dc/violation.h"
 #include "table/stats.h"
@@ -102,6 +105,222 @@ ModeCounter BuildModeCounter(const Table& table, std::size_t col) {
   return counter;
 }
 
+/// A rule resolved against a constraint set and schema.
+struct ResolvedRule {
+  std::size_t constraint_index;
+  RuleAction action;
+  std::size_t target_col;
+  std::size_t given_col;  // valid only for kSetMostCommonGiven
+  /// A rule conditioning on its own target column would invalidate its
+  /// conditioning groups on write, so that (unusual) shape keeps the
+  /// build-per-query path and no joint counter.
+  bool self_conditioned;
+};
+
+/// The rule loop over one bound table (see the rule_repair.h file
+/// comment and `RepairSession`).
+class RuleRepairSession : public RepairSession {
+ public:
+  RuleRepairSession(const dc::DcSet& dcs, Table* table,
+                    const std::vector<RepairRule>& rules, int max_passes)
+      : dcs_(dcs), table_(table), max_passes_(max_passes) {
+    TREX_CHECK(table_ != nullptr);
+    resolve_status_ = Resolve(rules);
+    if (!resolve_status_.ok()) rules_.clear();
+    states_.resize(rules_.size());
+    num_doubles_.assign(table_->num_columns(), kUncounted);
+  }
+
+  void Set(CellRef cell, Value value) override {
+    Write(cell.row, cell.col, std::move(value), nullptr);
+  }
+
+  Status RepairInPlace(std::vector<CellWrite>* undo) override;
+
+ private:
+  /// A rule's violation probe index and statistics, built when the rule
+  /// first runs and maintained under every write after that.
+  struct RuleState {
+    std::optional<dc::ConstraintRowIndex> index;
+    std::optional<ModeCounter> column_mode;
+    std::optional<ConditionalModeCounter> joint_mode;
+  };
+
+  static constexpr std::size_t kUncounted = static_cast<std::size_t>(-1);
+
+  /// Resolves `rules` against the constraint set and the table's schema
+  /// into `rules_`. Rules bound to constraints not present in `dcs_` are
+  /// silently skipped (that is the semantics of running the algorithm
+  /// "without" a constraint).
+  [[nodiscard]] Status Resolve(const std::vector<RepairRule>& rules);
+
+  /// Builds rule `i`'s state if absent, and refreshes retained counters
+  /// that a rebuild could answer differently (see `HoldsDoubles`).
+  RuleState& Prepare(std::size_t i);
+
+  /// True iff column `col` holds a double. A retained counter keeps the
+  /// same counts as one rebuilt from the current table, and `Mode()` is
+  /// a function of the counts — the argmax, ties to the smallest value —
+  /// but the `Value` it returns is a stored representative. Among ints
+  /// and strings equal values are identical, so the representative is
+  /// too; a double makes it depend on history (int 1 vs double 1.0,
+  /// +0.0 vs -0.0, NaN). Retained counters over such a column are
+  /// therefore rebuilt when their rule runs, exactly as a one-shot
+  /// repair builds them. Counted once per column, then maintained.
+  bool HoldsDoubles(std::size_t col);
+
+  /// Overwrites one cell, logs its prior value to `undo` (if given) and
+  /// keeps every built index and counter in step.
+  void Write(std::size_t row, std::size_t col, Value value,
+             std::vector<CellWrite>* undo);
+
+  // Copied, not referenced: a session may outlive the caller's DcSet
+  // (the indices below point into it).
+  const dc::DcSet dcs_;
+  Table* const table_;
+  const int max_passes_;
+  Status resolve_status_;
+  std::vector<ResolvedRule> rules_;
+  std::vector<RuleState> states_;
+  /// Per column, the number of cells holding a double, or kUncounted.
+  std::vector<std::size_t> num_doubles_;
+};
+
+Status RuleRepairSession::Resolve(const std::vector<RepairRule>& rules) {
+  for (const RepairRule& rule : rules) {
+    auto constraint_index = dcs_.IndexOf(rule.constraint_name);
+    if (!constraint_index.ok()) continue;  // constraint dropped from input
+    TREX_ASSIGN_OR_RETURN(std::size_t target_col,
+                          table_->ColumnIndex(rule.target_attribute));
+    std::size_t given_col = 0;
+    if (rule.action == RuleAction::kSetMostCommonGiven) {
+      TREX_ASSIGN_OR_RETURN(given_col,
+                            table_->ColumnIndex(rule.given_attribute));
+    }
+    rules_.push_back(ResolvedRule{
+        *constraint_index, rule.action, target_col, given_col,
+        rule.action == RuleAction::kSetMostCommonGiven &&
+            given_col == target_col});
+  }
+  return Status::Ok();
+}
+
+bool RuleRepairSession::HoldsDoubles(std::size_t col) {
+  if (num_doubles_[col] == kUncounted) {
+    num_doubles_[col] = 0;
+    for (std::size_t r = 0; r < table_->num_rows(); ++r) {
+      num_doubles_[col] += table_->at(r, col).is_double();
+    }
+  }
+  return num_doubles_[col] > 0;
+}
+
+RuleRepairSession::RuleState& RuleRepairSession::Prepare(std::size_t i) {
+  const ResolvedRule& rule = rules_[i];
+  RuleState& state = states_[i];
+  // Bucketed per-row violation probe over the mutating table — O(1) per
+  // row for the counted shape, O(bucket) otherwise, instead of
+  // dc::RowViolates' full scan. Its answers depend on the table's
+  // content alone, so a retained index answers as a fresh one would.
+  if (!state.index.has_value()) {
+    state.index.emplace(table_, &dcs_.at(rule.constraint_index));
+  }
+  // The paper's semantics: statistics reflect the *current* (partially
+  // repaired) table. The incremental counters are updated on every
+  // write, so each query sees exactly what a fresh ColumnStats /
+  // JointStats build over the current table would.
+  if (rule.action == RuleAction::kSetMostCommon) {
+    if (!state.column_mode.has_value() || HoldsDoubles(rule.target_col)) {
+      state.column_mode = BuildModeCounter(*table_, rule.target_col);
+    }
+  } else if (!rule.self_conditioned) {
+    if (!state.joint_mode.has_value() || HoldsDoubles(rule.given_col) ||
+        HoldsDoubles(rule.target_col)) {
+      state.joint_mode.emplace(*table_, rule.given_col, rule.target_col);
+    }
+  }
+  return state;
+}
+
+void RuleRepairSession::Write(std::size_t row, std::size_t col, Value value,
+                              std::vector<CellWrite>* undo) {
+  Value old_value = table_->at(row, col);
+  if (num_doubles_[col] != kUncounted) {
+    num_doubles_[col] = num_doubles_[col] + value.is_double() -
+                        old_value.is_double();
+  }
+  table_->Set(row, col, std::move(value));
+  const Value& new_value = table_->at(row, col);
+  for (std::size_t i = 0; i < rules_.size(); ++i) {
+    RuleState& state = states_[i];
+    if (!state.index.has_value()) continue;
+    // The index reads other columns live; an indexed column moves the
+    // row to its new bucket and group.
+    if (state.index->IsKeyColumn(col)) state.index->Rekey(row);
+    const ResolvedRule& rule = rules_[i];
+    if (state.column_mode.has_value() && col == rule.target_col) {
+      state.column_mode->Remove(old_value);
+      state.column_mode->Add(new_value);
+    }
+    if (state.joint_mode.has_value()) {
+      if (col == rule.target_col) {
+        const Value& cond = table_->at(row, rule.given_col);
+        state.joint_mode->Remove(cond, old_value);
+        state.joint_mode->Add(cond, new_value);
+      } else if (col == rule.given_col) {
+        const Value& target = table_->at(row, rule.target_col);
+        state.joint_mode->Remove(old_value, target);
+        state.joint_mode->Add(new_value, target);
+      }
+    }
+  }
+  if (undo != nullptr) {
+    undo->push_back({CellRef{row, col}, std::move(old_value)});
+  }
+}
+
+Status RuleRepairSession::RepairInPlace(std::vector<CellWrite>* undo) {
+  if (!resolve_status_.ok()) return resolve_status_;
+  for (int pass = 0; pass < max_passes_; ++pass) {
+    bool changed = false;
+    for (std::size_t i = 0; i < rules_.size(); ++i) {
+      const ResolvedRule& rule = rules_[i];
+      const RuleState& state = Prepare(i);
+      for (std::size_t row = 0; row < table_->num_rows(); ++row) {
+        if (!state.index->RowViolates(row)) continue;
+        std::optional<Value> replacement;
+        if (rule.action == RuleAction::kSetMostCommon) {
+          replacement = state.column_mode->Mode();
+        } else {
+          const Value& given = table_->at(row, rule.given_col);
+          if (given.is_null()) continue;  // no conditioning evidence
+          replacement =
+              rule.self_conditioned
+                  ? JointStats::Build(*table_, rule.given_col,
+                                      rule.target_col)
+                        .MostCommonGiven(given)
+                  : state.joint_mode->MostCommonGiven(given);
+        }
+        if (!replacement.has_value()) continue;  // no evidence at all
+        const Value& current = table_->at(row, rule.target_col);
+        const bool differs =
+            current.is_null() ? !replacement->is_null()
+                              : (replacement->is_null() ||
+                                 *replacement != current);
+        if (differs) {
+          Write(row, rule.target_col, std::move(*replacement), undo);
+          changed = true;
+        }
+      }
+      // A one-shot repair drops the rule's state once the rule is done,
+      // so a big table never holds every rule's index at once.
+      if (undo == nullptr) states_[i] = RuleState{};
+    }
+    if (!changed) break;
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 RuleRepair::RuleRepair(std::string name, std::vector<RepairRule> rules,
@@ -110,100 +329,16 @@ RuleRepair::RuleRepair(std::string name, std::vector<RepairRule> rules,
 
 Result<Table> RuleRepair::Repair(const dc::DcSet& dcs,
                                  const Table& dirty) const {
-  // Resolve rules against the supplied constraint set and schema. Rules
-  // bound to constraints not present in `dcs` are silently skipped (that
-  // is the semantics of running the algorithm "without" a constraint).
-  struct ResolvedRule {
-    std::size_t constraint_index;
-    RuleAction action;
-    std::size_t target_col;
-    std::size_t given_col;  // valid only for kSetMostCommonGiven
-  };
-  std::vector<ResolvedRule> resolved;
-  resolved.reserve(rules_.size());
-  for (const RepairRule& rule : rules_) {
-    auto constraint_index = dcs.IndexOf(rule.constraint_name);
-    if (!constraint_index.ok()) continue;  // constraint dropped from input
-    TREX_ASSIGN_OR_RETURN(std::size_t target_col,
-                          dirty.ColumnIndex(rule.target_attribute));
-    std::size_t given_col = 0;
-    if (rule.action == RuleAction::kSetMostCommonGiven) {
-      TREX_ASSIGN_OR_RETURN(given_col,
-                            dirty.ColumnIndex(rule.given_attribute));
-    }
-    resolved.push_back(ResolvedRule{*constraint_index, rule.action,
-                                    target_col, given_col});
-  }
-
   Table table = dirty;
-  for (int pass = 0; pass < options_.max_passes; ++pass) {
-    bool changed = false;
-    for (const ResolvedRule& rule : resolved) {
-      const dc::DenialConstraint& constraint = dcs.at(rule.constraint_index);
-      // Bucketed per-row violation probe over the mutating table — O(1)
-      // per row for the counted shape, O(bucket) otherwise, instead of
-      // dc::RowViolates' full scan. Writes below only touch the rule's
-      // target column; the row is re-keyed when the index indexes that
-      // column (a join-key column or the counted `!=` column).
-      dc::ConstraintRowIndex row_index(&table, &constraint);
-      // The paper's semantics: statistics reflect the *current*
-      // (partially repaired) table. The incremental counters below are
-      // updated on every write, so each query sees exactly what a fresh
-      // ColumnStats/JointStats build over the current table would. A
-      // rule conditioning on its own target column would invalidate its
-      // conditioning groups on write, so that (unusual) shape keeps the
-      // build-per-query path.
-      const bool self_conditioned =
-          rule.action == RuleAction::kSetMostCommonGiven &&
-          rule.given_col == rule.target_col;
-      std::optional<ModeCounter> column_mode;
-      std::optional<ConditionalModeCounter> joint_mode;
-      if (rule.action == RuleAction::kSetMostCommon) {
-        column_mode = BuildModeCounter(table, rule.target_col);
-      } else if (!self_conditioned) {
-        joint_mode.emplace(table, rule.given_col, rule.target_col);
-      }
-      for (std::size_t row = 0; row < table.num_rows(); ++row) {
-        if (!row_index.RowViolates(row)) continue;
-        std::optional<Value> replacement;
-        if (rule.action == RuleAction::kSetMostCommon) {
-          replacement = column_mode->Mode();
-        } else {
-          const Value& given = table.at(row, rule.given_col);
-          if (given.is_null()) continue;  // no conditioning evidence
-          replacement =
-              self_conditioned
-                  ? JointStats::Build(table, rule.given_col,
-                                      rule.target_col)
-                        .MostCommonGiven(given)
-                  : joint_mode->MostCommonGiven(given);
-        }
-        if (!replacement.has_value()) continue;  // no evidence at all
-        const Value& current = table.at(row, rule.target_col);
-        const bool differs =
-            current.is_null() ? !replacement->is_null()
-                              : (replacement->is_null() ||
-                                 *replacement != current);
-        if (differs) {
-          const Value old_value = current;
-          table.Set(row, rule.target_col, *replacement);
-          changed = true;
-          if (column_mode.has_value()) {
-            column_mode->Remove(old_value);
-            column_mode->Add(*replacement);
-          }
-          if (joint_mode.has_value()) {
-            const Value& cond = table.at(row, rule.given_col);
-            joint_mode->Remove(cond, old_value);
-            joint_mode->Add(cond, *replacement);
-          }
-          if (row_index.IsKeyColumn(rule.target_col)) row_index.Rekey(row);
-        }
-      }
-    }
-    if (!changed) break;
-  }
+  RuleRepairSession session(dcs, &table, rules_, options_.max_passes);
+  TREX_RETURN_NOT_OK(session.RepairInPlace(nullptr));
   return table;
+}
+
+std::unique_ptr<RepairSession> RuleRepair::OpenSession(const dc::DcSet& dcs,
+                                                       Table* table) const {
+  return std::make_unique<RuleRepairSession>(dcs, table, rules_,
+                                             options_.max_passes);
 }
 
 std::optional<dc::AttributeGraph> RuleRepair::InfluenceGraph(

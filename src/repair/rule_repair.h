@@ -17,6 +17,13 @@
 // and rows are visited in ascending index, so step 2 sees step 1's writes
 // (Example 1.1: "C1 caused the change of 'Capital' to 'Madrid' first and
 // then C2 caused the change of the value in the Country cell").
+//
+// There is one rule loop, in the session (`OpenSession`): `Repair` copies
+// its input, opens a session on the copy and repairs it in place. A rule
+// builds its violation probe index and its statistics when it first runs.
+// A one-shot repair drops them when the rule finishes; a session keeps
+// them and maintains them under every later write, so the next
+// coalition's repair starts from warm indices.
 
 #ifndef TREX_REPAIR_RULE_REPAIR_H_
 #define TREX_REPAIR_RULE_REPAIR_H_
@@ -63,8 +70,16 @@ class RuleRepair : public RepairAlgorithm {
 
   std::string name() const override { return name_; }
 
+  /// Copies `dirty`, opens a session on the copy and repairs it.
   [[nodiscard]] Result<Table> Repair(const dc::DcSet& dcs,
                        const Table& dirty) const override;
+
+  /// A session keeping each rule's probe index and mode counters across
+  /// repairs (see file comment). Rules resolve against `table`'s schema;
+  /// a resolution error surfaces from `RepairInPlace`, as `Repair` would
+  /// return it.
+  std::unique_ptr<RepairSession> OpenSession(const dc::DcSet& dcs,
+                                             Table* table) const override;
 
   /// Precise influence graph: each rule adds edges from its constraint's
   /// read columns (plus the conditioning column) to its target column.

@@ -2,15 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "core/engine.h"
+#include "data/errors.h"
+#include "data/generator.h"
 #include "data/soccer.h"
 #include "repair/fd_repair.h"
 #include "repair/holistic.h"
 #include "repair/holoclean.h"
 #include "repair/soccer_algorithm1.h"
+#include "table/diff.h"
 
 namespace trex {
 namespace {
@@ -498,6 +506,242 @@ TEST(CellGameTest, PrunedPlayerListKeepsBackgroundCells) {
   // C1+C2 still repair through the intact background cells.
   shap::Coalition country_only{false, true};
   EXPECT_DOUBLE_EQ(game.Value(country_only), 1.0);
+}
+
+// ---- Repair sessions: the box against a backend that hides the hook -----
+
+/// Forwards `name`, `Repair` and `InfluenceGraph` only, so the box finds
+/// no session and takes the black-box path: `Repair` on the scratch,
+/// then `DiffAgainstClean` over every cell.
+class HiddenSessionAlgorithm : public repair::RepairAlgorithm {
+ public:
+  explicit HiddenSessionAlgorithm(
+      std::shared_ptr<const repair::RepairAlgorithm> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+
+  Result<Table> Repair(const dc::DcSet& dcs,
+                       const Table& dirty) const override {
+    return inner_->Repair(dcs, dirty);
+  }
+
+  std::optional<dc::AttributeGraph> InfluenceGraph(
+      const dc::DcSet& dcs, const Schema& schema) const override {
+    return inner_->InfluenceGraph(dcs, schema);
+  }
+
+ private:
+  std::shared_ptr<const repair::RepairAlgorithm> inner_;
+};
+
+struct World {
+  Table dirty;
+  dc::DcSet dcs;
+};
+
+/// A generated soccer world with swap, typo and missing errors over
+/// every column.
+World GeneratedWorld(std::size_t rows, std::uint64_t seed) {
+  auto generated = data::GenerateSoccer({.num_rows = rows, .seed = seed});
+  data::ErrorInjectorOptions inject;
+  inject.error_rate = 0.1;
+  inject.seed = seed + 1;
+  return World{data::InjectErrors(generated.clean, inject).dirty,
+               std::move(generated.dcs)};
+}
+
+void ExpectSameScores(const ExplainResult& a, const ExplainResult& b) {
+  ASSERT_EQ(a.explanation.has_value(), b.explanation.has_value());
+  if (a.explanation.has_value()) {
+    ASSERT_EQ(a.explanation->ranked.size(), b.explanation->ranked.size());
+    for (std::size_t i = 0; i < a.explanation->ranked.size(); ++i) {
+      const PlayerScore& x = a.explanation->ranked[i];
+      const PlayerScore& y = b.explanation->ranked[i];
+      EXPECT_EQ(x.label, y.label);
+      EXPECT_EQ(x.shapley, y.shapley) << x.label;
+      EXPECT_EQ(x.std_error, y.std_error) << x.label;
+      EXPECT_EQ(x.num_samples, y.num_samples) << x.label;
+    }
+  }
+  ASSERT_EQ(a.single_cell.has_value(), b.single_cell.has_value());
+  if (a.single_cell.has_value()) {
+    EXPECT_EQ(a.single_cell->shapley, b.single_cell->shapley);
+    EXPECT_EQ(a.single_cell->std_error, b.single_cell->std_error);
+  }
+  EXPECT_EQ(a.sweeps, b.sweeps);
+}
+
+/// Serves `requests` on an engine over rule_repair and on one whose
+/// backend hides the session hook, and requires bit-identical scores.
+/// Serially the cost counters match exactly too. With more threads, two
+/// shards may miss one key together and both run the repair, so only
+/// calls + hits (the evaluations made) and the memo bytes (duplicates
+/// are not retained) are fixed.
+void ExpectSessionInvisible(const World& world,
+                            const std::vector<ExplainRequest>& requests,
+                            std::size_t num_threads) {
+  EngineOptions options;
+  options.num_threads = num_threads;
+  const std::shared_ptr<const repair::RepairAlgorithm> backend =
+      Algorithm1Singleton();
+  Engine session(backend, world.dcs, world.dirty, options);
+  Engine hidden(std::make_shared<HiddenSessionAlgorithm>(backend), world.dcs,
+                world.dirty, options);
+  for (const ExplainRequest& request : requests) {
+    SCOPED_TRACE(ExplainKindToString(request.kind) + std::string(" ") +
+                 AbsentCellPolicyToString(request.cells.policy));
+    auto with = session.Explain(request);
+    auto without = hidden.Explain(request);
+    ASSERT_TRUE(with.ok()) << with.status();
+    ASSERT_TRUE(without.ok()) << without.status();
+    ExpectSameScores(*with, *without);
+    if (num_threads == 1) {
+      EXPECT_EQ(with->algorithm_calls, without->algorithm_calls);
+      EXPECT_EQ(with->cache_hits, without->cache_hits);
+    } else {
+      EXPECT_EQ(with->algorithm_calls + with->cache_hits,
+                without->algorithm_calls + without->cache_hits);
+    }
+    EXPECT_EQ(session.approx_memo_bytes(), hidden.approx_memo_bytes());
+  }
+  if (num_threads == 1) {
+    EXPECT_EQ(session.num_algorithm_calls(), hidden.num_algorithm_calls());
+    EXPECT_EQ(session.num_cache_hits(), hidden.num_cache_hits());
+  }
+}
+
+class RepairSessionTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RepairSessionTest, SampledCellRequestsMatchHiddenHook) {
+  const World world = GeneratedWorld(20, GetParam());
+  auto repaired =
+      DiffTables(world.dirty, *Algorithm1Singleton()->Repair(world.dcs,
+                                                             world.dirty));
+  ASSERT_TRUE(repaired.ok() && !repaired->empty());
+  const CellRef target = repaired->front().cell;
+  std::vector<ExplainRequest> requests;
+  for (AbsentCellPolicy policy :
+       {AbsentCellPolicy::kNull, AbsentCellPolicy::kSampleFromColumn}) {
+    ExplainRequest cells;
+    cells.target = target;
+    cells.kind = ExplainKind::kCells;
+    cells.cells.method = CellMethod::kSampling;
+    cells.cells.policy = policy;
+    cells.cells.num_samples = 16;
+    cells.cells.seed = GetParam() + 5;
+    requests.push_back(cells);
+  }
+  ExplainRequest single;
+  single.target = target;
+  single.kind = ExplainKind::kSingleCell;
+  single.single_cell =
+      CellRef{target.row, *world.dirty.schema().IndexOf("League")};
+  single.cells.num_samples = 64;
+  single.cells.seed = GetParam() + 7;
+  requests.push_back(single);
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(num_threads));
+    ExpectSessionInvisible(world, requests, num_threads);
+  }
+}
+
+TEST_P(RepairSessionTest, CandidateDiffEqualsFullDiffOnEveryCell) {
+  // Every cell of a 40-row table is a target in both boxes, so one
+  // evaluation compares the session path's candidate-only diff with the
+  // hidden path's full diff cell by cell.
+  const World world = GeneratedWorld(40, GetParam());
+  const HiddenSessionAlgorithm hidden_backend(Algorithm1Singleton());
+  const std::vector<CellRef> targets = world.dirty.AllCells();
+  auto box = BlackBoxRepair::MakeMultiTarget(Algorithm1Singleton().get(),
+                                             world.dcs, world.dirty, targets);
+  auto hidden = BlackBoxRepair::MakeMultiTarget(&hidden_backend, world.dcs,
+                                                world.dirty, targets);
+  ASSERT_TRUE(box.ok()) << box.status();
+  ASSERT_TRUE(hidden.ok()) << hidden.status();
+  // A random walk over write sets, like consecutive sweep coalitions,
+  // with a fresh jump now and then: nulls, and values moved within a
+  // column.
+  Rng rng(GetParam() + 11);
+  std::map<std::size_t, Value> walk;  // linear index -> written value
+  std::vector<std::vector<CellWrite>> perturbations;
+  for (int step = 0; step < 200; ++step) {
+    if (step % 50 == 49) walk.clear();
+    const std::uint64_t changes = 1 + rng.UniformUint64(3);
+    for (std::uint64_t c = 0; c < changes; ++c) {
+      const std::size_t index = rng.UniformUint64(world.dirty.num_cells());
+      const CellRef cell = world.dirty.FromLinearIndex(index);
+      switch (rng.UniformUint64(3)) {
+        case 0:
+          walk[index] = Value::Null();
+          break;
+        case 1:
+          walk[index] = world.dirty.at(
+              rng.UniformUint64(world.dirty.num_rows()), cell.col);
+          break;
+        default:
+          walk.erase(index);
+          break;
+      }
+    }
+    std::vector<CellWrite>& writes = perturbations.emplace_back();
+    for (const auto& [index, value] : walk) {
+      writes.push_back({world.dirty.FromLinearIndex(index), value});
+    }
+  }
+  // One box at a time: a thread switching boxes re-copies its scratch.
+  const auto outcomes = [&](const BlackBoxRepair& evaluated) {
+    std::vector<std::vector<bool>> out;
+    for (const std::vector<CellWrite>& writes : perturbations) {
+      std::vector<bool>& row = out.emplace_back();
+      for (std::size_t t = 0; t < targets.size(); ++t) {
+        row.push_back(evaluated.EvalPerturbation(writes, t));
+      }
+    }
+    return out;
+  };
+  const std::vector<std::vector<bool>> with = outcomes(*box);
+  const std::vector<std::vector<bool>> without = outcomes(*hidden);
+  for (std::size_t p = 0; p < perturbations.size(); ++p) {
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      ASSERT_EQ(with[p][t], without[p][t])
+          << "step " << p << " target " << targets[t].ToString();
+    }
+  }
+  EXPECT_EQ(box->num_algorithm_calls(), hidden->num_algorithm_calls());
+  EXPECT_EQ(box->num_cache_hits(), hidden->num_cache_hits());
+  EXPECT_EQ(box->approx_memo_bytes(), hidden->approx_memo_bytes());
+  // One scratch copy on the one evaluating thread, session or not.
+  EXPECT_EQ(box->num_eval_table_copies(), 1u);
+  EXPECT_EQ(hidden->num_eval_table_copies(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RepairSessionTest,
+                         ::testing::Values(3, 17, 29));
+
+TEST(RepairSessionTest, ExactCellRequestsMatchHiddenHook) {
+  // A three-row cut of the paper's table: t5's España row between two
+  // Real Madrid rows, so the target's pruned player set holds 12 cells.
+  Table dirty(data::SoccerSchema());
+  const Table paper = data::SoccerDirtyTable();
+  for (std::size_t row : {2, 4, 5}) {
+    std::vector<Value> values;
+    for (std::size_t col = 0; col < paper.num_columns(); ++col) {
+      values.push_back(paper.at(row, col));
+    }
+    ASSERT_TRUE(dirty.AppendRow(std::move(values)).ok());
+  }
+  const World world{std::move(dirty), data::SoccerConstraints()};
+  ExplainRequest exact;
+  exact.target = CellRef{1, *world.dirty.schema().IndexOf("Country")};
+  exact.kind = ExplainKind::kCells;
+  exact.cells.method = CellMethod::kExact;
+  exact.cells.policy = AbsentCellPolicy::kNull;
+  exact.cells.max_exact_players = 14;
+  for (std::size_t num_threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(num_threads));
+    ExpectSessionInvisible(world, {exact}, num_threads);
+  }
 }
 
 }  // namespace

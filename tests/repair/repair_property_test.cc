@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/repair_game.h"
 #include "data/errors.h"
 #include "data/generator.h"
@@ -23,6 +22,7 @@
 #include "repair/rule_repair.h"
 #include "repair/soccer_algorithm1.h"
 #include "table/diff.h"
+#include "tests/serving/determinism_check.h"
 
 namespace trex::repair {
 namespace {
@@ -56,48 +56,22 @@ class RepairPropertyTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(RepairPropertyTest, DeterministicSeriallyConcurrentlyAndInTheBox) {
-  // The memo's contract: `Repair` is a function of its inputs. A memo
-  // entry keeps one run's output (as its diff against T^c) and answers
-  // every later evaluation of the same input from it, so repeated,
-  // concurrent and boxed runs on equal inputs must return equal tables.
-  // The fault-injecting decorator must pass through unchanged while no
-  // fault is scheduled.
+  // The memo's contract (tests/serving/determinism_check.h): `Repair` is
+  // a function of its inputs, and a box evaluating interleaved
+  // perturbations from two threads — through rule_repair's session, and
+  // the other backends' `Repair` — agrees with a fresh repair of each
+  // input. The fault-injecting decorator must pass through unchanged
+  // while no fault is scheduled.
   const Workload workload = MakeWorkload(GetParam());
   const auto bundled = AllAlgorithms();
   std::vector<std::shared_ptr<const RepairAlgorithm>> algorithms(
       bundled.begin(), bundled.end());
   algorithms.push_back(std::make_shared<FaultyAlgorithm>(
       "faulty-rule", repair::MakeAlgorithm1(), FaultyOptions{}));
-  constexpr std::size_t kConcurrent = 4;
-  ThreadPool pool(kConcurrent);
   for (const auto& alg : algorithms) {
     SCOPED_TRACE(alg->name() + " seed " + std::to_string(GetParam()));
-    auto reference = alg->Repair(workload.dcs, workload.dirty);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      auto again = alg->Repair(workload.dcs, workload.dirty);
-      ASSERT_TRUE(again.ok());
-      EXPECT_EQ(*again, *reference);
-      EXPECT_EQ(again->StrongFingerprint(), reference->StrongFingerprint());
-    }
-
-    std::vector<std::optional<Result<Table>>> concurrent(kConcurrent);
-    pool.Run(kConcurrent, [&](std::size_t i) {
-      concurrent[i] = alg->Repair(workload.dcs, workload.dirty);
-    });
-    for (const auto& result : concurrent) {
-      ASSERT_TRUE(result.has_value() && result->ok());
-      EXPECT_EQ(**result, *reference);
-      EXPECT_EQ((*result)->StrongFingerprint(),
-                reference->StrongFingerprint());
-    }
-
-    auto box = BlackBoxRepair::MakeMultiTarget(alg.get(), workload.dcs,
-                                               workload.dirty, {});
-    ASSERT_TRUE(box.ok()) << box.status();
-    EXPECT_EQ(box->reference_clean(), *reference);
-    EXPECT_EQ(box->reference_clean().StrongFingerprint(),
-              reference->StrongFingerprint());
+    testing::CheckDeterminism(*alg, workload.dcs, workload.dirty,
+                              GetParam());
   }
 }
 

@@ -3,6 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "data/errors.h"
+#include "data/generator.h"
 #include "data/soccer.h"
 #include "dc/parser.h"
 #include "dc/violation.h"
@@ -198,6 +209,180 @@ TEST(RuleRepairTest, InfluenceGraphIsPrecise) {
 
 TEST(RuleRepairTest, NameIsReported) {
   EXPECT_EQ(MakeAlgorithm1()->name(), "algorithm-1");
+}
+
+// ---- Repair sessions ------------------------------------------------------
+
+/// Type plus bytes: stricter than `Value::operator==`, which equates 1
+/// with 1.0, +0.0 with -0.0 and a NaN with every number.
+bool SameBits(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return a.as_int() == b.as_int();
+    case ValueType::kDouble: {
+      const double x = a.as_double();
+      const double y = b.as_double();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case ValueType::kString:
+      return a.as_string() == b.as_string();
+  }
+  return false;
+}
+
+void ExpectSameBits(const Table& got, const Table& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
+  ASSERT_EQ(got.num_columns(), want.num_columns()) << what;
+  for (const CellRef& cell : want.AllCells()) {
+    EXPECT_TRUE(SameBits(got.at(cell), want.at(cell)))
+        << what << ": " << cell.ToString() << " holds "
+        << got.at(cell).ToString() << ", want " << want.at(cell).ToString();
+  }
+}
+
+struct World {
+  Table dirty;
+  dc::DcSet dcs;
+};
+
+/// A 40-row generated soccer world with swap, typo and missing errors
+/// over every column.
+World SessionWorld(std::uint64_t seed) {
+  auto generated = data::GenerateSoccer({.num_rows = 40, .seed = seed});
+  data::ErrorInjectorOptions inject;
+  inject.error_rate = 0.1;
+  inject.seed = seed + 1;
+  return World{data::InjectErrors(generated.clean, inject).dirty,
+               std::move(generated.dcs)};
+}
+
+/// Drives a session over a copy of `dirty` through `rounds` random write
+/// sequences — nulls, swaps within a column, restores to the dirty
+/// value, int columns rewritten as equal doubles, and a NaN or the int
+/// 2^53+1 in a `!=` column (City, Country, Team) — and checks, after
+/// each `RepairInPlace`, that the bound table equals a one-shot `Repair`
+/// of the materialized input bit for bit, and that replaying the undo
+/// log restores the input bit for bit.
+void CheckSessionMatchesRepair(const RepairAlgorithm& alg,
+                               const dc::DcSet& dcs, const Table& dirty,
+                               std::uint64_t seed, int rounds = 12) {
+  const Schema& schema = dirty.schema();
+  const std::vector<std::size_t> neq_cols = {*schema.IndexOf("City"),
+                                             *schema.IndexOf("Country"),
+                                             *schema.IndexOf("Team")};
+  Table bound = dirty;
+  std::unique_ptr<RepairSession> session = alg.OpenSession(dcs, &bound);
+  ASSERT_NE(session, nullptr);
+  Rng rng(seed);
+  const auto random_cell = [&]() {
+    return CellRef{rng.UniformUint64(dirty.num_rows()),
+                   rng.UniformUint64(dirty.num_columns())};
+  };
+  for (int round = 0; round < rounds; ++round) {
+    const std::string what =
+        "seed " + std::to_string(seed) + " round " + std::to_string(round);
+    const std::uint64_t num_ops = 1 + rng.UniformUint64(6);
+    for (std::uint64_t op = 0; op < num_ops; ++op) {
+      const CellRef cell = random_cell();
+      switch (rng.UniformUint64(6)) {
+        case 0:
+        case 1:
+          session->Set(cell, Value::Null());
+          break;
+        case 2: {
+          const CellRef other{rng.UniformUint64(dirty.num_rows()), cell.col};
+          const Value held = bound.at(cell);
+          session->Set(cell, bound.at(other));
+          session->Set(other, held);
+          break;
+        }
+        case 3:
+          session->Set(cell, dirty.at(cell));
+          break;
+        case 4:
+          if (bound.at(cell).is_int()) {
+            session->Set(cell,
+                         static_cast<double>(bound.at(cell).as_int()));
+          }
+          break;
+        default: {
+          const CellRef neq{cell.row, neq_cols[rng.UniformUint64(3)]};
+          session->Set(neq, rng.Bernoulli(0.5)
+                                ? Value(std::numeric_limits<double>::quiet_NaN())
+                                : Value(std::int64_t{(1LL << 53) + 1}));
+          break;
+        }
+      }
+    }
+    const Table input = bound;
+    auto want = alg.Repair(dcs, input);
+    ASSERT_TRUE(want.ok()) << want.status();
+    std::vector<CellWrite> undo;
+    ASSERT_TRUE(session->RepairInPlace(&undo).ok()) << what;
+    ExpectSameBits(bound, *want, what + " repaired");
+    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+      session->Set(it->cell, it->value);
+    }
+    ExpectSameBits(bound, input, what + " undone");
+  }
+}
+
+class RuleRepairSessionTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(RuleRepairSessionTest, MatchesRepairOnEveryRound) {
+  const World world = SessionWorld(GetParam());
+  CheckSessionMatchesRepair(*MakeAlgorithm1(), world.dcs, world.dirty,
+                            GetParam());
+}
+
+TEST_P(RuleRepairSessionTest, MultiPassMatchesRepair) {
+  const World world = SessionWorld(GetParam());
+  RuleRepair three_pass("three", MakeAlgorithm1()->rules(),
+                        RuleRepairOptions{3});
+  CheckSessionMatchesRepair(three_pass, world.dcs, world.dirty,
+                            GetParam() + 1000);
+}
+
+TEST_P(RuleRepairSessionTest, SelfConditionedRuleMatchesRepair) {
+  // given == target keeps the build-per-query path and no joint counter.
+  const World world = SessionWorld(GetParam());
+  std::vector<RepairRule> rules = MakeAlgorithm1()->rules();
+  rules.push_back(
+      {"C3", RuleAction::kSetMostCommonGiven, "Country", "Country"});
+  RuleRepair alg("self-conditioned", std::move(rules), RuleRepairOptions{2});
+  CheckSessionMatchesRepair(alg, world.dcs, world.dirty, GetParam() + 2000);
+}
+
+TEST_P(RuleRepairSessionTest, RuleForAbsentConstraintMatchesRepair) {
+  // Without C3, rule 3 is skipped in the session as in `Repair`.
+  const World world = SessionWorld(GetParam());
+  CheckSessionMatchesRepair(*MakeAlgorithm1(), world.dcs.Without(2),
+                            world.dirty, GetParam() + 3000);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RuleRepairSessionTest,
+                         ::testing::Values(7, 19, 23, 41, 58));
+
+TEST(RuleRepairTest, SessionReportsResolutionErrorsLikeRepair) {
+  std::vector<RepairRule> rules{
+      {"C1", RuleAction::kSetMostCommon, "Nope", ""}};
+  RuleRepair alg("test", std::move(rules));
+  Table bound = SoccerDirtyTable();
+  auto session = alg.OpenSession(SoccerConstraints(), &bound);
+  ASSERT_NE(session, nullptr);
+  session->Set(data::SoccerCell(5, "City"), Value::Null());  // still safe
+  EXPECT_TRUE(bound.at(data::SoccerCell(5, "City")).is_null());
+  const Status status = session->RepairInPlace(nullptr);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(),
+            alg.Repair(SoccerConstraints(), SoccerDirtyTable())
+                .status()
+                .code());
 }
 
 }  // namespace
