@@ -485,24 +485,6 @@ Result<std::vector<std::uint32_t>> BlackBoxRepair::RepairScratch(
   return diff;
 }
 
-bool BlackBoxRepair::EvalTable(const Table& perturbed,
-                               std::size_t target_index) const {
-  TREX_CHECK(perturbed.schema() == dirty_->schema() &&
-             perturbed.num_rows() == dirty_->num_rows())
-      << "EvalTable needs a table shaped like the dirty table";
-  // The write set against T^d: every cell whose bytes differ, so the
-  // delta fingerprint equals the table's own.
-  thread_local std::vector<CellWrite> writes;
-  writes.clear();
-  for (std::size_t i = 0; i < perturbed.num_cells(); ++i) {
-    const CellRef cell = perturbed.FromLinearIndex(i);
-    if (!ExactlyEqual(perturbed.at(cell), dirty_->at(cell))) {
-      writes.push_back({cell, perturbed.at(cell)});
-    }
-  }
-  return EvalPerturbation(writes, target_index);
-}
-
 bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
                                       std::size_t target_index) const {
   std::uint64_t fp64 = 0;

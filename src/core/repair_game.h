@@ -59,11 +59,10 @@
 // materializes the table, into a per-thread scratch reused across
 // evaluations (reset from the dirty table by undoing the previous
 // writes, then applying the new ones) instead of a fresh copy per
-// coalition. `EvalTable` is a thin wrapper that derives the write set
-// against T^d and takes the same path. `CellGame::Value` and the
-// engine's permutation-sweep loops sit on this path; warm-cache
-// evaluations make zero full-table copies (`num_eval_table_copies()`
-// counts the scratch (re)initializations).
+// coalition. `CellGame::Value` and the engine's permutation-sweep
+// loops sit on this path; warm-cache evaluations make zero full-table
+// copies (`num_eval_table_copies()` counts the scratch
+// (re)initializations).
 //
 // Repair sessions: when the algorithm opens a `repair::RepairSession`
 // on the scratch table (`RepairAlgorithm::OpenSession`; rule_repair
@@ -84,11 +83,11 @@
 // (entries × payload estimate) so the memo footprint is observable; the
 // engine surfaces it through `BatchStats` and the benches' JSON lines.
 //
-// Thread safety: `EvalConstraintSubset` / `EvalTable` /
-// `EvalPerturbation` may be called concurrently (the caches are
-// mutex-guarded; concurrent misses on the same key may duplicate a
-// repair run but never corrupt results). `AddTarget` and `BeginRequest`
-// must not race with evaluations.
+// Thread safety: `EvalConstraintSubset` / `EvalPerturbation` may be
+// called concurrently (the caches are mutex-guarded; concurrent misses
+// on the same key may duplicate a repair run but never corrupt
+// results). `AddTarget` and `BeginRequest` must not race with
+// evaluations.
 //
 // The memo's reader/writer discipline is machine-checked under Clang's
 // -Wthread-safety (common/thread_annotations.h): both memo maps are
@@ -191,16 +190,10 @@ class BlackBoxRepair {
                             std::size_t target_index = 0) const;
 
   /// Alg|t[A] for target `target_index` with the full constraint set and
-  /// a perturbed table, which must have the dirty table's schema and row
-  /// count. Derives the write set against the dirty table and evaluates
-  /// it through `EvalPerturbation`.
-  bool EvalTable(const Table& perturbed, std::size_t target_index = 0) const;
-
-  /// Alg|t[A] for target `target_index` with the full constraint set and
   /// the perturbed table described by (dirty table, `writes`) — without
   /// materializing it on the memo hit path (see file comment). `writes`
   /// must address pairwise-distinct, in-bounds cells; outcomes are
-  /// identical to `EvalTable` on the materialized table.
+  /// identical to a fresh repair of the materialized table.
   bool EvalPerturbation(std::span<const CellWrite> writes,
                         std::size_t target_index = 0) const;
 

@@ -6,7 +6,7 @@
 // so this module generates a structurally equivalent world: hospitals
 // with consistent geography and contact data, plus the matching DC set —
 // enough to exercise `HoloCleanRepair` and the cell explainer on a second
-// domain (examples/hospital_cleaning.cc, bench_repair_algorithms).
+// domain (examples/hospital_cleaning.cpp, bench_repair_algorithms).
 
 #ifndef TREX_DATA_HOSPITAL_H_
 #define TREX_DATA_HOSPITAL_H_

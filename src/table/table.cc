@@ -174,13 +174,6 @@ std::uint64_t Table::Fingerprint() const {
   return fp64;
 }
 
-Hash128 Table::StrongFingerprint() const {
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
-  DualFingerprint(&fp64, &fp128);
-  return fp128;
-}
-
 void Table::DualFingerprint(std::uint64_t* fp64, Hash128* fp128) const {
   DualHash combined = SchemaHash(schema_);
   const std::size_t columns = num_columns();
@@ -212,33 +205,6 @@ FingerprintDelta Table::WriteDelta(CellRef cell, const Value& value) const {
   const DualHash new_hash = CellContentHash(cell.row, cell.col, value);
   return FingerprintDelta{old_hash.fp64 ^ new_hash.fp64,
                           old_hash.fp128 ^ new_hash.fp128};
-}
-
-std::size_t Table::ApproxMemoryBytes() const {
-  std::size_t bytes = sizeof(Table) + cells_.capacity() * sizeof(Value);
-  for (const Value& v : cells_) {
-    if (v.is_string()) bytes += v.as_string().capacity();
-  }
-  for (std::size_t c = 0; c < schema_.size(); ++c) {
-    bytes += schema_.attribute(c).name.capacity();
-  }
-  return bytes;
-}
-
-Table Table::WithNulls(const std::vector<CellRef>& cells) const {
-  Table out = *this;
-  for (const CellRef& cell : cells) {
-    out.Set(cell, Value::Null());
-  }
-  return out;
-}
-
-std::size_t Table::CountNulls() const {
-  std::size_t count = 0;
-  for (const Value& v : cells_) {
-    if (v.is_null()) ++count;
-  }
-  return count;
 }
 
 }  // namespace trex

@@ -135,25 +135,22 @@ class Table {
   /// O(#writes) from a cached base instead of re-hashing O(#cells).
   std::uint64_t Fingerprint() const;
 
-  /// 128-bit content fingerprint over exactly the per-cell hashes
-  /// `Fingerprint()` XORs (same position-keyed scheme, wider state): the
-  /// repair-table memo's first verification step before its exact
-  /// write-set comparison. Equal tables have equal strong fingerprints.
-  Hash128 StrongFingerprint() const;
-
-  /// Both fingerprints in one content traversal — the memo needs the
-  /// 64-bit bucket key and the 128-bit verification hash per evaluation,
-  /// and tables are hashed on the hot path.
+  /// `Fingerprint()` plus a 128-bit fingerprint over exactly the
+  /// per-cell hashes it XORs (same position-keyed scheme, wider state),
+  /// in one content traversal. The repair-table memo needs both per
+  /// evaluation: the 64-bit bucket key, and the 128-bit hash as its first
+  /// verification step before the exact write-set comparison. Equal
+  /// tables have equal fingerprints.
   void DualFingerprint(std::uint64_t* fp64, Hash128* fp128) const;
 
   /// Fingerprints of the table obtained by applying `writes` on top of
   /// this table, computed in O(#writes) from this table's own
   /// fingerprints (`base64`/`base128`, as returned by
   /// `DualFingerprint`) — the perturbed table is never materialized.
-  /// Equal to the from-scratch `Fingerprint`/`StrongFingerprint` of the
-  /// materialized table. Writes must address in-bounds cells and
-  /// pairwise-distinct cells (a duplicate cell would double-cancel its
-  /// base hash); a write that re-states the current value is a no-op.
+  /// Equal to the from-scratch `DualFingerprint` of the materialized
+  /// table. Writes must address in-bounds, pairwise-distinct cells (a
+  /// duplicate cell would double-cancel its base hash); a write that
+  /// re-states the current value is a no-op.
   void DeltaFingerprint(std::uint64_t base64, const Hash128& base128,
                         std::span<const CellWrite> writes,
                         std::uint64_t* fp64, Hash128* fp128) const;
@@ -164,18 +161,6 @@ class Table {
   /// precompute the deltas of the writes they toggle and XOR them into
   /// a running fingerprint instead of re-hashing per evaluation.
   FingerprintDelta WriteDelta(CellRef cell, const Value& value) const;
-
-  /// Rough resident footprint in bytes (cell vector + string payloads +
-  /// schema), for memo/cache accounting. An estimate, not an allocator
-  /// measurement.
-  std::size_t ApproxMemoryBytes() const;
-
-  /// Returns a copy with every cell in `cells` set to null (coalition
-  /// complement semantics from paper §2.2).
-  Table WithNulls(const std::vector<CellRef>& cells) const;
-
-  /// Number of null cells.
-  std::size_t CountNulls() const;
 
  private:
   Schema schema_;

@@ -164,7 +164,7 @@ TEST(EngineTest, SharedDirtyTableHasOneResidentCopy) {
 TEST(EngineTest, MemoEntriesAreSmallerThanTheTable) {
   // Entries hold the output's diff against T^c, not table copies: on a
   // generated 120-row world a constraint batch's memo stays below one
-  // dirty table's footprint per entry.
+  // dirty table's cell vector per entry.
   auto generated = data::GenerateSoccer({.num_rows = 120, .seed = 31});
   data::ErrorInjectorOptions inject;
   inject.error_rate = 0.05;
@@ -185,7 +185,7 @@ TEST(EngineTest, MemoEntriesAreSmallerThanTheTable) {
   const std::size_t entries = batch->stats.algorithm_calls;
   ASSERT_GT(entries, 0u);
   EXPECT_LT(batch->stats.approx_memo_bytes,
-            entries * dirty.ApproxMemoryBytes());
+            entries * dirty.num_cells() * sizeof(Value));
 }
 
 /// The same request with top-1 early stopping, checked every 32 sweeps,

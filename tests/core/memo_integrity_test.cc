@@ -38,10 +38,8 @@ std::vector<Backend> AllBackends() {
   };
 }
 
-Table PerturbedSoccer() {
-  Table perturbed = data::SoccerDirtyTable();
-  perturbed.Set(data::SoccerCell(1, "Team"), Value::Null());
-  return perturbed;
+std::vector<CellWrite> PerturbedSoccer() {
+  return {{data::SoccerCell(1, "Team"), Value::Null()}};
 }
 
 TEST(MemoIntegrityTest, FailedEvalWritesNoEntryAndRetryHealsAllBackends) {
@@ -53,8 +51,8 @@ TEST(MemoIntegrityTest, FailedEvalWritesNoEntryAndRetryHealsAllBackends) {
         backend.algorithm.get(), data::SoccerConstraints(),
         data::SoccerDirtyTable(), data::SoccerTargetCell());
     ASSERT_TRUE(clean_box.ok()) << clean_box.status();
-    const Table perturbed = PerturbedSoccer();
-    const bool expected = clean_box->EvalTable(perturbed);
+    const std::vector<CellWrite> perturbed = PerturbedSoccer();
+    const bool expected = clean_box->EvalPerturbation(perturbed);
 
     // Faulted twin: the reference repair (call 1) passes, the first
     // *eval* (call 2) fails transient.
@@ -69,7 +67,7 @@ TEST(MemoIntegrityTest, FailedEvalWritesNoEntryAndRetryHealsAllBackends) {
 
     // The faulted eval records the error, fires the abort channel, and
     // — the invariant under test — writes NO memo entry.
-    (void)box->EvalTable(perturbed);
+    (void)box->EvalPerturbation(perturbed);
     EXPECT_EQ(faulty->injected_failures(), 1u);
     Status eval_error = box->eval_error();
     ASSERT_FALSE(eval_error.ok());
@@ -83,14 +81,14 @@ TEST(MemoIntegrityTest, FailedEvalWritesNoEntryAndRetryHealsAllBackends) {
     box->BeginRequest(2);
     EXPECT_TRUE(box->eval_error().ok());
     EXPECT_FALSE(box->eval_abort_token().cancelled());
-    const bool healed = box->EvalTable(perturbed);
+    const bool healed = box->EvalPerturbation(perturbed);
     EXPECT_EQ(healed, expected);
     EXPECT_EQ(box->num_table_memo_entries(), 1u);
 
     // Warm path: the retry's entry serves repeats without new repair
     // calls, still bit-identical.
     const std::size_t calls = faulty->calls();
-    EXPECT_EQ(box->EvalTable(perturbed), expected);
+    EXPECT_EQ(box->EvalPerturbation(perturbed), expected);
     EXPECT_EQ(faulty->calls(), calls);
     EXPECT_EQ(box->num_table_memo_entries(), 1u);
   }

@@ -45,6 +45,15 @@ Result<BlackBoxRepair> MakeBox(CellRef target) {
                               data::SoccerDirtyTable(), target);
 }
 
+// The 128-bit half of `Table::DualFingerprint`: the memo's verification
+// hash.
+Hash128 Fingerprint128(const Table& table) {
+  std::uint64_t fp64 = 0;
+  Hash128 fp128;
+  table.DualFingerprint(&fp64, &fp128);
+  return fp128;
+}
+
 TEST(BlackBoxRepairTest, ReferenceRunEstablishesCleanValue) {
   auto box = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(box.ok());
@@ -102,15 +111,15 @@ TEST(BlackBoxRepairTest, MaskCacheAvoidsRepeatCalls) {
 TEST(BlackBoxRepairTest, TableCacheKeysOnContent) {
   auto box = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(box.ok());
-  Table perturbed = data::SoccerDirtyTable();
-  perturbed.Set(data::SoccerCell(1, "Team"), Value::Null());
+  const std::vector<CellWrite> perturbed = {
+      {data::SoccerCell(1, "Team"), Value::Null()}};
   const std::size_t base = box->num_algorithm_calls();
-  box->EvalTable(perturbed);
+  box->EvalPerturbation(perturbed);
   EXPECT_EQ(box->num_algorithm_calls(), base + 1);
   // Equal content, different object: still cached.
-  Table same = data::SoccerDirtyTable();
-  same.Set(data::SoccerCell(1, "Team"), Value::Null());
-  box->EvalTable(same);
+  const std::vector<CellWrite> same = {
+      {data::SoccerCell(1, "Team"), Value::Null()}};
+  box->EvalPerturbation(same);
   EXPECT_EQ(box->num_algorithm_calls(), base + 1);
   EXPECT_GE(box->num_cache_hits(), 1u);
 }
@@ -126,15 +135,15 @@ TEST(BlackBoxRepairTest, CacheCanBeDisabled) {
   EXPECT_EQ(box->num_cache_hits(), 0u);
 }
 
-TEST(BlackBoxRepairTest, EvalTableWithNulledTarget) {
+TEST(BlackBoxRepairTest, EvalPerturbationWithNulledTarget) {
   auto box = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(box.ok());
   // Nulling out every Country cell leaves no repair evidence: outcome 0.
-  Table perturbed = data::SoccerDirtyTable();
-  for (std::size_t r = 0; r < perturbed.num_rows(); ++r) {
-    perturbed.Set(data::SoccerCell(r + 1, "Country"), Value::Null());
+  std::vector<CellWrite> perturbed;
+  for (std::size_t r = 0; r < box->dirty().num_rows(); ++r) {
+    perturbed.push_back({data::SoccerCell(r + 1, "Country"), Value::Null()});
   }
-  EXPECT_FALSE(box->EvalTable(perturbed));
+  EXPECT_FALSE(box->EvalPerturbation(perturbed));
 }
 
 TEST(ConstraintGameTest, MatchesBoxOutcomes) {
@@ -289,16 +298,16 @@ TEST(BlackBoxRepairTest, TableCacheVerifiesFullContentNotJustFingerprint) {
   // entry under a value-blind key.)
   auto box = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(box.ok());
-  Table a = data::SoccerDirtyTable();
-  a.Set(data::SoccerCell(5, "League"), Value::Null());
-  Table b = data::SoccerDirtyTable();
-  b.Set(data::SoccerCell(5, "Country"), Value::Null());
+  const std::vector<CellWrite> a = {
+      {data::SoccerCell(5, "League"), Value::Null()}};
+  const std::vector<CellWrite> b = {
+      {data::SoccerCell(5, "Country"), Value::Null()}};
   const std::size_t base = box->num_algorithm_calls();
-  box->EvalTable(a);
-  box->EvalTable(b);
+  box->EvalPerturbation(a);
+  box->EvalPerturbation(b);
   EXPECT_EQ(box->num_algorithm_calls(), base + 2);  // two distinct entries
-  box->EvalTable(a);
-  box->EvalTable(b);
+  box->EvalPerturbation(a);
+  box->EvalPerturbation(b);
   EXPECT_EQ(box->num_algorithm_calls(), base + 2);  // both verified hits
   EXPECT_EQ(box->num_cache_hits(), 2u);
 }
@@ -307,16 +316,11 @@ TEST(BlackBoxRepairTest, CollisionPathFallsThroughUnderForcedFingerprintClash) {
   // Force every input into one 64-bit bucket — and in the second round
   // onto one 128-bit fingerprint as well (the test-only hook): the exact
   // write-set comparison must still keep distinct inputs apart, never
-  // serving one input's outcome for another, through both `EvalTable`
-  // and `EvalPerturbation`.
+  // serving one input's outcome for another.
   const std::vector<CellWrite> writes_a = {
       {data::SoccerCell(5, "League"), Value::Null()}};
   const std::vector<CellWrite> writes_b = {
       {data::SoccerCell(5, "Country"), Value::Null()}};
-  Table a = data::SoccerDirtyTable();
-  a.Set(writes_a[0].cell, Value::Null());
-  Table b = data::SoccerDirtyTable();
-  b.Set(writes_b[0].cell, Value::Null());
   auto uncached = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(uncached.ok());
   uncached->set_cache_enabled(false);
@@ -330,34 +334,32 @@ TEST(BlackBoxRepairTest, CollisionPathFallsThroughUnderForcedFingerprintClash) {
           if (clash128) *fp128 = Hash128{};
         });
     const std::size_t base = box->num_algorithm_calls();
-    const bool outcome_a = box->EvalTable(a);
+    const bool outcome_a = box->EvalPerturbation(writes_a);
     const bool outcome_b = box->EvalPerturbation(writes_b);
     // Distinct entries despite the colliding fingerprints...
     EXPECT_EQ(box->num_algorithm_calls(), base + 2);
-    EXPECT_EQ(outcome_a, uncached->EvalTable(a));
-    EXPECT_EQ(outcome_b, uncached->EvalTable(b));
-    // ...and verified hits on re-evaluation through the other path,
-    // with unchanged outcomes.
+    EXPECT_EQ(outcome_a, uncached->EvalPerturbation(writes_a));
+    EXPECT_EQ(outcome_b, uncached->EvalPerturbation(writes_b));
+    // ...and verified hits on re-evaluation, with unchanged outcomes.
     EXPECT_EQ(box->EvalPerturbation(writes_a), outcome_a);
-    EXPECT_EQ(box->EvalTable(b), outcome_b);
+    EXPECT_EQ(box->EvalPerturbation(writes_b), outcome_b);
     EXPECT_EQ(box->num_algorithm_calls(), base + 2);
     EXPECT_EQ(box->num_cache_hits(), 2u);
   }
 }
 
-TEST(BlackBoxRepairTest, StrongFingerprintSeparatesNearIdenticalTables) {
+TEST(BlackBoxRepairTest, Fingerprint128SeparatesNearIdenticalTables) {
   const Table base = data::SoccerDirtyTable();
   Table tweaked = base;
   tweaked.Set(data::SoccerCell(5, "League"), Value("X"));
-  EXPECT_EQ(base.StrongFingerprint(), data::SoccerDirtyTable()
-                                          .StrongFingerprint());
-  EXPECT_NE(base.StrongFingerprint(), tweaked.StrongFingerprint());
+  EXPECT_EQ(Fingerprint128(base), Fingerprint128(data::SoccerDirtyTable()));
+  EXPECT_NE(Fingerprint128(base), Fingerprint128(tweaked));
   // Null vs empty string vs zero must hash apart (type tags).
   Table null_cell = base;
   null_cell.Set(data::SoccerCell(5, "League"), Value::Null());
   Table empty_cell = base;
   empty_cell.Set(data::SoccerCell(5, "League"), Value(""));
-  EXPECT_NE(null_cell.StrongFingerprint(), empty_cell.StrongFingerprint());
+  EXPECT_NE(Fingerprint128(null_cell), Fingerprint128(empty_cell));
 }
 
 TEST(BlackBoxRepairTest, FingerprintsLengthDelimitStringCells) {
@@ -369,18 +371,16 @@ TEST(BlackBoxRepairTest, FingerprintsLengthDelimitStringCells) {
   ASSERT_TRUE(one.AppendRow({Value(std::string("a\x03")), Value("b")}).ok());
   Table two(Schema::AllStrings({"A", "B"}));
   ASSERT_TRUE(two.AppendRow({Value("a"), Value(std::string("\x03b"))}).ok());
-  EXPECT_NE(one.StrongFingerprint(), two.StrongFingerprint());
+  EXPECT_NE(Fingerprint128(one), Fingerprint128(two));
   EXPECT_NE(one.Fingerprint(), two.Fingerprint());
 }
 
-TEST(BlackBoxRepairTest, EvalPerturbationMatchesEvalTableOutcomesAndMemo) {
-  // The delta path must agree with the materialized path bit for bit —
-  // same outcomes, and both answered by one shared memo (the second
-  // evaluation of either form is a hit, not a second repair run).
-  auto delta_box = MakeBox(data::SoccerTargetCell());
-  auto table_box = MakeBox(data::SoccerTargetCell());
-  ASSERT_TRUE(delta_box.ok());
-  ASSERT_TRUE(table_box.ok());
+TEST(BlackBoxRepairTest, EvalPerturbationMatchesFreshRepair) {
+  // The delta path must agree bit for bit with a fresh repair of the
+  // materialized table, and the second evaluation of a write set is a
+  // memo hit, not a second repair run.
+  auto box = MakeBox(data::SoccerTargetCell());
+  ASSERT_TRUE(box.ok());
   const Table dirty = data::SoccerDirtyTable();
   for (std::size_t round = 0; round < 8; ++round) {
     std::vector<CellWrite> writes;
@@ -392,18 +392,15 @@ TEST(BlackBoxRepairTest, EvalPerturbationMatchesEvalTableOutcomesAndMemo) {
     }
     Table materialized = dirty;
     for (const CellWrite& w : writes) materialized.Set(w.cell, w.value);
-    EXPECT_EQ(delta_box->EvalPerturbation(writes),
-              table_box->EvalTable(materialized))
-        << "round " << round;
-    // Cross-form hit: the delta evaluation seeded the memo entry the
-    // materialized form now finds (and vice versa on the same box).
-    const std::size_t calls = delta_box->num_algorithm_calls();
-    EXPECT_EQ(delta_box->EvalTable(materialized),
-              table_box->EvalPerturbation(writes));
-    EXPECT_EQ(delta_box->num_algorithm_calls(), calls);
+    auto repaired = box->algorithm().Repair(box->dcs(), materialized);
+    ASSERT_TRUE(repaired.ok()) << repaired.status();
+    const bool expected = CellRepairedTo(*repaired, box->reference_clean(),
+                                         data::SoccerTargetCell());
+    EXPECT_EQ(box->EvalPerturbation(writes), expected) << "round " << round;
+    const std::size_t calls = box->num_algorithm_calls();
+    EXPECT_EQ(box->EvalPerturbation(writes), expected) << "round " << round;
+    EXPECT_EQ(box->num_algorithm_calls(), calls) << "round " << round;
   }
-  EXPECT_EQ(delta_box->num_algorithm_calls(),
-            table_box->num_algorithm_calls());
 }
 
 TEST(BlackBoxRepairTest, WarmCacheEvaluationsMakeNoTableCopies) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/random.h"
 #include "core/compare.h"
@@ -234,16 +235,16 @@ TEST(EndToEnd, BlackBoxCacheNeverChangesOutcomes) {
   Rng rng(4242);
   const Table dirty = data::SoccerDirtyTable();
   for (int i = 0; i < 60; ++i) {
-    Table perturbed = dirty;
+    std::vector<CellWrite> perturbed;
     for (const CellRef& cell : dirty.AllCells()) {
-      if (rng.Bernoulli(0.4)) perturbed.Set(cell, Value::Null());
+      if (rng.Bernoulli(0.4)) perturbed.push_back({cell, Value::Null()});
     }
-    EXPECT_EQ(cached->EvalTable(perturbed),
-              uncached->EvalTable(perturbed))
+    EXPECT_EQ(cached->EvalPerturbation(perturbed),
+              uncached->EvalPerturbation(perturbed))
         << "iteration " << i;
     // Repeat the same table to exercise the cache-hit path.
-    EXPECT_EQ(cached->EvalTable(perturbed),
-              uncached->EvalTable(perturbed));
+    EXPECT_EQ(cached->EvalPerturbation(perturbed),
+              uncached->EvalPerturbation(perturbed));
   }
   EXPECT_GT(cached->num_cache_hits(), 0u);
   EXPECT_EQ(uncached->num_cache_hits(), 0u);

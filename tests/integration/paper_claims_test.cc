@@ -11,6 +11,8 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <set>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/repair_game.h"
@@ -31,6 +33,17 @@ Result<ExplainResult> ExplainTarget(dc::DcSet dcs, ExplainRequest request) {
   Engine engine(Alg(), std::move(dcs), data::SoccerDirtyTable());
   request.target = data::SoccerTargetCell();
   return engine.Explain(request);
+}
+
+/// The coalition `present` over T^d as a write set: every other cell is
+/// absent, i.e. nulled (paper §2.2).
+std::vector<CellWrite> NullAllBut(const Table& dirty,
+                                  const std::set<CellRef>& present) {
+  std::vector<CellWrite> writes;
+  for (const CellRef& cell : dirty.AllCells()) {
+    if (present.count(cell) == 0) writes.push_back({cell, Value::Null()});
+  }
+  return writes;
 }
 
 std::map<std::string, double> ByLabel(const Explanation& ex) {
@@ -159,14 +172,10 @@ TEST(PaperClaims, Example24SupportPairsRepair) {
   ASSERT_TRUE(box.ok());
   const Table dirty = data::SoccerDirtyTable();
   for (std::size_t i : {1u, 2u, 3u, 6u}) {
-    Table coalition = dirty.WithNulls(dirty.AllCells());
-    auto restore = [&](CellRef cell) {
-      coalition.Set(cell, dirty.at(cell));
-    };
-    restore(data::SoccerCell(i, "League"));
-    restore(data::SoccerCell(i, "Country"));
-    restore(data::SoccerCell(5, "League"));
-    EXPECT_TRUE(box->EvalTable(coalition)) << "support tuple t" << i;
+    const std::vector<CellWrite> coalition = NullAllBut(
+        dirty, {data::SoccerCell(i, "League"), data::SoccerCell(i, "Country"),
+                data::SoccerCell(5, "League")});
+    EXPECT_TRUE(box->EvalPerturbation(coalition)) << "support tuple t" << i;
   }
 }
 
@@ -178,14 +187,10 @@ TEST(PaperClaims, Example24C1C2CoalitionRepairs) {
                                   data::SoccerTargetCell());
   ASSERT_TRUE(box.ok());
   const Table dirty = data::SoccerDirtyTable();
-  Table coalition = dirty.WithNulls(dirty.AllCells());
-  for (const char* attr : {"Team", "City", "Country"}) {
-    coalition.Set(data::SoccerCell(3, attr),
-                  dirty.at(data::SoccerCell(3, attr)));
-  }
-  coalition.Set(data::SoccerCell(5, "Team"),
-                dirty.at(data::SoccerCell(5, "Team")));
-  EXPECT_TRUE(box->EvalTable(coalition));
+  const std::vector<CellWrite> coalition = NullAllBut(
+      dirty, {data::SoccerCell(3, "Team"), data::SoccerCell(3, "City"),
+              data::SoccerCell(3, "Country"), data::SoccerCell(5, "Team")});
+  EXPECT_TRUE(box->EvalPerturbation(coalition));
 }
 
 // §2.3 / Example 2.5: the sampling estimator converges — its estimate of

@@ -93,8 +93,11 @@ TEST(HolisticTest, EmptyConstraintSetIsIdentity) {
 
 TEST(HolisticTest, HandlesNulledCoalitionTables) {
   HolisticRepair alg;
-  const Table masked = data::SoccerDirtyTable().WithNulls(
-      {data::SoccerCell(5, "City"), data::SoccerCell(3, "Team")});
+  Table masked = data::SoccerDirtyTable();
+  for (const CellRef cell :
+       {data::SoccerCell(5, "City"), data::SoccerCell(3, "Team")}) {
+    masked.Set(cell, Value::Null());
+  }
   EXPECT_TRUE(alg.Repair(data::SoccerConstraints(), masked).ok());
 }
 

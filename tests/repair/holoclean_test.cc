@@ -131,10 +131,10 @@ TEST(HoloCleanTest, DomainCapRespected) {
 
 TEST(HoloCleanTest, HandlesNulledCoalitionTables) {
   HoloCleanRepair alg;
-  const Table dirty = data::SoccerDirtyTable();
-  const Table masked = dirty.WithNulls(
-      {data::SoccerCell(1, "Country"), data::SoccerCell(2, "Country"),
-       data::SoccerCell(3, "Country"), data::SoccerCell(6, "Country")});
+  Table masked = data::SoccerDirtyTable();
+  for (const std::size_t row : {1, 2, 3, 6}) {
+    masked.Set(data::SoccerCell(row, "Country"), Value::Null());
+  }
   auto repaired = alg.Repair(data::SoccerConstraints(), masked);
   ASSERT_TRUE(repaired.ok());
 }

@@ -134,10 +134,12 @@ TEST(RuleRepairTest, UnknownTargetAttributeFails) {
 TEST(RuleRepairTest, HandlesNulledTables) {
   // Coalition-style tables (many nulls) must repair without error.
   auto alg = MakeAlgorithm1();
-  const Table dirty = SoccerDirtyTable();
-  const Table masked = dirty.WithNulls(
-      {data::SoccerCell(5, "City"), data::SoccerCell(1, "Team"),
-       data::SoccerCell(3, "Country")});
+  Table masked = SoccerDirtyTable();
+  for (const CellRef cell :
+       {data::SoccerCell(5, "City"), data::SoccerCell(1, "Team"),
+        data::SoccerCell(3, "Country")}) {
+    masked.Set(cell, Value::Null());
+  }
   auto repaired = alg->Repair(SoccerConstraints(), masked);
   ASSERT_TRUE(repaired.ok());
 }

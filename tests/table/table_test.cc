@@ -126,22 +126,6 @@ TEST(TableTest, FingerprintDistinguishesTypeOfSameRendering) {
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 }
 
-TEST(TableTest, WithNullsMasksCells) {
-  const Table t = SmallTable();
-  const Table masked = t.WithNulls({CellRef{0, 0}, CellRef{1, 1}});
-  EXPECT_TRUE(masked.at(0, 0).is_null());
-  EXPECT_TRUE(masked.at(1, 1).is_null());
-  EXPECT_EQ(masked.at(1, 0), Value("y"));
-  // Original untouched.
-  EXPECT_EQ(t.at(0, 0), Value("x"));
-}
-
-TEST(TableTest, CountNulls) {
-  const Table t = SmallTable();
-  EXPECT_EQ(t.CountNulls(), 1u);
-  EXPECT_EQ(t.WithNulls(t.AllCells()).CountNulls(), 6u);
-}
-
 TEST(CellRefTest, OrderingAndEquality) {
   EXPECT_EQ((CellRef{1, 2}), (CellRef{1, 2}));
   EXPECT_NE((CellRef{1, 2}), (CellRef{2, 1}));

@@ -6,10 +6,9 @@ src/ passes, and reverting a protected property — stripping one
 [[nodiscard]] from a Status-returning header declaration, re-adding a
 float accumulation under unordered iteration, adding one upward include,
 reusing a fault-site name, or adding a raw `std::mutex` — makes the
-checker fail with the right check name. This is the
-regression the CI static-analysis job exists to catch.
+checker fail with the right check name.
 
-Usage: trex_check_mutation_test.py --root <repo root> [--engine ...]
+Usage: trex_check_mutation_test.py --root <repo root>
 """
 
 import argparse
@@ -21,10 +20,10 @@ import sys
 import tempfile
 
 
-def run_checker(repo_root, tree_root, engine):
+def run_checker(repo_root, tree_root):
     proc = subprocess.run(
         [sys.executable, os.path.join(repo_root, "tools", "trex_check.py"),
-         "--root", tree_root, "--engine", engine],
+         "--root", tree_root],
         capture_output=True, text=True)
     return proc.returncode, proc.stdout + proc.stderr
 
@@ -69,7 +68,6 @@ inline double UnorderedFoldForMutationTest(
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--root", required=True)
-    parser.add_argument("--engine", default="auto")
     args = parser.parse_args()
     repo_root = os.path.abspath(args.root)
 
@@ -79,7 +77,7 @@ def main():
         with tempfile.TemporaryDirectory(prefix="trex_mut_") as tmp:
             copy_tree(repo_root, tmp)
             mutate(tmp)
-            code, out = run_checker(repo_root, tmp, args.engine)
+            code, out = run_checker(repo_root, tmp)
             if code == 0:
                 failures.append(f"{label}: checker passed a mutated tree")
             elif f"[{expect_check}]" not in out:
@@ -93,7 +91,7 @@ def main():
     # outcomes are meaningless.
     with tempfile.TemporaryDirectory(prefix="trex_mut_") as tmp:
         copy_tree(repo_root, tmp)
-        code, out = run_checker(repo_root, tmp, args.engine)
+        code, out = run_checker(repo_root, tmp)
         if code != 0:
             print(f"FAIL: pristine src/ is not clean:\n{out}",
                   file=sys.stderr)

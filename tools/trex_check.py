@@ -31,10 +31,11 @@ lock and fingerprint contracts honest:
 
   status-discipline
       Every `Status` / `Result<T>`-returning declaration in a src/
-      header must carry `[[nodiscard]]`, and (AST engine) no call site
-      may discard a returned Status/Result. The class-level
-      `[[nodiscard]]` on Status/Result makes the compiler enforce call
-      sites; this check keeps the per-API annotations from rotting.
+      header must carry `[[nodiscard]]`. Call sites are the compiler's
+      half: the class-level `[[nodiscard]]` on Status/Result plus
+      `-Werror=unused-result` in every TU reject a discarded value
+      (pinned by the `discarded_status_rejected` ctest); this check
+      keeps the per-API annotations from rotting.
 
   seed-discipline
       Seeds and RNG state in src/ may derive only from explicit inputs
@@ -64,19 +65,15 @@ lock and fingerprint contracts honest:
       must not synchronize with a bare `sleep_for`: sleeps hide races and
       flake under load. A deliberate sleep carries a suppression.
 
-Engines
--------
-The primary engine parses real ASTs via libclang (`clang.cindex`),
-driven by a compile_commands.json when available. Environments without
-libclang (the checker must run everywhere ctest runs) fall back to a
-bundled text engine: a comment/string-stripping lexer with brace-matched
-loop and scope tracking that implements the same checks with
-project-wide declaration maps. Check names, suppression syntax, and the
-fixture self-test are shared; fixtures that only a real AST can judge
-(e.g. discarded-call-site analysis) are tagged for the clang engine.
-The line-level checks (layering, fault sites, raw-mutex, length
-prefixes, sleeps, unseeded sources, header [[nodiscard]]) are text by
-nature and run verbatim in both engines. A tree run walks src/ with the
+Engine
+------
+One bundled text engine, with no dependency beyond the Python standard
+library so the checker runs everywhere ctest runs: a comment/string-
+stripping lexer with brace-matched loop and scope tracking and
+project-wide declaration maps (unordered-determinism, cancel-poll,
+seed derivation). The line-level checks (layering, fault sites,
+raw-mutex, length prefixes, sleeps, unseeded sources, header
+[[nodiscard]]) are text by nature. A tree run walks src/ with the
 engine and feeds bench/ and tests/ through the line-level checks only.
 
 Suppressions
@@ -91,12 +88,11 @@ reason is a finding (check `suppression`) that cannot be suppressed.
 
 Usage
 -----
-    trex_check.py [--root DIR] [--engine auto|clang|text] [--compdb DIR]
-    trex_check.py --self-test [--engine ...]
+    trex_check.py [--root DIR]
+    trex_check.py --self-test
     trex_check.py --list-checks
 
-Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage/engine
-errors (e.g. --engine clang without libclang).
+Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage errors.
 """
 
 import argparse
@@ -163,9 +159,6 @@ SEEDISH_RE = re.compile(
 
 SUPPRESS_RE = re.compile(
     r"//\s*trex-check-ok\(\s*([\w-]+)\s*\)\s*(:?)\s*(.*?)\s*$")
-
-STATUS_TYPE_RE = re.compile(r"\b(?:trex\s*::\s*)?(?:Status\b|Result\s*<)")
-
 
 def finding(path, line, check, message):
     return (path, line, check, message)
@@ -332,7 +325,7 @@ def apply_suppressions(findings, by_line):
 
 
 # ---------------------------------------------------------------------------
-# Checks shared verbatim by both engines (pure text by nature)
+# Line-level checks (pure text by nature)
 # ---------------------------------------------------------------------------
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
@@ -366,8 +359,8 @@ NODISCARD_DECL_RE = re.compile(
 
 
 def check_status_annotations(path, raw_text):
-    """Part (a) of status-discipline: header declarations must be
-    [[nodiscard]]. Pure text in both engines — the attribute is lexical."""
+    """status-discipline: header declarations must be [[nodiscard]].
+    Pure text — the attribute is lexical."""
     if not (path.startswith("src/") and path.endswith(".h")):
         return []
     out = []
@@ -578,7 +571,7 @@ TEXT_CHECKS = (
 
 
 def text_checks(path, raw_text):
-    """The checks both engines share verbatim (pure text by nature)."""
+    """The line-level checks (pure text by nature)."""
     out = []
     for check in TEXT_CHECKS:
         out.extend(check(path, raw_text))
@@ -586,7 +579,7 @@ def text_checks(path, raw_text):
 
 
 # ---------------------------------------------------------------------------
-# Text engine: lexer + scope tracking, no libclang required
+# Text engine: lexer + scope tracking
 # ---------------------------------------------------------------------------
 
 UNORDERED_DECL_RE = re.compile(r"unordered_(?:map|set)\s*<")
@@ -706,9 +699,7 @@ def declared_inside(name, body):
 
 
 class TextEngine:
-    """Lexer-based fallback engine (see file comment)."""
-
-    name = "text"
+    """Lexer-based engine (see file comment)."""
 
     def __init__(self):
         # Project-wide container-name maps, filled by prepare() for
@@ -796,8 +787,7 @@ class TextEngine:
         # Scope approximation: a file that takes cancellation as input
         # (a CancelToken/StopRule parameter, or options .cancel/.soften
         # access) must keep every eval loop responsive. A mere type
-        # definition or forward declaration does not count. (The clang
-        # engine scopes this per-function.)
+        # definition or forward declaration does not count.
         threads_token = (
             re.search(r"(?:CancelToken|StopRule)\s*&?\s+\w+\s*[,)=]", code)
             or ".cancel" in code or ".soften" in code)
@@ -835,372 +825,6 @@ class TextEngine:
 
 
 # ---------------------------------------------------------------------------
-# Clang engine: real ASTs via clang.cindex
-# ---------------------------------------------------------------------------
-
-def load_cindex():
-    """Returns the clang.cindex module with a usable libclang, or None."""
-    try:
-        import clang.cindex as ci
-    except ImportError:
-        return None
-    lib = os.environ.get("TREX_LIBCLANG")
-    if lib:
-        ci.Config.set_library_file(lib)
-    try:
-        ci.Index.create()
-        return ci
-    except Exception:
-        for candidate in (
-                "libclang.so", "libclang-14.so", "libclang.so.1",
-                "/usr/lib/llvm-14/lib/libclang.so.1",
-                "/usr/lib/x86_64-linux-gnu/libclang-14.so.1"):
-            try:
-                ci.Config.loaded = False
-                ci.Config.set_library_file(candidate)
-                ci.Index.create()
-                return ci
-            except Exception:
-                continue
-    return None
-
-
-FLOAT_TYPES = {"float", "double", "long double"}
-APPEND_METHODS = {"push_back", "emplace_back", "append"}
-
-
-class ClangEngine:
-    """libclang-backed engine: same checks, real types and scopes."""
-
-    name = "clang"
-
-    def __init__(self, ci, root=None, compdb_dir=None):
-        self.ci = ci
-        self.index = ci.Index.create()
-        self.root = root
-        self.compdb = None
-        if compdb_dir and os.path.exists(
-                os.path.join(compdb_dir, "compile_commands.json")):
-            self.compdb = ci.CompilationDatabase.fromDirectory(compdb_dir)
-
-    def prepare(self, files):
-        pass  # ASTs carry their own cross-file knowledge
-
-    # -- parsing helpers ------------------------------------------------
-
-    def _args_for(self, abspath):
-        if self.compdb is not None:
-            cmds = self.compdb.getCompileCommands(abspath)
-            if cmds:
-                args = list(cmds[0].arguments)[1:]  # drop compiler
-                cleaned = []
-                skip = False
-                for a in args:
-                    if skip:
-                        skip = False
-                        continue
-                    if a in ("-c", abspath):
-                        continue
-                    if a == "-o":
-                        skip = True
-                        continue
-                    cleaned.append(a)
-                return cleaned
-        inc = os.path.join(self.root, "src") if self.root else "src"
-        return ["-x", "c++", "-std=c++20", "-I", inc]
-
-    def parse_tu(self, abspath, unsaved=None, hermetic=False):
-        if hermetic:
-            args = ["-x", "c++", "-std=c++17", "-nostdinc", "-nostdinc++"]
-        else:
-            args = self._args_for(abspath)
-        return self.index.parse(abspath, args=args, unsaved_files=unsaved)
-
-    def lint_file(self, path, raw_text):
-        """Single in-memory file (self-test path): hermetic parse."""
-        tu = self.parse_tu(path, unsaved=[(path, raw_text)], hermetic=True)
-        out = text_checks(path, raw_text)
-        # Deduplicate: a statement can be reached as both a DECL_STMT
-        # and its nested VAR_DECL, producing the same finding twice.
-        out.extend(sorted(set(self._walk_tu(tu, {path: path}))))
-        return out
-
-    def lint_tree(self, root, rel_files):
-        """Parses every .cc TU (and any header no TU pulled in) and
-        collects findings for locations under src/."""
-        findings = {}
-        texts = dict(rel_files)
-        abs_to_rel = {
-            os.path.normpath(os.path.join(root, rel)): rel
-            for rel, _ in rel_files}
-        seen_headers = set()
-        parse_errors = []
-        ccs = [rel for rel, _ in rel_files if rel.endswith(".cc")]
-        headers = [rel for rel, _ in rel_files if rel.endswith(".h")]
-        for rel in ccs:
-            abspath = os.path.normpath(os.path.join(root, rel))
-            tu = self.parse_tu(abspath)
-            fatal = [d for d in tu.diagnostics if d.severity >= 4]
-            if fatal:
-                parse_errors.append(finding(
-                    rel, fatal[0].location.line if fatal[0].location else 0,
-                    "layering",
-                    f"parse failed: {fatal[0].spelling} (fix the build "
-                    "or the compile database; an unparsed TU is "
-                    "unchecked code)"))
-                continue
-            for f in self._walk_tu(tu, abs_to_rel):
-                findings[(f[0], f[1], f[2], f[3])] = f
-            for inc in tu.get_includes():
-                p = os.path.normpath(str(inc.include.name))
-                if p in abs_to_rel:
-                    seen_headers.add(abs_to_rel[p])
-        for rel in headers:
-            if rel in seen_headers:
-                continue
-            abspath = os.path.normpath(os.path.join(root, rel))
-            tu = self.parse_tu(abspath)
-            for f in self._walk_tu(tu, abs_to_rel):
-                findings[(f[0], f[1], f[2], f[3])] = f
-        per_file = {}
-        for f in findings.values():
-            per_file.setdefault(f[0], []).append(f)
-        out = list(parse_errors)
-        for rel, text in rel_files:
-            fs = per_file.get(rel, []) + text_checks(rel, text)
-            by_line, bad = parse_suppressions(rel, text)
-            out.extend(bad)
-            out.extend(apply_suppressions(sorted(set(fs)), by_line))
-        return out
-
-    # -- AST walks ------------------------------------------------------
-
-    def _rel_of(self, node, abs_to_rel):
-        loc = node.location
-        if loc.file is None:
-            return None
-        return abs_to_rel.get(os.path.normpath(str(loc.file.name)))
-
-    def _walk_tu(self, tu, abs_to_rel):
-        ci = self.ci
-        K = ci.CursorKind
-        out = []
-        for node in tu.cursor.walk_preorder():
-            rel = self._rel_of(node, abs_to_rel)
-            if rel is None or not rel.startswith("src/"):
-                continue
-            if node.kind == K.CXX_FOR_RANGE_STMT:
-                out.extend(self._unordered_range_for(node, rel))
-            elif node.kind in (K.FUNCTION_DECL, K.CXX_METHOD,
-                               K.FUNCTION_TEMPLATE):
-                if node.is_definition():
-                    out.extend(self._cancel_poll(node, rel))
-                out.extend(self._status_discard_scan(node, rel))
-            elif node.kind in (K.DECL_STMT, K.VAR_DECL):
-                out.extend(self._seed_stmt(node, rel))
-        return out
-
-    @staticmethod
-    def _canonical(t):
-        try:
-            return t.get_canonical().spelling
-        except Exception:
-            return t.spelling
-
-    def _unordered_range_for(self, node, rel):
-        K = self.ci.CursorKind
-        kids = list(node.get_children())
-        if len(kids) < 2:
-            return []
-        body = kids[-1]
-        range_expr = None
-        for k in kids[:-1]:
-            if k.kind.is_expression():
-                range_expr = k
-        if range_expr is None:
-            return []
-        spelling = self._canonical(range_expr.type)
-        if "unordered_map" not in spelling and "unordered_set" not in spelling:
-            return []
-        body_start = body.extent.start.offset
-        body_end = body.extent.end.offset
-        line = node.location.line
-        out = []
-
-        def decl_outside(expr_node):
-            # Looks through the callee expression for the *object* the
-            # method is invoked on (a variable/parameter/field); the
-            # method declaration itself always lives outside the loop
-            # and must not count.
-            for sub in expr_node.walk_preorder():
-                if sub.kind == K.DECL_REF_EXPR or \
-                        sub.kind == K.MEMBER_REF_EXPR:
-                    ref = sub.referenced
-                    if ref is None:
-                        continue
-                    if ref.kind in (K.CXX_METHOD, K.FUNCTION_DECL,
-                                    K.FUNCTION_TEMPLATE,
-                                    K.CONVERSION_FUNCTION):
-                        continue
-                    loc = ref.location
-                    if loc.file is None:
-                        return True
-                    off = loc.offset
-                    same = os.path.normpath(str(loc.file.name)) == \
-                        os.path.normpath(str(sub.location.file.name))
-                    if not same or off < body_start or off > body_end:
-                        return True
-            return False
-
-        for sub in body.walk_preorder():
-            if sub.kind == K.COMPOUND_ASSIGNMENT_OPERATOR:
-                t = self._canonical(sub.type)
-                if t in FLOAT_TYPES:
-                    out.append(finding(
-                        rel, line, "unordered-determinism",
-                        "floating-point accumulation under unordered "
-                        "iteration — float addition is not commutative-"
-                        "associative, the result depends on bucket "
-                        "order"))
-                    break
-            if sub.kind == K.CALL_EXPR:
-                name = sub.spelling or ""
-                if name in APPEND_METHODS:
-                    callee_kids = list(sub.get_children())
-                    if callee_kids and decl_outside(callee_kids[0]):
-                        out.append(finding(
-                            rel, line, "unordered-determinism",
-                            "appending to an ordered container declared "
-                            "outside the loop in unordered iteration "
-                            "order — sort the keys or keep an ordered "
-                            "mirror"))
-                        break
-                if name.startswith("Mix") or "Fingerprint" in name \
-                        or name == "HashCombine":
-                    out.append(finding(
-                        rel, line, "unordered-determinism",
-                        "fingerprint/hash material fed in unordered "
-                        "iteration order — use an order-independent "
-                        "combine (XOR) or sort first"))
-                    break
-                if name == "operator<<":
-                    args = list(sub.get_children())
-                    if args and "ostream" in self._canonical(args[0].type):
-                        out.append(finding(
-                            rel, line, "unordered-determinism",
-                            "stream output written in unordered "
-                            "iteration order — JSON/log lines must be "
-                            "deterministic"))
-                        break
-        return out
-
-    def _cancel_poll(self, fn, rel):
-        ci = self.ci
-        K = ci.CursorKind
-        params = [c for c in fn.get_children() if c.kind == K.PARM_DECL]
-        token_params = [
-            p for p in params
-            if "CancelToken" in self._canonical(p.type)
-            or "StopRule" in self._canonical(p.type)]
-        body = None
-        for c in fn.get_children():
-            if c.kind == K.COMPOUND_STMT:
-                body = c
-        if body is None:
-            return []
-        has_member_token = False
-        if not token_params:
-            for sub in body.walk_preorder():
-                if sub.kind == K.MEMBER_REF_EXPR and sub.spelling in (
-                        "cancel", "soften"):
-                    has_member_token = True
-                    break
-            if not has_member_token:
-                return []
-        out = []
-        loop_kinds = (K.FOR_STMT, K.WHILE_STMT, K.DO_STMT,
-                      K.CXX_FOR_RANGE_STMT)
-        token_names = {p.spelling for p in token_params}
-
-        def loop_is_covered(loop):
-            for sub in loop.walk_preorder():
-                if sub.kind == K.CALL_EXPR and sub.spelling == "cancelled":
-                    return True
-                if sub.kind == K.MEMBER_REF_EXPR and sub.spelling in (
-                        "cancel", "soften"):
-                    return True
-                if sub.kind == K.DECL_REF_EXPR and sub.spelling in \
-                        token_names:
-                    return True
-                if sub.kind == K.PARM_DECL:
-                    continue
-            return False
-
-        def loop_has_eval(loop):
-            for sub in loop.walk_preorder():
-                if sub.kind == K.CALL_EXPR and sub.spelling in EVAL_CALLS:
-                    return True
-            return False
-
-        for sub in body.walk_preorder():
-            if sub.kind in loop_kinds:
-                if loop_has_eval(sub) and not loop_is_covered(sub):
-                    out.append(finding(
-                        rel, sub.location.line, "cancel-poll",
-                        "loop calls into repair evaluation without "
-                        "polling or forwarding the function's "
-                        "CancelToken; cancellation/deadlines cannot "
-                        "reach this work"))
-        return out
-
-    def _status_discard_scan(self, fn, rel):
-        """Part (b) of status-discipline: a Status/Result-typed call
-        used as a whole expression statement is a discarded error."""
-        ci = self.ci
-        K = ci.CursorKind
-        out = []
-        body = None
-        for c in fn.get_children():
-            if c.kind == K.COMPOUND_STMT:
-                body = c
-        if body is None:
-            return []
-        for stmt_parent in body.walk_preorder():
-            if stmt_parent.kind != K.COMPOUND_STMT:
-                continue
-            for child in stmt_parent.get_children():
-                expr = child
-                while expr.kind == K.UNEXPOSED_EXPR:
-                    kids = list(expr.get_children())
-                    if not kids:
-                        break
-                    expr = kids[0]
-                if expr.kind != K.CALL_EXPR:
-                    continue
-                t = self._canonical(expr.type)
-                if STATUS_TYPE_RE.search(t) and "StatusCode" not in t:
-                    out.append(finding(
-                        rel, child.location.line, "status-discipline",
-                        f"call result of type '{t}' is discarded; handle "
-                        "the Status or cast to void with a reason"))
-        return out
-
-    def _seed_stmt(self, node, rel):
-        ext = node.extent
-        try:
-            tokens = " ".join(t.spelling for t in node.get_tokens())
-        except Exception:
-            return []
-        if TIME_SOURCE_RE.search(tokens) and SEEDISH_RE.search(tokens):
-            return [finding(
-                rel, ext.start.line, "seed-discipline",
-                "seed/RNG derived from thread id or wall clock; "
-                "per-shard seeds may mix only (base seed, shard index) "
-                "so replays are bit-identical")]
-        return []
-
-
-# ---------------------------------------------------------------------------
 # Tree runner
 # ---------------------------------------------------------------------------
 
@@ -1219,18 +843,16 @@ def collect_files(root, top):
     return out
 
 
-def lint_tree(engine, root):
+def lint_tree(root):
     files = collect_files(root, "src")
+    engine = TextEngine()
     engine.prepare(files)
-    if isinstance(engine, ClangEngine):
-        out = engine.lint_tree(root, files)
-    else:
-        out = []
-        for rel, text in files:
-            raw = engine.lint_file(rel, text)
-            by_line, bad = parse_suppressions(rel, text)
-            out.extend(bad)
-            out.extend(apply_suppressions(raw, by_line))
+    out = []
+    for rel, text in files:
+        raw = engine.lint_file(rel, text)
+        by_line, bad = parse_suppressions(rel, text)
+        out.extend(bad)
+        out.extend(apply_suppressions(raw, by_line))
     # fault-site-discipline spans files: site names must be unique
     # src-wide. bench/ (which must stay injection-free) and tests/ (whose
     # concurrency fixtures must not sleep) get the text checks only.
@@ -1243,8 +865,9 @@ def lint_tree(engine, root):
     return out
 
 
-def lint_snippet(engine, path, text):
+def lint_snippet(path, text):
     """Self-test entry: one in-memory file, suppressions applied."""
+    engine = TextEngine()
     engine.prepare([(path, text)])
     raw = engine.lint_file(path, text)
     by_line, bad = parse_suppressions(path, text)
@@ -1255,9 +878,8 @@ def lint_snippet(engine, path, text):
 # Self-test fixtures. Every check is fed known-bad and known-good
 # snippets, and the self-test fails if a bad snippet passes or a good one
 # is flagged, so a regression in this file cannot silently disable a
-# check. The preamble is hermetic (no system headers) so the clang
-# engine can parse snippets with -nostdinc and both engines see
-# identical text.
+# check. The preamble declares the few std/trex names the snippets use,
+# so each snippet reads as a self-contained translation unit.
 # ---------------------------------------------------------------------------
 
 
@@ -1270,28 +892,21 @@ class FixtureCase:
               scoping — src/ vs tests/, layer membership — is under test).
     snippet   the file content.
     expected  the exact number of findings the check must produce.
-    engines   optional set of engine names the case applies to (for
-              checks only a real AST can judge); None = every engine.
     """
 
-    def __init__(self, check, path, snippet, expected, engines=None):
+    def __init__(self, check, path, snippet, expected):
         self.check = check
         self.path = path
         self.snippet = snippet
         self.expected = expected
-        self.engines = engines
 
 
-def run_fixture_cases(cases, lint_file_fn, engine_name):
-    """Runs every case that applies to `engine_name` through
-    `lint_file_fn(path, snippet)`; returns 0 when each produced exactly
-    its expected count, 1 otherwise (one diagnostic per failing case)."""
+def run_fixture_cases(cases, lint_file_fn):
+    """Runs every case through `lint_file_fn(path, snippet)`; returns 0
+    when each produced exactly its expected count, 1 otherwise (one
+    diagnostic per failing case)."""
     failures = []
-    ran = 0
     for case in cases:
-        if case.engines is not None and engine_name not in case.engines:
-            continue
-        ran += 1
         got = [f for f in lint_file_fn(case.path, case.snippet)
                if f[2] == case.check]
         if len(got) != case.expected:
@@ -1300,11 +915,10 @@ def run_fixture_cases(cases, lint_file_fn, engine_name):
                 f"finding(s), got {len(got)}: "
                 f"{[(f[1], f[3][:60]) for f in got]}")
     for f in failures:
-        print(f"SELF-TEST FAIL [trex_check/{engine_name}]: {f}",
-              file=sys.stderr)
+        print(f"SELF-TEST FAIL [trex_check]: {f}", file=sys.stderr)
     if failures:
         return 1
-    print(f"trex_check self-test [{engine_name}]: {ran} cases passed")
+    print(f"trex_check self-test: {len(cases)} cases passed")
     return 0
 
 
@@ -1511,15 +1125,6 @@ class Writer {
 }
 """
 
-BAD_DISCARDED_CALL = PREAMBLE + r"""
-namespace trex {
-Status Flush();
-void Tick() {
-  Flush();
-}
-}
-"""
-
 GOOD_HANDLED_CALL = PREAMBLE + r"""
 namespace trex {
 Status Flush();
@@ -1654,10 +1259,8 @@ SELF_TEST_CASES = [
                 BAD_MISSING_NODISCARD, 1),
     FixtureCase("status-discipline", "src/table/good_writer.h",
                 GOOD_NODISCARD_PREV_LINE, 0),
-    # Call-site discard needs a real AST; the text engine leans on the
-    # class-level [[nodiscard]] + -Werror=unused-result for this half.
-    FixtureCase("status-discipline", "src/table/bad_discard.cc",
-                BAD_DISCARDED_CALL, 1, engines={"clang"}),
+    # A handled call is never flagged. A discarded one is the compiler's
+    # to reject (tests/tools/discarded_status.cc).
     FixtureCase("status-discipline", "src/table/good_discard.cc",
                 GOOD_HANDLED_CALL, 0),
 
@@ -1739,31 +1342,11 @@ SELF_TEST_CASES = [
 # CLI
 # ---------------------------------------------------------------------------
 
-def make_engine(kind, root=None, compdb=None):
-    if kind in ("auto", "clang"):
-        ci = load_cindex()
-        if ci is not None:
-            return ClangEngine(ci, root=root, compdb_dir=compdb)
-        if kind == "clang":
-            print("trex_check: --engine clang requested but libclang is "
-                  "not available (pip wheel 'libclang' or TREX_LIBCLANG)",
-                  file=sys.stderr)
-            return None
-    return TextEngine()
-
-
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=None,
                         help="repo root (default: parent of this script)")
-    parser.add_argument("--engine", default="auto",
-                        choices=("auto", "clang", "text"),
-                        help="auto prefers libclang, falls back to the "
-                             "text engine")
-    parser.add_argument("--compdb", default=None,
-                        help="directory holding compile_commands.json "
-                             "(clang engine)")
     parser.add_argument("--self-test", action="store_true",
                         help="run the embedded fixture self-test and exit")
     parser.add_argument("--list-checks", action="store_true")
@@ -1774,29 +1357,19 @@ def main():
             print(c)
         return 0
 
+    if args.self_test:
+        return run_fixture_cases(SELF_TEST_CASES, lint_snippet)
+
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
-    compdb = args.compdb or os.path.join(root, "build")
-
-    engine = make_engine(args.engine, root=root, compdb=compdb)
-    if engine is None:
-        return 2
-
-    if args.self_test:
-        def lint_fn(path, snippet):
-            e = make_engine(args.engine, root=root, compdb=None)
-            return lint_snippet(e, path, snippet)
-        return run_fixture_cases(SELF_TEST_CASES, lint_fn, engine.name)
-
-    findings = lint_tree(engine, root)
+    findings = lint_tree(root)
     findings.sort()
     for path, line, check, msg in findings:
         print(f"{path}:{line}: [{check}] {msg}")
     if findings:
-        print(f"trex_check[{engine.name}]: {len(findings)} finding(s)",
-              file=sys.stderr)
+        print(f"trex_check: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print(f"trex_check[{engine.name}]: clean")
+    print("trex_check: clean")
     return 0
 
 
