@@ -19,9 +19,12 @@
 #include "repair/holoclean.h"
 #include "repair/soccer_algorithm1.h"
 #include "table/diff.h"
+#include "tests/serving/determinism_check.h"
 
 namespace trex {
 namespace {
+
+using testing::Fingerprint128;
 
 // Keep the algorithm alive for all boxes (Make holds a raw pointer);
 // a static instance is simplest for tests.
@@ -43,15 +46,6 @@ Result<BlackBoxRepair> MakeBox(CellRef target) {
   return BlackBoxRepair::Make(Algorithm1Singleton().get(),
                               data::SoccerConstraints(),
                               data::SoccerDirtyTable(), target);
-}
-
-// The 128-bit half of `Table::DualFingerprint`: the memo's verification
-// hash.
-Hash128 Fingerprint128(const Table& table) {
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
-  table.DualFingerprint(&fp64, &fp128);
-  return fp128;
 }
 
 TEST(BlackBoxRepairTest, ReferenceRunEstablishesCleanValue) {

@@ -27,25 +27,28 @@
 
 namespace trex::testing {
 
+/// The 128-bit half of `Table::DualFingerprint`: the memo's
+/// verification hash.
+inline Hash128 Fingerprint128(const Table& table) {
+  std::uint64_t fp64 = 0;
+  Hash128 fp128;
+  table.DualFingerprint(&fp64, &fp128);
+  return fp128;
+}
+
 /// Runs the determinism checks on `algorithm` over (`dcs`, `table`);
 /// failures are reported through gtest. `seed` drives the perturbation
 /// walk of the threaded box check.
 inline void CheckDeterminism(const repair::RepairAlgorithm& algorithm,
                              const dc::DcSet& dcs, const Table& table,
                              std::uint64_t seed = 1) {
-  const auto fp128 = [](const Table& t) {
-    std::uint64_t fp64 = 0;
-    Hash128 fp;
-    t.DualFingerprint(&fp64, &fp);
-    return fp;
-  };
   auto reference = algorithm.Repair(dcs, table);
   ASSERT_TRUE(reference.ok()) << reference.status();
   for (int repeat = 0; repeat < 3; ++repeat) {
     auto again = algorithm.Repair(dcs, table);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(*again, *reference);
-    EXPECT_EQ(fp128(*again), fp128(*reference));
+    EXPECT_EQ(Fingerprint128(*again), Fingerprint128(*reference));
   }
 
   constexpr std::size_t kConcurrent = 4;
@@ -57,7 +60,7 @@ inline void CheckDeterminism(const repair::RepairAlgorithm& algorithm,
   for (const auto& result : concurrent) {
     ASSERT_TRUE(result.has_value() && result->ok());
     EXPECT_EQ(**result, *reference);
-    EXPECT_EQ(fp128(**result), fp128(*reference));
+    EXPECT_EQ(Fingerprint128(**result), Fingerprint128(*reference));
   }
 
   // Every cell a target, so one evaluation checks the whole output.
@@ -65,7 +68,8 @@ inline void CheckDeterminism(const repair::RepairAlgorithm& algorithm,
   auto box = BlackBoxRepair::MakeMultiTarget(&algorithm, dcs, table, targets);
   ASSERT_TRUE(box.ok()) << box.status();
   EXPECT_EQ(box->reference_clean(), *reference);
-  EXPECT_EQ(fp128(box->reference_clean()), fp128(*reference));
+  EXPECT_EQ(Fingerprint128(box->reference_clean()),
+            Fingerprint128(*reference));
 
   // A walk of small steps over write sets (nulls, and values moved
   // within a column), like the coalitions of a sweep, with the

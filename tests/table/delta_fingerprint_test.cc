@@ -1,6 +1,7 @@
 // Property tests for the XOR-combinable table fingerprints: a delta
 // computed from a cached base over a write set must equal the
-// from-scratch `DualFingerprint` of the materialized table, for any randomized write set — that identity is what makes
+// from-scratch `DualFingerprint` of the materialized table, for any
+// randomized write set — that identity is what makes
 // `BlackBoxRepair::EvalPerturbation` sound without materializing.
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "common/random.h"
 #include "table/table.h"
+#include "tests/serving/determinism_check.h"
 
 namespace trex {
 namespace {
@@ -89,12 +91,8 @@ TEST(DeltaFingerprintTest, MatchesFromScratchOnRandomizedWriteSets) {
     base.DeltaFingerprint(base64, base128, writes, &delta64, &delta128);
 
     const Table materialized = Materialize(base, writes);
-    std::uint64_t scratch64 = 0;
-    Hash128 scratch128;
-    materialized.DualFingerprint(&scratch64, &scratch128);
     EXPECT_EQ(delta64, materialized.Fingerprint());
-    EXPECT_EQ(delta64, scratch64);
-    EXPECT_EQ(delta128, scratch128);
+    EXPECT_EQ(delta128, testing::Fingerprint128(materialized));
   }
 }
 
@@ -152,12 +150,9 @@ TEST(DeltaFingerprintTest, PositionKeyedNotJustValueKeyed) {
   ASSERT_TRUE(table.AppendRow({Value("x"), Value("y")}).ok());
   Table swapped(Schema::AllStrings({"A", "B"}));
   ASSERT_TRUE(swapped.AppendRow({Value("y"), Value("x")}).ok());
-  std::uint64_t table64 = 0, swapped64 = 0;
-  Hash128 table128, swapped128;
-  table.DualFingerprint(&table64, &table128);
-  swapped.DualFingerprint(&swapped64, &swapped128);
-  EXPECT_NE(table64, swapped64);
-  EXPECT_NE(table128, swapped128);
+  EXPECT_NE(table.Fingerprint(), swapped.Fingerprint());
+  EXPECT_NE(testing::Fingerprint128(table),
+            testing::Fingerprint128(swapped));
 }
 
 }  // namespace
