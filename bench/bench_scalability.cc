@@ -8,10 +8,10 @@
 // for each size in --cross_backend_rows (default 1000,10000,100000) the
 // harness in workload/comparison.h generates a ground-truth synthetic
 // world, injects errors, and drives every registered repair backend over
-// the same dirty table through `Engine::ExplainBatch`, emitting one
-// "JSON {...}" line per (backend, size) with repair-quality and
-// explanation-stability metrics. Flags (stripped before google-benchmark
-// sees argv):
+// the same dirty table, one `Engine::Explain` per target on one engine
+// per backend, emitting one "JSON {...}" line per (backend, size) with
+// repair-quality and explanation-stability metrics. Flags (stripped
+// before google-benchmark sees argv):
 //   --cross_backend_rows=a,b,c   comma-separated sweep sizes
 //   --cross_backend_targets=N    explained targets per backend (default 4)
 //   --cross_backend_only         skip the google-benchmark cases (CI smoke)

@@ -224,7 +224,8 @@ void Run() {
 /// steady state of a loaded deployment: another stream's jobs evict
 /// yours between your jobs). Per-job execution rebuilds the engine —
 /// reference repair plus a fresh 2^|C| memo — for every request;
-/// coalescing gathers each stream back into one `ExplainBatch`.
+/// coalescing gathers each stream back into one group: one engine
+/// acquisition, one `EnsureRepair`, one `Explain` per member.
 void RunCoalescingScenario() {
   bench::Header("scheduler: coalesced vs per-job execution under pressure");
   const dc::DcSet dcs = data::SoccerConstraints();

@@ -92,24 +92,29 @@ int main() {
     std::printf("\n");
   }
 
-  // Batched multi-target explanation: one engine, one reference repair,
-  // shared memo caches. Explaining both repaired cells costs one subset
-  // sweep instead of two — `cross_request_hits` shows the amortization.
-  std::vector<ExplainRequest> requests;
+  // Multi-target explanation: every ticket routes to the session's
+  // engine, so the targets share one reference repair and the memo
+  // caches. Explaining both repaired cells costs one subset sweep
+  // instead of two — `cross_request_hits` shows the amortization.
+  std::vector<serving::Ticket> tickets;
   for (const RepairedCell& repaired : session.repaired_cells()) {
     ExplainRequest request;
     request.target = repaired.cell;
     request.kind = ExplainKind::kConstraints;
-    requests.push_back(request);
+    tickets.push_back(session.SubmitExplain(request));
   }
-  auto batch = session.ExplainBatch(requests);
-  if (batch.ok()) {
-    std::printf(
-        "batched explanations over %zu targets: %zu algorithm calls, "
-        "%zu cache hits (%zu amortized across targets)\n",
-        batch->stats.requests, batch->stats.algorithm_calls,
-        batch->stats.cache_hits, batch->stats.cross_request_hits);
+  std::size_t calls = 0, hits = 0, cross_hits = 0;
+  for (serving::Ticket& ticket : tickets) {
+    auto result = ticket.Wait();
+    if (!result.ok()) continue;
+    calls += result->algorithm_calls;
+    hits += result->cache_hits;
+    cross_hits += result->cross_request_hits;
   }
+  std::printf(
+      "explanations over %zu targets: %zu algorithm calls, %zu cache hits "
+      "(%zu amortized across targets)\n",
+      tickets.size(), calls, hits, cross_hits);
 
   // Machine-readable output for downstream tools.
   std::printf("JSON: %s\n", ExplanationToJson(*constraint_ex).c_str());

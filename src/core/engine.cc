@@ -16,10 +16,11 @@
 namespace trex {
 namespace {
 
-/// Permutation sweeps per shard of the sharded cell sampler: the unit of
-/// parallel work and of the early-stopping check. Fixed (not an option)
-/// so that estimates never depend on the execution configuration.
-constexpr std::size_t kCellShardSize = 32;
+/// Permutation sweeps per shard of the sampled constraint and cell
+/// sweeps: the unit of parallel work and of the early-stopping check.
+/// Fixed (not an option) so that estimates never depend on the
+/// execution configuration.
+constexpr std::size_t kSweepShardSize = 32;
 
 /// Sorts player scores descending by Shapley value; ties keep the
 /// original player order (stable), making output deterministic.
@@ -195,6 +196,22 @@ Status Engine::ValidateRequest(const ExplainRequest& request) const {
     return Status::OutOfRange("target cell " + request.target.ToString() +
                               " outside the table");
   }
+  // Comparisons are written so that NaN fails them: a malformed stop
+  // rule would otherwise never fire and silently spend the full budget.
+  const AnytimeOptions& any = EffectiveAnytime(request);
+  if (any.enabled()) {
+    if (any.target_ci_half_width.has_value() &&
+        !(*any.target_ci_half_width >= 0)) {
+      return Status::InvalidArgument(
+          "anytime target_ci_half_width must be >= 0");
+    }
+    if (!(any.z > 0)) {
+      return Status::InvalidArgument("anytime z must be > 0");
+    }
+    if (!(any.delta > 0 && any.delta < 1)) {
+      return Status::InvalidArgument("anytime delta must lie in (0, 1)");
+    }
+  }
   return Status::Ok();
 }
 
@@ -284,67 +301,6 @@ Result<ExplainResult> Engine::Explain(const ExplainRequest& request) {
   return result;
 }
 
-Result<BatchResult> Engine::ExplainBatch(
-    const std::vector<ExplainRequest>& requests, CancelToken cancel) {
-  BatchResult batch;
-  if (requests.empty()) return batch;  // nothing to serve, nothing to pay
-  if (cancel.cancelled()) {
-    // A dead batch must not pay for the reference repair — the
-    // dominant cost on a cold engine.
-    batch.stats.requests = requests.size();
-    batch.stats.failed_requests = requests.size();
-    batch.stats.cancelled_requests = requests.size();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      batch.results.push_back(Status::Cancelled("batch cancelled"));
-    }
-    return batch;
-  }
-  const bool had_repair = box_.has_value();
-  const std::size_t calls_before = num_algorithm_calls();
-  const std::size_t hits_before = num_cache_hits();
-  const std::size_t cross_before = num_cross_request_hits();
-  // One reference repair for the whole batch, however many targets.
-  TREX_RETURN_NOT_OK(EnsureRepair());
-  batch.stats.reference_repairs = had_repair ? 0 : 1;
-
-  batch.results.reserve(requests.size());
-  for (const ExplainRequest& request : requests) {
-    Result<ExplainResult> result = [&]() -> Result<ExplainResult> {
-      // The batch-level token short-circuits remaining slots; merged
-      // into each member it also stops a slot mid-sweep.
-      if (cancel.cancelled()) {
-        return Status::Cancelled("batch cancelled");
-      }
-      if (!cancel.can_be_cancelled()) return Explain(request);
-      ExplainRequest merged = request;
-      merged.cancel = CancelToken::AnyOf(merged.cancel, cancel);
-      return Explain(merged);
-    }();
-    if (!result.ok()) {
-      ++batch.stats.failed_requests;
-      if (result.status().IsCancelled()) ++batch.stats.cancelled_requests;
-    } else {
-      // Anytime accounting: sweeps actually spent and the worst achieved
-      // confidence width across the batch's sampled members.
-      batch.stats.sweeps += result->sweeps;
-      if (result->achieved_ci_half_width.has_value()) {
-        batch.stats.max_achieved_ci_half_width =
-            std::max(batch.stats.max_achieved_ci_half_width,
-                     *result->achieved_ci_half_width);
-      }
-      if (result->early_stopped) ++batch.stats.early_stopped_requests;
-      if (result->approximate) ++batch.stats.approximate_requests;
-    }
-    batch.results.push_back(std::move(result));
-  }
-  batch.stats.requests = requests.size();
-  batch.stats.algorithm_calls = num_algorithm_calls() - calls_before;
-  batch.stats.cache_hits = num_cache_hits() - hits_before;
-  batch.stats.cross_request_hits = num_cross_request_hits() - cross_before;
-  batch.stats.approx_memo_bytes = approx_memo_bytes();
-  return batch;
-}
-
 // The per-kind helpers assume `ValidateRequest` already screened the
 // request; they only enforce conditions that need the reference repair.
 
@@ -400,8 +356,7 @@ Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
   ConstraintGame game(&*box_, target_index);
   Explanation ex = MakeBaseExplanation(*box_, target_index);
 
-  const bool exact =
-      !options.force_sampling && dcs_.size() <= options.max_exact_players;
+  const bool exact = dcs_.size() <= options.max_exact_players;
   if (options.use_banzhaf && !exact) {
     return Status::InvalidArgument(
         "Banzhaf attribution is exact-only; reduce the constraint count "
@@ -434,8 +389,7 @@ Result<Explanation> Engine::ExplainConstraints(std::size_t target_index,
     shap::SamplingOptions sampling;
     sampling.num_samples = EffectiveBudget(request, options.num_samples);
     sampling.seed = options.seed;
-    sampling.antithetic = options.antithetic;
-    sampling.shard_size = options.shard_size;
+    sampling.shard_size = kSweepShardSize;
     sampling.stop = EffectiveStopRule(request);
     sampling.check_interval = EffectiveAnytime(request).check_interval;
     sampling.num_threads = options_.num_threads;
@@ -666,7 +620,7 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
 
     shap::ShardedSweepConfig config;
     config.num_samples = EffectiveBudget(request, options.num_samples);
-    config.shard_size = kCellShardSize;
+    config.shard_size = kSweepShardSize;
     config.num_threads = options_.num_threads;
     config.seed = options.seed;
     config.stop = EffectiveStopRule(request);

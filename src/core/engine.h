@@ -12,55 +12,52 @@
 //       ExplainRequest req;
 //       req.target = cell;
 //       req.kind = ExplainKind::kConstraints;
-//       auto result = engine.Explain(req);                 // one query
-//       auto batch  = engine.ExplainBatch({r1, r2, r3});   // amortized
+//       auto result = engine.Explain(req);
 //
 //   * `serving::ExplainService` (src/serving/service.h) is the ASYNC
 //     front-end a deployment talks to. Its request path is a three-stage
 //     admit → coalesce → execute scheduler: ADMIT bounds the queue and
 //     load-sheds the lowest-priority job (`Status::Rejected`) when it is
-//     full; COALESCE gathers queued same-engine jobs at dequeue and
-//     lowers them into one `ExplainBatch` call here, fanning per-target
-//     results back to each job's ticket; EXECUTE runs under per-job
-//     cancellation tokens armed by caller cancels *and* wall-clock
-//     deadlines, which the sweep/enumeration loops below poll mid-run.
+//     full; COALESCE gathers queued same-engine jobs at dequeue and runs
+//     the group as one engine acquisition, one `EnsureRepair` and one
+//     `Explain` per member, resolving each job's ticket; EXECUTE runs
+//     under per-job cancellation tokens armed by caller cancels *and*
+//     wall-clock deadlines, which the sweep/enumeration loops below poll
+//     mid-run.
 //     Underneath, a `serving::EngineRouter` keys a bounded LRU pool of
 //     engines by (algorithm id, DcSet fingerprint, table fingerprint),
 //     so each engine keeps the amortization story below while the
 //     service scales across tables. `TRexSession` adapts the service
 //     back into the paper's interactive single-table loop.
 //
-// Amortization: all targets in a batch (and across sequential `Explain`
-// calls on the same engine) share the memo caches — a constraint-subset
-// repair computed for one target answers the characteristic function
-// for every other target, so a batch of constraint explanations over k
-// targets costs one sweep of the 2^|C| subsets instead of k sweeps.
-// `BatchStats::cross_request_hits` reports exactly how much work was
-// amortized. A memo entry stores only where its repair's output differs
-// from T^c, so it answers every target, registered before or after it
-// was written, in O(cells the output gets wrong) bytes.
+// Amortization: sequential `Explain` calls on the same engine share the
+// memo caches — a constraint-subset repair computed for one target
+// answers the characteristic function for every other target, so
+// constraint explanations of k targets cost one sweep of the 2^|C|
+// subsets instead of k sweeps. `ExplainResult::cross_request_hits` (and
+// `num_cross_request_hits()` over the engine's lifetime) reports exactly
+// how much work was amortized. A memo entry stores only where its
+// repair's output differs from T^c, so it answers every target,
+// registered before or after it was written, in O(cells the output gets
+// wrong) bytes.
 // Permutation sweeps shard across a small thread pool with
 // deterministic per-shard seeds (see shapley_sampling.h), so results
-// are bit-identical for every `EngineOptions::num_threads`, between
-// `ExplainBatch` and serial `Explain` calls, and between the service
-// path and direct engine calls with the same seeds.
+// are bit-identical for every `EngineOptions::num_threads` and between
+// the service path and direct engine calls with the same seeds.
 //
-// Cancellation is per target, batch-wide, or both: each
-// `ExplainRequest::cancel` is polled between black-box evaluations
-// inside the sweep/enumeration loops (so one coalesced batch member can
-// expire — e.g. on its own deadline — without disturbing its
-// neighbors), and `ExplainBatch` additionally accepts a batch-level
-// token merged into every member and checked between slots. A cancelled
-// request returns `Status::Cancelled` promptly and leaves the engine
-// reusable.
+// Cancellation is per request: each `ExplainRequest::cancel` is polled
+// between black-box evaluations inside the sweep/enumeration loops (so
+// one member of a coalesced group can expire — e.g. on its own deadline
+// — without disturbing its neighbors). A cancelled request returns
+// `Status::Cancelled` promptly and leaves the engine reusable.
 //
 // Thread-safety contract, per layer (the synchronized layers carry
 // Clang thread-safety annotations — see common/thread_annotations.h —
 // so a clang build with -Wthread-safety enforces this table at compile
 // time):
 //   * `Engine` — one caller at a time; it holds no mutex of its own.
-//     `Explain`/`ExplainBatch` mutate shared state (the target
-//     registry, request ids). Parallelism lives *inside* a request via
+//     `Explain` mutates shared state (the target registry, request
+//     ids). Parallelism lives *inside* a request via
 //     `EngineOptions::num_threads`: the sweep shards fan out over
 //     `common::ThreadPool`, whose queue state is GUARDED_BY its
 //     internal mutex.
@@ -128,7 +125,8 @@ const char* ExplainKindToString(ExplainKind kind);
 /// shap::RunShardedSweeps), so estimates and the stopping point stay
 /// bit-identical at every `EngineOptions::num_threads`.
 struct AnytimeOptions {
-  /// Stop once every player's CI half-width is at or below this value.
+  /// Stop once every player's CI half-width is at or below this value
+  /// (NaN or negative is rejected).
   std::optional<double> target_ci_half_width;
   /// When > 0, stop once the k-th ranked player's CI lower bound clears
   /// the (k+1)-th player's upper bound (shap::StopRule::top_k); a
@@ -138,16 +136,17 @@ struct AnytimeOptions {
   std::size_t top_k = 0;
   /// Bound family: normal-theory or empirical Bernstein.
   shap::BoundKind bound = shap::BoundKind::kNormal;
-  /// Normal-theory width multiplier (kNormal only).
+  /// Normal-theory width multiplier (kNormal only); must be > 0.
   double z = 1.96;
-  /// Per-player failure probability (kBernstein only).
+  /// Per-player failure probability (kBernstein only); must lie in
+  /// (0, 1).
   double delta = 0.05;
   /// No player counts as converged below this many samples.
   std::size_t min_samples = 16;
   /// Skip converged players' repair evaluations in later sweeps.
   bool freeze_converged = true;
-  /// Stopping-check granularity in sweeps, rounded up to whole shards:
-  /// a wave spans `ceil(check_interval / shard_size)` shards which run
+  /// Stopping-check granularity in sweeps, rounded up to whole shards
+  /// of 32 sweeps: a wave spans `ceil(check_interval / 32)` shards which run
   /// concurrently, so this also sizes the parallelism available to an
   /// anytime run. Part of the configuration — results depend on it,
   /// never on the thread count.
@@ -226,10 +225,9 @@ struct InteractionScore {
 /// games are exact by subset enumeration up to `max_exact_players` ("the
 /// number of DCs is usually small") and sampled past it.
 struct ConstraintOptions {
-  /// Use exact enumeration up to this many constraints, sampling beyond.
+  /// Use exact enumeration up to this many constraints, sampling beyond
+  /// (0 = always sample).
   std::size_t max_exact_players = 20;
-  /// Force the sampling path regardless of size (testing/ablation).
-  bool force_sampling = false;
   /// Attribute with Banzhaf values instead of Shapley (exact path only;
   /// Banzhaf weighs every coalition equally and drops the efficiency
   /// axiom — a common comparison point for attribution semantics).
@@ -240,11 +238,6 @@ struct ConstraintOptions {
   std::size_t num_samples = 500;
   /// Sampling path only: equal seeds give identical estimates.
   std::uint64_t seed = Rng::kDefaultSeed;
-  /// Sampling path only: also evaluate each permutation reversed.
-  bool antithetic = false;
-  /// Sampling path only: permutation sweeps per shard (the unit of
-  /// parallel work).
-  std::size_t shard_size = 32;
 };
 
 /// Computation method for cell explanations.
@@ -319,9 +312,8 @@ struct ExplainResult {
   std::vector<std::vector<std::string>> removal_sets;
   std::optional<PlayerScore> single_cell;
   /// Algorithm invocations charged to this request. An `Explain` call
-  /// that first builds the shared box is charged the reference run; in
-  /// an `ExplainBatch` the reference run is charged to the batch
-  /// (`BatchStats::reference_repairs`), not to any one request.
+  /// that first builds the shared box is charged the reference run;
+  /// after an explicit `EnsureRepair` it is charged to no request.
   std::size_t algorithm_calls = 0;
   /// Memo hits while serving this request...
   std::size_t cache_hits = 0;
@@ -338,43 +330,6 @@ struct ExplainResult {
   /// valid and confidence-bounded (`achieved_ci_half_width` reports how
   /// wide). Never set on exact paths, which either finish or cancel.
   bool approximate = false;
-};
-
-/// Aggregate cost accounting for one `ExplainBatch` call.
-struct BatchStats {
-  std::size_t requests = 0;
-  std::size_t failed_requests = 0;
-  /// ...of which resolved `Cancelled` (a member's own token or the
-  /// batch-level token fired).
-  std::size_t cancelled_requests = 0;
-  /// 1 when this batch ran the reference repair (first use of the
-  /// engine), else 0 — never more, regardless of batch size.
-  std::size_t reference_repairs = 0;
-  std::size_t algorithm_calls = 0;
-  std::size_t cache_hits = 0;
-  /// Hits on memo entries written by an *earlier* request — the work the
-  /// batch amortized across targets.
-  std::size_t cross_request_hits = 0;
-  /// Estimated resident bytes of the engine's memo caches after the
-  /// batch (`BlackBoxRepair::approx_memo_bytes`).
-  std::size_t approx_memo_bytes = 0;
-  /// Permutation sweeps consumed across the batch's sampled requests.
-  std::size_t sweeps = 0;
-  /// Largest `ExplainResult::achieved_ci_half_width` in the batch (0
-  /// when no sampled request ran).
-  double max_achieved_ci_half_width = 0.0;
-  /// Requests whose stopping rule fired before the sweep budget.
-  std::size_t early_stopped_requests = 0;
-  /// Requests resolved with partial (softened) estimates.
-  std::size_t approximate_requests = 0;
-};
-
-/// The results of a batch, slot-for-slot with the request vector.
-/// Per-request failures (e.g. an unrepaired target) land in their slot;
-/// engine-level failures fail the whole batch.
-struct BatchResult {
-  std::vector<Result<ExplainResult>> results;
-  BatchStats stats;
 };
 
 /// Options for the engine.
@@ -424,21 +379,6 @@ class Engine {
 
   /// Serves one explanation request.
   [[nodiscard]] Result<ExplainResult> Explain(const ExplainRequest& request);
-
-  /// Serves a batch of requests over the shared caches. The reference
-  /// repair runs at most once for the whole batch; requests are
-  /// processed in order, so results are bit-identical to issuing the
-  /// same requests serially through `Explain` on a fresh engine with
-  /// the same options. Cancellation is per target and batch-wide: each
-  /// request's own `cancel` token is polled inside its sweeps (a
-  /// cancelled member lands `Status::Cancelled` in its slot without
-  /// failing the batch), while `cancel` here is merged into every
-  /// member and also short-circuits the remaining slots between
-  /// requests — for callers that want one lever over a whole batch.
-  /// (The service relies on per-job tokens instead: its shutdown path
-  /// flips every outstanding job's own source.)
-  [[nodiscard]] Result<BatchResult> ExplainBatch(const std::vector<ExplainRequest>& requests,
-                                   CancelToken cancel = {});
 
   /// Lifetime totals across every request served by this engine.
   std::size_t num_algorithm_calls() const;

@@ -22,8 +22,8 @@
 // indices. A target's outcome is "its index is not in the list", so one
 // cached repair run answers the characteristic function for *every*
 // target — including one registered after the entry was written. This
-// is what lets `Engine::ExplainBatch` share one box across a
-// multi-target batch, and what keeps an entry O(cells the output gets
+// is what lets one `Engine` share one box across its requests for
+// different targets, and what keeps an entry O(cells the output gets
 // wrong) instead of O(table) (Bertossi & Schwind: a repair is the set of
 // cells it changes).
 //
@@ -81,7 +81,8 @@
 //
 // `approx_memo_bytes()` estimates the resident payload of both memos
 // (entries × payload estimate) so the memo footprint is observable; the
-// engine surfaces it through `BatchStats` and the benches' JSON lines.
+// engine surfaces it through `Engine::approx_memo_bytes` and the benches'
+// JSON lines.
 //
 // Thread safety: `EvalConstraintSubset` / `EvalPerturbation` may be
 // called concurrently (the caches are mutex-guarded; concurrent misses
@@ -222,7 +223,7 @@ class BlackBoxRepair {
   /// Evaluations answered from the memo tables.
   std::size_t num_cache_hits() const;
   /// Memo hits on entries written under a different request context —
-  /// the work `ExplainBatch` amortizes across targets (see
+  /// the work one engine amortizes across requests (see
   /// `BeginRequest`).
   std::size_t num_cross_request_hits() const;
 
@@ -234,12 +235,12 @@ class BlackBoxRepair {
 
   /// Estimated resident bytes of both memos (entries × payload
   /// estimate: write sets, output diffs, entry overhead); surfaced
-  /// through `Engine`/`BatchStats` and the benches' JSON lines.
+  /// through `Engine::approx_memo_bytes` and the benches' JSON lines.
   std::size_t approx_memo_bytes() const;
 
   /// Tags subsequent cache writes with `request_id`; hits on entries
   /// written under another id count as cross-request hits. The engine
-  /// calls this once per batched request. Also resets the evaluation
+  /// calls this once per request. Also resets the evaluation
   /// failure channel below (`eval_error` → OK, a fresh abort source), so
   /// a retried request starts clean. Must not race with evaluations.
   void BeginRequest(std::size_t request_id) const;

@@ -107,6 +107,12 @@ std::vector<std::size_t> RankByMean(const std::vector<RunningStat>& stats) {
   return order;
 }
 
+/// ceil(a / b) for b > 0, without the `a + b - 1` that wraps near
+/// SIZE_MAX.
+std::size_t CeilDiv(std::size_t a, std::size_t b) {
+  return a / b + (a % b != 0 ? 1 : 0);
+}
+
 }  // namespace
 
 Result<Estimate> EstimateShapleyForPlayer(const Game& game,
@@ -287,16 +293,24 @@ SweepOutcome RunShardedSweeps(
   // into the merge in shard-index order, so the merged statistics depend
   // only on (config, sweep), never on thread count or scheduling.
   //
-  // Shards are processed in waves. A wave's width is configuration —
-  // explicit `wave_shards`, or derived from `check_interval` under an
-  // active stopping rule — never the pool width while a rule is active,
-  // because every anytime decision (stop, freeze, top-k separation,
-  // soften) happens at a wave boundary on the merged statistics and must
-  // land on the same shard index for every thread count. Without a rule
-  // the wave only bounds memory (the merge order is the global shard
-  // order regardless), so it scales with the pool.
-  const std::size_t num_shards =
-      (config.num_samples + config.shard_size - 1) / config.shard_size;
+  // Shards are processed in waves. Under an active stopping rule a
+  // wave's width is derived from `check_interval`, never from the pool
+  // width, because every anytime decision (stop, freeze, top-k
+  // separation, soften) happens at a wave boundary on the merged
+  // statistics and must land on the same shard index for every thread
+  // count. Without a rule the wave only bounds memory (the merge order
+  // is the global shard order regardless), so it scales with the pool.
+  //
+  // No bound below is formed past the budget: `num_samples + shard_size
+  // - 1` or `(shard + 1) * shard_size` would wrap for a budget near
+  // SIZE_MAX and leave zero sweeps to run.
+  const std::size_t shard_size = config.shard_size;
+  const std::size_t num_shards = CeilDiv(config.num_samples, shard_size);
+  // One past the last sweep of `shard`.
+  auto shard_end = [&](std::size_t shard) {
+    const std::size_t begin = shard * shard_size;
+    return begin + std::min(shard_size, config.num_samples - begin);
+  };
   ThreadPool* pool = config.pool;
   std::optional<ThreadPool> local_pool;
   if (pool == nullptr) {
@@ -304,16 +318,11 @@ SweepOutcome RunShardedSweeps(
     pool = &*local_pool;
   }
   const StopRule& stop = config.stop;
-  std::size_t wave_shards = config.wave_shards;
-  if (wave_shards == 0) {
-    if (stop.active()) {
-      const std::size_t interval = std::max<std::size_t>(
-          config.check_interval, 1);
-      wave_shards = (interval + config.shard_size - 1) / config.shard_size;
-    } else {
-      wave_shards = pool->num_threads() * 4;
-    }
-  }
+  const std::size_t wave_shards =
+      stop.active()
+          ? CeilDiv(std::max<std::size_t>(config.check_interval, 1),
+                    shard_size)
+          : pool->num_threads() * 4;
 
   SweepOutcome out;
   out.stats.assign(num_players, RunningStat{});
@@ -321,17 +330,15 @@ SweepOutcome RunShardedSweeps(
   const bool can_freeze =
       stop.freeze_converged && stop.target_half_width.has_value();
 
-  for (std::size_t start = 0; start < num_shards; start += wave_shards) {
+  for (std::size_t start = 0; start < num_shards;) {
     const std::size_t count = std::min(wave_shards, num_shards - start);
     std::vector<std::vector<RunningStat>> wave_stats(
         count, std::vector<RunningStat>(num_players));
     pool->Run(count, [&](std::size_t i) {
       const std::size_t shard = start + i;
-      const std::size_t begin = shard * config.shard_size;
-      const std::size_t end =
-          std::min(begin + config.shard_size, config.num_samples);
+      const std::size_t end = shard_end(shard);
       Rng rng(ShardSeed(config.seed, shard));
-      for (std::size_t s = begin; s < end; ++s) {
+      for (std::size_t s = shard * shard_size; s < end; ++s) {
         // Poll between sweeps: one sweep costs n+1 repair runs, so this
         // bounds cancellation latency at one sweep per worker. Results
         // after cancellation are discarded by the caller.
@@ -345,9 +352,8 @@ SweepOutcome RunShardedSweeps(
         out.stats[p].Merge(wave_stats[i][p]);
       }
     }
-    const std::size_t wave_end =
-        std::min((start + count) * config.shard_size, config.num_samples);
-    out.sweeps = wave_end;
+    start += count;
+    out.sweeps = shard_end(start - 1);
     ++out.waves;
 
     // Wave boundary: every anytime decision below runs on the merged
@@ -384,7 +390,7 @@ SweepOutcome RunShardedSweeps(
       stop_now = true;
     }
     if (stop_now) {
-      out.stopped_early = start + count < num_shards;
+      out.stopped_early = start < num_shards;
       break;
     }
   }

@@ -206,15 +206,13 @@ struct ShardedSweepConfig {
   std::uint64_t seed = Rng::kDefaultSeed;
   /// Anytime stopping rule, evaluated at wave boundaries (see below).
   StopRule stop;
-  /// Shards per wave; 0 = derive from `check_interval` when a stopping
-  /// rule is active (`max(1, ceil(check_interval / shard_size))`), else
-  /// size waves for memory only (a multiple of the pool width). The
-  /// wave width is part of the configuration — never derived from
-  /// thread count while a stopping rule is active — because the
-  /// stopping point is a wave boundary and must be reproducible.
-  std::size_t wave_shards = 0;
-  /// Stopping-check granularity in samples, rounded up to whole shards;
-  /// used only when `wave_shards == 0`. 0 = one shard per wave.
+  /// Stopping-check granularity in samples, rounded up to whole shards:
+  /// under an active stopping rule a wave spans
+  /// `max(1, ceil(check_interval / shard_size))` shards. The wave width
+  /// is then part of the configuration — never derived from the thread
+  /// count — because the stopping point is a wave boundary and must be
+  /// reproducible. Without a rule, waves only bound memory and span a
+  /// multiple of the pool width.
   std::size_t check_interval = 0;
   /// Optional persistent worker pool to reuse across calls (non-owning;
   /// must outlive the call). When null, a transient pool of
@@ -257,7 +255,8 @@ struct SweepOutcome {
 /// each shard with an RNG seeded by `ShardSeed(seed, shard)`, and merges
 /// per-shard statistics in shard-index order — so the merged result
 /// depends only on (config, sweep), never on thread count. Shards
-/// execute in waves (`wave_shards` at a time, concurrently on the pool);
+/// execute in waves (see `check_interval`; a wave's shards run
+/// concurrently on the pool);
 /// after each wave is merged the driver consults `config.stop`, updates
 /// the freeze set, and honours `stop.soften` — all decisions are made on
 /// deterministically merged statistics at shard-index-defined

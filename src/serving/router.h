@@ -145,7 +145,7 @@ struct RouterStats {
 /// The identity of a repair instance, as the router keys it. The
 /// service's coalescing stage also uses it: queued jobs with equal keys
 /// (verified by full DcSet/table comparison, since the fingerprints are
-/// 64-bit) route to one engine and may be lowered into one batch.
+/// 64-bit) route to one engine and may run as one coalesced group.
 struct EngineKey {
   std::string algorithm_id;
   std::uint64_t dcs_fingerprint = 0;

@@ -94,7 +94,7 @@ ExplainService::~ExplainService() {
 bool ExplainService::CoalescingCompatible(const Job& job, const Job& leader) {
   if (job.key != leader.key) return false;
   // Keys match on 64-bit fingerprints; verify in full so a collision is
-  // never lowered into another instance's batch (the same discipline
+  // never coalesced into another instance's group (the same discipline
   // the router applies). Shared-table submissions hit the cheap pointer
   // path.
   return job.dcs == leader.dcs &&
@@ -249,7 +249,7 @@ void ExplainService::WorkerLoop() {
       // Coalesce: gather queued same-engine jobs, best-first (so the
       // members of an overfull group left behind are the worst ones).
       // Gathered jobs jump the queue relative to other engines' jobs —
-      // the cost of lowering them into one batch — but keep their own
+      // the cost of running them as one group — but keep their own
       // deadlines, cancellation, and callbacks.
       for (auto it = queue_.begin();
            it != queue_.end() &&
@@ -277,7 +277,7 @@ void ExplainService::ServeBatch(std::vector<std::shared_ptr<Job>> jobs) {
   resolutions.reserve(jobs.size());
   // Screens one member; cancelled/expired jobs resolve without running
   // — in particular a member cancelled while queued drops out of the
-  // batch here, before lowering.
+  // group here, before it runs.
   auto screen = [&](const std::shared_ptr<Job>& job) {
     if (job->request.cancel.cancelled()) {
       resolutions.push_back(
@@ -330,10 +330,9 @@ void ExplainService::ServeBatch(std::vector<std::shared_ptr<Job>> jobs) {
         stats_.coalesced_jobs += ready.size();
       }
       // Execute with self-healing: every group — a singleton included
-      // — lowers to one `ExplainBatch` call per attempt, so
-      // engine-level batch behavior (batch stats) applies to
-      // uncoalesced traffic too; a batch of one is bit-identical to
-      // plain Explain. Members whose result is
+      // — runs as one `EnsureRepair` plus one `Explain` per member per
+      // attempt, so a coalesced group is bit-identical to the same
+      // requests served one by one. Members whose result is
       // *transient* (`kUnavailable`) are retried per `RetryPolicy`;
       // everything else resolves on first observation (failure
       // isolation: one member's backend error never touches its
@@ -356,42 +355,37 @@ void ExplainService::ServeBatch(std::vector<std::shared_ptr<Job>> jobs) {
           MutexLock lock(mu_);
           ++stats_.retries;
         }
-        std::vector<ExplainRequest> requests;
-        requests.reserve(pending.size());
-        for (const std::shared_ptr<Job>& job : pending) {
-          requests.push_back(job->request);
-        }
-        Result<BatchResult> batch = [&]() -> Result<BatchResult> {
+        Status repaired = [&]() -> Status {
           TREX_FAULT_INJECT("serving.execute");
-          return entry->engine.ExplainBatch(requests);
+          return entry->engine.EnsureRepair();
         }();
         bool transient_seen = false;
         std::vector<std::shared_ptr<Job>> retry_next;
         const bool last_attempt = attempt >= max_attempts;
-        if (!batch.ok()) {
-          // Engine-level failure (e.g. the shared reference repair):
-          // every member observes it, exactly as each would alone —
-          // and a transient one retries as a whole.
-          transient_seen = batch.status().IsTransient();
+        if (!repaired.ok()) {
+          // Engine-level failure (the shared reference repair): every
+          // member observes it, exactly as each would alone — and a
+          // transient one retries as a whole.
+          transient_seen = repaired.IsTransient();
           if (transient_seen && !last_attempt) {
             retry_next = pending;
           } else {
             for (const std::shared_ptr<Job>& job : pending) {
-              resolutions.push_back({job, batch.status(), false});
+              resolutions.push_back({job, repaired, false});
             }
           }
         } else {
-          TREX_CHECK_EQ(batch->results.size(), pending.size());
-          for (std::size_t i = 0; i < pending.size(); ++i) {
-            Result<ExplainResult>& result = batch->results[i];
+          // trex-check-ok(cancel-poll): each request carries its own token
+          for (const std::shared_ptr<Job>& job : pending) {
+            Result<ExplainResult> result = entry->engine.Explain(job->request);
             if (!result.ok() && result.status().IsTransient()) {
               transient_seen = true;
               if (!last_attempt) {
-                retry_next.push_back(pending[i]);
+                retry_next.push_back(job);
                 continue;
               }
             }
-            resolutions.push_back({pending[i], std::move(result), false});
+            resolutions.push_back({job, std::move(result), false});
           }
         }
         router_.ReportOutcome(leader->key, transient_seen);

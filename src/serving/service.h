@@ -31,14 +31,14 @@
 // worker gathers queued jobs that route to the same engine key as the
 // job it popped (same algorithm id + DcSet/table fingerprints, verified
 // by full comparison) up to `ServiceOptions::max_coalesced_requests`,
-// lowers them into one `Engine::ExplainBatch` call, and fans the
-// per-target results back out to each job's ticket individually. This
-// recovers the engine layer's batch amortization (one reference repair
-// + shared memo sweep instead of per-job acquire/evict churn) under
+// and runs the group as one engine acquisition, one `Engine::EnsureRepair`
+// and one `Engine::Explain` per member, resolving each job's ticket
+// individually. This keeps the engine's amortization (one reference
+// repair + shared memo instead of per-job acquire/evict churn) under
 // concurrent single-request traffic, while each member keeps its own
 // priority, deadline, cancellation, and callback — results are
 // bit-identical to uncoalesced execution. A member cancelled while
-// queued drops out before lowering.
+// queued drops out before it runs.
 //
 // EXECUTE — per-engine access is serialized (`EngineRouter` hands back
 // shared entries; the engine is single-caller). Cancellation is
@@ -88,18 +88,17 @@
 // so a persistently failing backend is quarantined instead of burning
 // retry budget — and probed back to health after its cooldown.
 //
-// Failure isolation in coalesced batches: results fan back *per
-// member*. One member's backend error (its target's repair call
-// failing) resolves only that member's ticket; siblings in the same
-// lowered `ExplainBatch` call still resolve OK with bit-identical
-// values. Only an engine-level failure (e.g. the shared reference
-// repair) fans to every member — exactly what each would observe
-// running alone.
+// Failure isolation in coalesced groups: results resolve *per member*.
+// One member's backend error (its target's repair call failing)
+// resolves only that member's ticket; siblings in the same group still
+// resolve OK with bit-identical values. Only an engine-level failure
+// (the shared reference repair in `EnsureRepair`) fans to every member
+// — exactly what each would observe running alone.
 //
 // Determinism: scheduling affects only latency, never values — a
 // request's result is bit-identical to calling `Engine::Explain`
 // synchronously with the same seeds, whether it ran alone or inside a
-// coalesced batch, because both paths run exactly that code on exactly
+// coalesced group, because both paths run exactly that code on exactly
 // one engine per instance. Recovery preserves this: a transient fault
 // followed by a successful retry leaves no trace in the memo (failed
 // evaluations write no cache entry; see core/repair_game.h), so
@@ -116,7 +115,7 @@
 // while holding the engine), never the reverse: no code path calls into
 // an engine, the router, or user callbacks while holding `mu_`, which
 // is what keeps `stats()` safe to call from anywhere — including while
-// a batch holds an entry mutex (pinned by
+// a group holds an entry mutex (pinned by
 // tests/serving/stats_deadlock_test.cc).
 
 #ifndef TREX_SERVING_SERVICE_H_
@@ -210,7 +209,7 @@ struct ServiceOptions {
   /// When the queue is full, the worst job of queue ∪ {incoming} —
   /// lowest priority, then youngest — resolves `Status::Rejected`.
   std::size_t max_queued_jobs = 0;
-  /// Most jobs one dequeue may lower into a single `ExplainBatch` call
+  /// Most jobs one dequeue may run as one coalesced group on one engine
   /// (the popped job plus same-engine queued jobs). 1 disables
   /// coalescing (every job runs alone, the PR 2 behavior). Coalescing
   /// never changes results, only cost and latency.
@@ -238,8 +237,8 @@ struct ServiceStats {
   /// Failed resolutions broken down by status code (ordered for
   /// deterministic emission; covers exactly the `failed` bucket).
   std::map<StatusCode, std::size_t> failed_by_code;
-  /// Engine-call re-executions after a transient failure (attempt 2+
-  /// in the execute stage's retry loop, counted per re-executed call).
+  /// Re-executions after a transient failure (attempt 2+ in the
+  /// execute stage's retry loop, counted once per group attempt).
   std::size_t retries = 0;
   /// Resolved `Cancelled` (caller cancels and deadline expirations).
   std::size_t cancelled = 0;
@@ -252,9 +251,9 @@ struct ServiceStats {
   std::size_t degraded = 0;
   /// Load-shed at admission (resolved `Rejected`, never ran).
   std::size_t shed = 0;
-  /// Dequeues that lowered 2+ jobs into one `ExplainBatch` call...
+  /// Dequeues that ran 2+ jobs as one coalesced group...
   std::size_t coalesced_batches = 0;
-  /// ...and the total jobs served by those lowerings.
+  /// ...and the total jobs served by those groups.
   std::size_t coalesced_jobs = 0;
   /// Jobs queued right now.
   std::size_t queue_depth = 0;
@@ -328,7 +327,7 @@ class ExplainService {
       RequestOptions options = {});
 
   /// The engine pool. Exposed for direct engine access (`TRexSession`
-  /// uses it for repair diffs and batch calls); hold the entry's mutex
+  /// uses it for repair diffs); hold the entry's mutex
   /// when service traffic may run concurrently.
   EngineRouter& router() { return router_; }
 
@@ -387,10 +386,10 @@ class ExplainService {
   void WorkerLoop() EXCLUDES(mu_);
   /// Executes one dequeued group: screens members (cancelled/expired
   /// jobs resolve without running), acquires the leader's engine once,
-  /// lowers survivors into one `ExplainBatch` call, and fans results
-  /// back to each ticket *per member* (failure isolation — see file
+  /// runs one `EnsureRepair` and then one `Explain` per survivor, and
+  /// resolves each ticket *per member* (failure isolation — see file
   /// comment). Transient member failures are retried per
-  /// `RetryPolicy`, with each engine call gated/reported through the
+  /// `RetryPolicy`, with each attempt gated/reported through the
   /// router's circuit breaker; the backoff park releases the engine
   /// mutex and waits on the retrying members' cancel tokens. Takes the
   /// leader's `EngineEntry::mu` and (briefly, under it) `mu_` — the

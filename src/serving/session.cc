@@ -1,7 +1,6 @@
 #include "serving/session.h"
 
 #include "common/logging.h"
-#include "common/mutex.h"
 
 namespace trex {
 
@@ -163,16 +162,6 @@ Result<PlayerScore> TRexSession::ExplainSingleCell(
       ExplainResult result,
       service_->ExplainSync(algorithm_, dcs_, table_, std::move(request)));
   return std::move(*result.single_cell);
-}
-
-Result<BatchResult> TRexSession::ExplainBatch(
-    const std::vector<ExplainRequest>& requests) const {
-  TREX_RETURN_NOT_OK(RequireRepair());
-  // Batches stay an engine-level primitive (one BatchStats, one
-  // reference repair); take the entry lock so the batch serializes with
-  // any async tickets the service is running on this engine.
-  MutexLock guard(entry_->mu);
-  return entry_->engine.ExplainBatch(requests);
 }
 
 serving::Ticket TRexSession::SubmitExplain(ExplainRequest request,

@@ -119,11 +119,6 @@ class TRexSession {
       CellRef target, CellRef player_cell,
       const CellOptions& options = {}) const;
 
-  /// Serves a heterogeneous batch of explanation requests against the
-  /// session's repair, sharing one reference run and the memo caches.
-  [[nodiscard]] Result<BatchResult> ExplainBatch(
-      const std::vector<ExplainRequest>& requests) const;
-
   /// Async submission against the session's repair: returns a ticket
   /// immediately (see serving::ExplainService). Without a repair, the
   /// ticket comes back already resolved with the error. The ticket

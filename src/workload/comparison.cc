@@ -92,27 +92,17 @@ Result<ComparisonReport> RunComparison(const ComparisonOptions& options) {
     }
     run.quality = *quality;
 
-    std::vector<ExplainRequest> requests;
-    requests.reserve(targets.size());
-    for (const CellRef& target : targets) {
-      ExplainRequest request;
-      request.target = target;
-      request.kind = ExplainKind::kConstraints;
-      requests.push_back(request);
-    }
+    // One engine serves every target, so later targets reuse the subset
+    // repairs earlier ones paid for.
     const auto explain_start = std::chrono::steady_clock::now();
-    auto batch = engine.ExplainBatch(requests);
-    run.explain_seconds = SecondsSince(explain_start);
-    if (!batch.ok()) {
-      run.error = batch.status().ToString();
-      report.backends.push_back(std::move(run));
-      continue;
-    }
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      Result<ExplainResult>& slot = batch->results[t];
-      if (slot.ok() && slot->explanation.has_value()) {
+      ExplainRequest request;
+      request.target = targets[t];
+      request.kind = ExplainKind::kConstraints;
+      Result<ExplainResult> result = engine.Explain(request);
+      if (result.ok() && result->explanation.has_value()) {
         ++run.explained_targets;
-        run.explanations[t] = std::move(*slot->explanation);
+        run.explanations[t] = std::move(*result->explanation);
       } else {
         // A backend that did not repair this cell cannot explain it —
         // that asymmetry is itself a comparison signal, not a harness
@@ -120,9 +110,10 @@ Result<ComparisonReport> RunComparison(const ComparisonOptions& options) {
         ++run.failed_targets;
       }
     }
+    run.explain_seconds = SecondsSince(explain_start);
     run.algorithm_calls = engine.num_algorithm_calls();
-    run.cross_request_hits = batch->stats.cross_request_hits;
-    run.approx_memo_bytes = batch->stats.approx_memo_bytes;
+    run.cross_request_hits = engine.num_cross_request_hits();
+    run.approx_memo_bytes = engine.approx_memo_bytes();
     report.backends.push_back(std::move(run));
   }
 

@@ -10,7 +10,7 @@
 //      and inject seeded errors with recorded ground truth (data/errors.h);
 //   2. for every registered backend (fd_repair, rule_repair, holistic,
 //      holoclean) build one `Engine` over the same shared dirty table and
-//      lower all targets into a single `Engine::ExplainBatch` call —
+//      explain every target on it with one `Engine::Explain` each —
 //      constraint explanations of the injected error cells, amortized
 //      over the shared subset memo;
 //   3. score each backend's reference repair against the injected ground
@@ -84,15 +84,15 @@ struct BackendRun {
   repair::RepairQuality quality;
   /// Wall-clock of the reference repair (EnsureRepair).
   double repair_seconds = 0.0;
-  /// Wall-clock of the ExplainBatch over all targets.
+  /// Wall-clock of the `Explain` calls over all targets.
   double explain_seconds = 0.0;
-  /// Black-box repair invocations charged to the batch (reference run
+  /// Black-box repair invocations of the backend's engine (reference run
   /// included).
   std::size_t algorithm_calls = 0;
-  /// Memo hits amortized across targets inside the batch.
+  /// Memo hits amortized across targets on the backend's engine.
   std::size_t cross_request_hits = 0;
-  /// Estimated resident memo bytes after the batch — the memo footprint
-  /// in the perf trajectory.
+  /// Estimated resident memo bytes after the last target — the memo
+  /// footprint in the perf trajectory.
   std::size_t approx_memo_bytes = 0;
   /// Targets this backend explained / could not explain (a backend that
   /// did not repair a target cannot explain it — that asymmetry is part

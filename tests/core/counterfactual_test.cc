@@ -197,10 +197,12 @@ TEST(BanzhafTest, ConstraintRequestBanzhafMode) {
 TEST(BanzhafTest, BanzhafWithSamplingRejected) {
   trex::ConstraintOptions options;
   options.use_banzhaf = true;
-  options.force_sampling = true;
-  EXPECT_FALSE(
-      ExplainSoccer(SoccerRequest(trex::ExplainKind::kConstraints, options))
-          .ok());
+  options.max_exact_players = 0;  // the sampling path
+  auto result =
+      ExplainSoccer(SoccerRequest(trex::ExplainKind::kConstraints, options));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), trex::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("exact-only"), std::string::npos);
 }
 
 }  // namespace

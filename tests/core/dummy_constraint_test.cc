@@ -82,7 +82,7 @@ std::vector<ExplainRequest> ConstraintRequests(CellRef target) {
   banzhaf.constraints.use_banzhaf = true;
   requests.push_back(banzhaf);
   ExplainRequest sampled = Request(target, ExplainKind::kConstraints);
-  sampled.constraints.force_sampling = true;
+  sampled.constraints.max_exact_players = 0;
   sampled.constraints.num_samples = 64;
   sampled.constraints.seed = 5;
   requests.push_back(sampled);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,7 +24,8 @@ std::shared_ptr<repair::RuleRepair> Alg() {
 
 /// The soccer table with one extra corruption (t3[City] misspelled), so
 /// the reference repair fixes three cells: t3[City], t5[City],
-/// t5[Country] — three distinct explanation targets for batch tests.
+/// t5[Country] — three distinct explanation targets for multi-target
+/// tests.
 Table ThreeTargetDirtyTable() {
   Table dirty = data::SoccerDirtyTable();
   dirty.Set(data::SoccerCell(3, "City"), Value("Madird"));
@@ -54,6 +56,19 @@ ExplainRequest CellsRequest(CellRef target, std::size_t num_samples,
   return request;
 }
 
+/// Serves `requests` the way the service runs a coalesced group: one
+/// `EnsureRepair`, then one `Explain` per request, in order, on one
+/// engine.
+std::vector<Result<ExplainResult>> ExplainAll(
+    Engine& engine, const std::vector<ExplainRequest>& requests) {
+  EXPECT_TRUE(engine.EnsureRepair().ok());
+  std::vector<Result<ExplainResult>> results;
+  for (const ExplainRequest& request : requests) {
+    results.push_back(engine.Explain(request));
+  }
+  return results;
+}
+
 void ExpectSameExplanation(const Explanation& a, const Explanation& b) {
   ASSERT_EQ(a.ranked.size(), b.ranked.size());
   for (std::size_t i = 0; i < a.ranked.size(); ++i) {
@@ -74,20 +89,22 @@ TEST(EngineTest, BatchOfThreeTargetsRunsOneReferenceRepair) {
   for (CellRef target : ThreeTargets()) {
     requests.push_back(ConstraintRequest(target));
   }
-  auto batch = engine.ExplainBatch(requests);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_EQ(batch->stats.reference_repairs, 1u);
-  EXPECT_EQ(batch->stats.requests, 3u);
-  EXPECT_EQ(batch->stats.failed_requests, 0u);
-  for (const auto& result : batch->results) {
+  ASSERT_TRUE(engine.EnsureRepair().ok());
+  EXPECT_EQ(engine.num_algorithm_calls(), 1u);  // the reference repair
+  const auto results = ExplainAll(engine, requests);
+  ASSERT_EQ(results.size(), 3u);
+  for (const auto& result : results) {
     ASSERT_TRUE(result.ok()) << result.status();
     ASSERT_TRUE(result->explanation.has_value());
     EXPECT_FALSE(result->explanation->ranked.empty());
   }
-  // A second batch on the same engine must not repeat the reference run.
-  auto again = engine.ExplainBatch(requests);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->stats.reference_repairs, 0u);
+  // A second round on the same engine must not repeat the reference run.
+  const std::size_t calls = engine.num_algorithm_calls();
+  ASSERT_TRUE(engine.EnsureRepair().ok());
+  EXPECT_EQ(engine.num_algorithm_calls(), calls);
+  for (const auto& result : ExplainAll(engine, requests)) {
+    ASSERT_TRUE(result.ok()) << result.status();
+  }
 }
 
 TEST(EngineTest, ConstraintBatchSharesTheSubsetSweepAcrossTargets) {
@@ -96,22 +113,21 @@ TEST(EngineTest, ConstraintBatchSharesTheSubsetSweepAcrossTargets) {
   for (CellRef target : ThreeTargets()) {
     requests.push_back(ConstraintRequest(target));
   }
-  auto batch = engine.ExplainBatch(requests);
-  ASSERT_TRUE(batch.ok()) << batch.status();
+  const auto results = ExplainAll(engine, requests);
   // Subset lookups hold a target's dummy constraints present (see
   // repair_game.h): C2-C4 cannot reach City, C4 cannot reach Country.
   // The City targets' 16 subsets collapse onto {C2,C3,C4} and the
   // grand coalition, which is seeded from the reference repair: t3[City]
   // pays 1 run, t5[City] reuses it. t5[Country]'s 8 subsets containing
   // C4 are the seed, {C2,C3,C4} (shared) and 6 fresh runs.
-  EXPECT_EQ(batch->stats.algorithm_calls, 8u);
-  const auto& first = batch->results[0];
-  const auto& second = batch->results[1];
-  const auto& third = batch->results[2];
+  EXPECT_EQ(engine.num_algorithm_calls(), 8u);
+  const auto& first = results[0];
+  const auto& second = results[1];
+  const auto& third = results[2];
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(third.ok());
-  // The reference run is charged to the batch, not to any one request.
+  // The reference run went to `EnsureRepair`, not to any one request.
   EXPECT_EQ(first->algorithm_calls, 1u);
   EXPECT_EQ(second->algorithm_calls, 0u);
   EXPECT_EQ(third->algorithm_calls, 6u);
@@ -119,9 +135,9 @@ TEST(EngineTest, ConstraintBatchSharesTheSubsetSweepAcrossTargets) {
   // the 8 + 2 lookups of {C2,C3,C4} that t3[City] paid for are.
   EXPECT_EQ(second->cross_request_hits, 8u);
   EXPECT_EQ(third->cross_request_hits, 2u);
-  EXPECT_EQ(batch->stats.cross_request_hits, 10u);
+  EXPECT_EQ(engine.num_cross_request_hits(), 10u);
   // The naive serial loop (fresh engine per target) would have paid
-  // 2 + 2 + 8 calls; the batch pays 8.
+  // 2 + 2 + 8 calls; the shared engine pays 8.
 }
 
 TEST(EngineTest, BatchMatchesSerialExplainBitIdentically) {
@@ -131,19 +147,19 @@ TEST(EngineTest, BatchMatchesSerialExplainBitIdentically) {
   requests.push_back(CellsRequest(targets[1], 96, 22));
   requests.push_back(CellsRequest(targets[2], 96, 33));
 
-  Engine batch_engine(Alg(), data::SoccerConstraints(),
+  // An eager `EnsureRepair` (the coalesced-group path) must not change
+  // any value against plain `Explain` calls that repair on demand.
+  Engine group_engine(Alg(), data::SoccerConstraints(),
                       ThreeTargetDirtyTable());
-  auto batch = batch_engine.ExplainBatch(requests);
-  ASSERT_TRUE(batch.ok()) << batch.status();
+  const auto group = ExplainAll(group_engine, requests);
 
   Engine serial_engine(Alg(), data::SoccerConstraints(),
                        ThreeTargetDirtyTable());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     auto serial = serial_engine.Explain(requests[i]);
     ASSERT_TRUE(serial.ok()) << serial.status();
-    ASSERT_TRUE(batch->results[i].ok());
-    ExpectSameExplanation(*batch->results[i]->explanation,
-                          *serial->explanation);
+    ASSERT_TRUE(group[i].ok());
+    ExpectSameExplanation(*group[i]->explanation, *serial->explanation);
   }
 }
 
@@ -163,7 +179,7 @@ TEST(EngineTest, SharedDirtyTableHasOneResidentCopy) {
 
 TEST(EngineTest, MemoEntriesAreSmallerThanTheTable) {
   // Entries hold the output's diff against T^c, not table copies: on a
-  // generated 120-row world a constraint batch's memo stays below one
+  // generated 120-row world a multi-target memo stays below one
   // dirty table's cell vector per entry.
   auto generated = data::GenerateSoccer({.num_rows = 120, .seed = 31});
   data::ErrorInjectorOptions inject;
@@ -179,12 +195,13 @@ TEST(EngineTest, MemoEntriesAreSmallerThanTheTable) {
   for (std::size_t i = 0; i < repaired->size() && i < 3; ++i) {
     requests.push_back(ConstraintRequest((*repaired)[i].cell));
   }
-  auto batch = engine.ExplainBatch(requests);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  // The reference repair ran before the batch: every call is one entry.
-  const std::size_t entries = batch->stats.algorithm_calls;
+  for (const auto& result : ExplainAll(engine, requests)) {
+    ASSERT_TRUE(result.ok()) << result.status();
+  }
+  // Every call after the reference repair is one entry.
+  const std::size_t entries = engine.num_algorithm_calls() - 1;
   ASSERT_GT(entries, 0u);
-  EXPECT_LT(batch->stats.approx_memo_bytes,
+  EXPECT_LT(engine.approx_memo_bytes(),
             entries * dirty.num_cells() * sizeof(Value));
 }
 
@@ -231,7 +248,7 @@ TEST(EngineTest, ThreadCountDoesNotChangeSampledValues) {
 
 TEST(EngineTest, ThreadedConstraintSamplingMatchesSerial) {
   ExplainRequest fixed = ConstraintRequest(data::SoccerTargetCell());
-  fixed.constraints.force_sampling = true;
+  fixed.constraints.max_exact_players = 0;
   fixed.constraints.num_samples = 256;
   fixed.constraints.seed = 5;
   for (const ExplainRequest& request : {fixed, WithTopOne(fixed, 256)}) {
@@ -280,6 +297,109 @@ TEST(EngineTest, CellsRejectUnrepairedTarget) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// `request` with a CI-width stop rule and no sweep cap, so the
+/// per-kind `num_samples` is the budget.
+ExplainRequest WithTargetWidth(ExplainRequest request, double width) {
+  AnytimeOptions anytime;
+  anytime.target_ci_half_width = width;
+  request.anytime = anytime;
+  return request;
+}
+
+void ExpectOneWaveUnderHugeBudget(const ExplainRequest& request) {
+  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+  auto result = engine.Explain(request);
+  ASSERT_TRUE(result.ok()) << result.status();
+  // Marginals live in [-1, 1], so after one 256-sweep wave every normal
+  // half-width is below 1.96 / 16 and the rule stops the run.
+  EXPECT_EQ(result->sweeps, 256u);
+  EXPECT_TRUE(result->early_stopped);
+  double total = 0;
+  for (const PlayerScore& score : result->explanation->ranked) {
+    EXPECT_EQ(score.num_samples, 256u) << score.label;
+    total += score.shapley;
+  }
+  EXPECT_GT(total, 0.0);
+}
+
+TEST(EngineTest, SizeMaxConstraintBudgetStopsAfterOneWave) {
+  ExplainRequest request = ConstraintRequest(data::SoccerTargetCell());
+  request.constraints.max_exact_players = 0;
+  request.constraints.num_samples = std::numeric_limits<std::size_t>::max();
+  ExpectOneWaveUnderHugeBudget(WithTargetWidth(request, 1.0));
+}
+
+TEST(EngineTest, SizeMaxCellBudgetStopsAfterOneWave) {
+  ExpectOneWaveUnderHugeBudget(WithTargetWidth(
+      CellsRequest(data::SoccerTargetCell(),
+                   std::numeric_limits<std::size_t>::max(), 7),
+      1.0));
+}
+
+/// A sampled cell request under malformed anytime options (the
+/// request's override, or the engine default) must fail validation
+/// before the reference repair is paid for.
+void ExpectAnytimeRejected(const AnytimeOptions& anytime,
+                           bool as_engine_default = false) {
+  ExplainRequest request = CellsRequest(data::SoccerTargetCell(), 64, 3);
+  EngineOptions options;
+  if (as_engine_default) {
+    options.anytime = anytime;
+  } else {
+    request.anytime = anytime;
+  }
+  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable(),
+                options);
+  auto result = engine.Explain(request);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(engine.has_repair());
+  EXPECT_EQ(engine.num_algorithm_calls(), 0u);
+}
+
+TEST(EngineTest, NanTargetWidthRejected) {
+  AnytimeOptions anytime;
+  anytime.target_ci_half_width = std::numeric_limits<double>::quiet_NaN();
+  ExpectAnytimeRejected(anytime);
+}
+
+TEST(EngineTest, NegativeTargetWidthRejected) {
+  AnytimeOptions anytime;
+  anytime.target_ci_half_width = -0.1;
+  ExpectAnytimeRejected(anytime);
+}
+
+TEST(EngineTest, NonPositiveZRejected) {
+  AnytimeOptions anytime;
+  anytime.top_k = 1;
+  anytime.z = 0.0;
+  ExpectAnytimeRejected(anytime);
+}
+
+TEST(EngineTest, ZeroBernsteinDeltaInEngineDefaultRejected) {
+  AnytimeOptions anytime;
+  anytime.target_ci_half_width = 0.1;
+  anytime.bound = shap::BoundKind::kBernstein;
+  anytime.delta = 0.0;
+  ExpectAnytimeRejected(anytime, /*as_engine_default=*/true);
+}
+
+TEST(EngineTest, UnitDeltaRejected) {
+  AnytimeOptions anytime;
+  anytime.target_ci_half_width = 0.1;
+  anytime.bound = shap::BoundKind::kBernstein;
+  anytime.delta = 1.0;
+  ExpectAnytimeRejected(anytime);
+}
+
+TEST(EngineTest, ZeroTargetWidthStaysLegal) {
+  Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
+  auto result = engine.Explain(
+      WithTargetWidth(CellsRequest(data::SoccerTargetCell(), 64, 3), 0.0));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->sweeps, 64u);
+}
+
 TEST(EngineTest, SequentialExplainCallsShareTheEngineCache) {
   Engine engine(Alg(), data::SoccerConstraints(), data::SoccerDirtyTable());
   auto first = engine.Explain(ConstraintRequest(data::SoccerTargetCell()));
@@ -315,12 +435,10 @@ TEST(EngineTest, PerRequestFailuresStayInTheirSlot) {
   std::vector<ExplainRequest> requests;
   requests.push_back(ConstraintRequest(data::SoccerTargetCell()));
   requests.push_back(ConstraintRequest(data::SoccerCell(1, "Team")));  // unrepaired
-  auto batch = engine.ExplainBatch(requests);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->stats.failed_requests, 1u);
-  EXPECT_TRUE(batch->results[0].ok());
-  EXPECT_FALSE(batch->results[1].ok());
-  EXPECT_EQ(batch->results[1].status().code(), StatusCode::kInvalidArgument);
+  const auto results = ExplainAll(engine, requests);
+  EXPECT_TRUE(results[0].ok());
+  ASSERT_FALSE(results[1].ok());
+  EXPECT_EQ(results[1].status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, HeterogeneousKindsInOneBatch) {
@@ -336,16 +454,17 @@ TEST(EngineTest, HeterogeneousKindsInOneBatch) {
   single.cells.num_samples = 50;
   single.single_cell = data::SoccerCell(5, "League");
 
-  auto batch = engine.ExplainBatch({interactions, removal, single});
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->stats.failed_requests, 0u);
-  EXPECT_FALSE(batch->results[0]->interactions.empty());
+  const auto results = ExplainAll(engine, {interactions, removal, single});
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.ok()) << result.status();
+  }
+  EXPECT_FALSE(results[0]->interactions.empty());
   // Removal sets for the running example: {C1,C3} and {C2,C3}.
-  ASSERT_EQ(batch->results[1]->removal_sets.size(), 2u);
-  ASSERT_TRUE(batch->results[2]->single_cell.has_value());
+  ASSERT_EQ(results[1]->removal_sets.size(), 2u);
+  ASSERT_TRUE(results[2]->single_cell.has_value());
   // The constraint-mask evaluations behind interactions and removal
-  // sets overlap, so the batch must record amortized work.
-  EXPECT_GT(batch->stats.cross_request_hits, 0u);
+  // sets overlap, so the engine must record amortized work.
+  EXPECT_GT(engine.num_cross_request_hits(), 0u);
 }
 
 TEST(EngineTest, ReferenceCleanExposedAfterEnsureRepair) {
@@ -429,31 +548,6 @@ TEST(EngineTest, ExplanationReportsPerRequestCostOnWarmEngine) {
   // Explanation reports this request's cost, not lifetime totals.
   EXPECT_EQ(second->explanation->algorithm_calls, 0u);
   EXPECT_EQ(second->explanation->cache_hits, 16u);
-}
-
-TEST(EngineTest, BatchLevelCancelShortCircuitsRemainingSlots) {
-  Engine engine(Alg(), data::SoccerConstraints(), ThreeTargetDirtyTable());
-  CancelSource source;
-  source.Cancel();  // pre-cancelled: every slot lands Cancelled
-  std::vector<ExplainRequest> requests;
-  for (const CellRef& target : ThreeTargets()) {
-    requests.push_back(ConstraintRequest(target));
-  }
-  auto batch = engine.ExplainBatch(requests, source.token());
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_EQ(batch->stats.failed_requests, 3u);
-  EXPECT_EQ(batch->stats.cancelled_requests, 3u);
-  for (const auto& result : batch->results) {
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  }
-  // A dead batch on a cold engine pays nothing — not even the
-  // reference repair.
-  EXPECT_EQ(engine.num_algorithm_calls(), 0u);
-  // The engine stays reusable and an uncancelled batch still works.
-  auto ok_batch = engine.ExplainBatch(requests);
-  ASSERT_TRUE(ok_batch.ok());
-  EXPECT_EQ(ok_batch->stats.failed_requests, 0u);
-  EXPECT_EQ(ok_batch->stats.cancelled_requests, 0u);
 }
 
 TEST(EngineTest, ExplainKindNames) {

@@ -117,7 +117,7 @@ TEST(ConstraintExplanationTest, EmptyDcSetRejected) {
 
 TEST(ConstraintExplanationTest, SamplingPathApproximatesExact) {
   ConstraintOptions options;
-  options.force_sampling = true;
+  options.max_exact_players = 0;
   options.num_samples = 2000;
   options.seed = 31;
   auto ex = Rank(ConstraintRequest(options));

@@ -227,7 +227,7 @@ TEST(ExplainServiceTest, ServicePathBitIdenticalToSynchronousExplain) {
   auto sync_cells = engine.Explain(SampledCellsRequest(96, /*seed=*/23));
   ASSERT_TRUE(sync_cells.ok()) << sync_cells.status();
   ExplainRequest sampled_constraints = ConstraintRequest();
-  sampled_constraints.constraints.force_sampling = true;
+  sampled_constraints.constraints.max_exact_players = 0;
   sampled_constraints.constraints.num_samples = 64;
   sampled_constraints.constraints.seed = 41;
   auto sync_constraints = engine.Explain(sampled_constraints);

@@ -131,14 +131,13 @@ LAYER_RANK = {
 }
 
 # Calls that enter repair evaluation: one call is a full black-box
-# repair run (or a batch of them), so every loop issuing one must stay
+# repair run (or many of them), so every loop issuing one must stay
 # cancel-responsive.
 EVAL_CALLS = (
     "Value",
     "EvalPerturbation",
     "EvalConstraintSubset",
     "Explain",
-    "ExplainBatch",
     "Repair",
 )
 EVAL_CALL_RE = re.compile(
