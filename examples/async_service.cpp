@@ -52,7 +52,9 @@ int main() {
   serving::Ticket sweep = service.Submit(algorithm, dcs, table, cells_query);
 
   // 2. Cancel the sweep: queued work never runs, in-flight work stops
-  //    at the next black-box evaluation.
+  //    at the next black-box evaluation. Which of the two happens here
+  //    depends on whether a worker picked the sweep up first, so the
+  //    message names the status code only.
   sweep.Cancel();
 
   // 3. Await the urgent ticket.
@@ -70,7 +72,7 @@ int main() {
 
   auto sweep_result = sweep.Wait();
   std::printf("abandoned sweep resolved as: %s\n",
-              sweep_result.status().ToString().c_str());
+              StatusCodeToString(sweep_result.status().code()));
 
   const serving::ServiceStats stats = service.stats();
   std::printf(

@@ -1,7 +1,6 @@
 #include "core/repair_game.h"
 
 #include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -46,41 +45,23 @@ struct EvalScratch {
   std::vector<std::uint8_t> mark;
   /// Reused buffers of a session repair: its undo log, the cells it or
   /// the input wrote, and those plus the box's `static_diff_`.
-  std::vector<CellWrite> undo;
+  std::vector<CodeWrite> undo;
   std::vector<std::uint32_t> moved;
   std::vector<std::uint32_t> candidates;
 
-  /// Writes one cell, through the session when there is one.
-  void Set(CellRef cell, Value value) {
+  /// Writes one cell, through the session when there is one. Codes are
+  /// `ExactlyEqual` values, so a write that keeps the cell's code is
+  /// skipped: its bytes, and so its fingerprint, are already resident.
+  void Set(CellRef cell, const Value& value) {
+    const std::uint32_t code = table.Intern(value);
+    if (table.code(cell) == code) return;
     if (session != nullptr) {
-      session->Set(cell, std::move(value));
+      session->SetCode(cell, code);
     } else {
-      table.Set(cell, std::move(value));
+      table.SetCode(cell, code);
     }
   }
 };
-
-/// Bit-level value equality, stricter than `Value::operator==` (which
-/// equates 1 with 1.0 and +0.0 with -0.0): skipping a write — in the
-/// scratch, or from a canonical write set — is only sound when the
-/// resident bytes hash identically to the write.
-bool ExactlyEqual(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kInt:
-      return a.as_int() == b.as_int();
-    case ValueType::kDouble: {
-      const double x = a.as_double();
-      const double y = b.as_double();
-      return std::memcmp(&x, &y, sizeof(x)) == 0;
-    }
-    case ValueType::kString:
-      return a.as_string() == b.as_string();
-  }
-  return false;
-}
 
 EvalScratch& ThreadEvalScratch() {
   thread_local EvalScratch scratch;
@@ -428,9 +409,7 @@ void BlackBoxRepair::MaterializeScratch(
   }
   scratch.touched.clear();
   for (const CellWrite& write : writes) {
-    if (!ExactlyEqual(scratch.table.at(write.cell), write.value)) {
-      scratch.Set(write.cell, write.value);
-    }
+    scratch.Set(write.cell, write.value);
     scratch.touched.push_back(write.cell);
     scratch.mark[dirty_->LinearIndex(write.cell)] = 0;  // leave all-zero
   }
@@ -445,7 +424,7 @@ Result<std::vector<std::uint32_t>> BlackBoxRepair::RepairScratch(
     return DiffAgainstClean(repaired);
   }
   scratch.undo.clear();
-  if (Status status = scratch.session->RepairInPlace(&scratch.undo);
+  if (Status status = scratch.session->RepairCodes(&scratch.undo);
       !status.ok()) {
     // The scratch may be partly repaired: re-copy on the next miss.
     scratch.owner = 0;
@@ -459,7 +438,7 @@ Result<std::vector<std::uint32_t>> BlackBoxRepair::RepairScratch(
     scratch.moved.push_back(
         static_cast<std::uint32_t>(dirty_->LinearIndex(write.cell)));
   }
-  for (const CellWrite& write : scratch.undo) {
+  for (const CodeWrite& write : scratch.undo) {
     scratch.moved.push_back(
         static_cast<std::uint32_t>(dirty_->LinearIndex(write.cell)));
   }
@@ -479,7 +458,7 @@ Result<std::vector<std::uint32_t>> BlackBoxRepair::RepairScratch(
   }
   // Back to dirty+writes, through the session so it stays in step.
   for (auto it = scratch.undo.rbegin(); it != scratch.undo.rend(); ++it) {
-    scratch.session->Set(it->cell, std::move(it->value));
+    scratch.session->SetCode(it->cell, it->code);
   }
   diff.shrink_to_fit();  // as DiffAgainstClean: memo bytes read capacity
   return diff;
@@ -508,6 +487,13 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
           {static_cast<std::uint32_t>(dirty_->LinearIndex(write.cell)),
            &write.value});
     }
+  }
+  if (canonical.empty() && cache_enabled_) {
+    // The input is T^d, whose repair is the reference repair T^c: its
+    // diff is empty. Like the mask memo's grand-coalition seed, this is
+    // a hit but never a cross-request one, and it stores nothing.
+    state_->hits.fetch_add(1);
+    return Outcome({}, target_index);
   }
   std::sort(canonical.begin(), canonical.end(),
             [](const WriteRef& a, const WriteRef& b) {

@@ -151,6 +151,19 @@ std::string Operand::ToString(const Schema& schema) const {
 
 bool Predicate::Eval(const Table& table, std::size_t row1,
                      std::size_t row2) const {
+  if (lhs.is_cell() && rhs.is_cell() &&
+      (op == CompareOp::kEq || op == CompareOp::kNeq)) {
+    // EvalOp on the cells' codes: null is code 0, and `SameValue` is
+    // `Value::operator==`.
+    const std::uint32_t a =
+        table.code(lhs.tuple_index() == 0 ? row1 : row2, lhs.col());
+    const std::uint32_t b =
+        table.code(rhs.tuple_index() == 0 ? row1 : row2, rhs.col());
+    if (a == kNullCode || b == kNullCode) {
+      return op == CompareOp::kNeq && (a == kNullCode) != (b == kNullCode);
+    }
+    return table.dictionary().SameValue(a, b) == (op == CompareOp::kEq);
+  }
   const Value& a = lhs.Resolve(table, row1, row2);
   const Value& b = rhs.Resolve(table, row1, row2);
   return EvalOp(a, op, b);

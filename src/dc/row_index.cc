@@ -12,13 +12,13 @@
 namespace trex::dc {
 namespace {
 
-/// True iff `value` can compare equal to two values that differ from each
-/// other: a NaN (equal to every number) or an integer that only compares
-/// through its rounded double.
-bool BreaksTransitivity(const Value& value) {
-  if (value.is_double()) return std::isnan(value.as_double());
-  if (!value.is_int()) return false;
-  const std::int64_t v = value.as_int();
+/// True iff entry `code` can compare equal to two values that differ
+/// from each other: a NaN (equal to every number) or an integer that only
+/// compares through its rounded double.
+bool BreaksTransitivity(const ValueDictionary& dict, std::uint32_t code) {
+  if (dict.is_double(code)) return std::isnan(dict.value(code).as_double());
+  if (dict.type(code) != ValueType::kInt) return false;
+  const std::int64_t v = dict.value(code).as_int();
   const double d = static_cast<double>(v);
   return d >= 9223372036854775808.0 || static_cast<std::int64_t>(d) != v;
 }
@@ -91,6 +91,11 @@ ConstraintRowIndex::ConstraintRowIndex(const Table* table,
   }
   shared_side_ = sides_[0].key_cols == sides_[1].key_cols &&
                  sides_[0].neq_col == sides_[1].neq_col;
+  key_column_.assign(table_->num_columns(), 0);
+  for (const Side& side : sides_) {
+    for (std::size_t col : side.key_cols) key_column_[col] = 1;
+    if (counted_) key_column_[side.neq_col] = 1;
+  }
 
   const std::size_t n = table_->num_rows();
   TREX_CHECK_LT(n, std::size_t{kNone});
@@ -109,7 +114,7 @@ ConstraintRowIndex::ConstraintRowIndex(const Table* table,
       const std::uint32_t bucket = FindOrAddBucket(row, side);
       Link(&side, row, bucket,
            counted_ && bucket != kNone
-               ? FindOrAddGroup(bucket, table_->at(row, side.neq_col))
+               ? FindOrAddGroup(bucket, table_->code(row, side.neq_col))
                : kNone);
     }
   }
@@ -124,24 +129,27 @@ ConstraintRowIndex::ConstraintRowIndex(const Table* table,
 
 std::uint32_t ConstraintRowIndex::FindOrAddBucket(std::size_t row,
                                                   const Side& side) {
+  const ValueDictionary& dict = table_->dictionary();
   std::size_t hash = 0x811c9dc5;
   for (std::size_t col : side.key_cols) {
-    const Value& v = table_->at(row, col);
-    if (v.is_null()) return kNone;  // null never joins
-    hash = HashCombine(hash, v.Hash());
+    const std::uint32_t code = table_->code(row, col);
+    if (code == kNullCode) return kNone;  // null never joins
+    hash = HashCombine(hash, dict.value_hash(code));
   }
   // Stored keys are compared against the table: rows keep no key copy.
   const std::uint32_t found = buckets_.Find(hash, [&](std::uint32_t bucket) {
-    const Value* key = &bucket_keys_[bucket * key_width_];
+    const std::uint32_t* key = &bucket_keys_[bucket * key_width_];
     for (std::size_t i = 0; i < key_width_; ++i) {
-      if (table_->at(row, side.key_cols[i]) != key[i]) return false;
+      if (!dict.SameValue(table_->code(row, side.key_cols[i]), key[i])) {
+        return false;
+      }
     }
     return true;
   });
   if (found != kNone) return found;
   const std::uint32_t bucket = buckets_.Add(hash);
   for (std::size_t col : side.key_cols) {
-    bucket_keys_.push_back(table_->at(row, col));
+    bucket_keys_.push_back(table_->code(row, col));
   }
   for (int s = 0; s < num_sides(); ++s) {
     sides_[s].first.push_back(kNone);
@@ -151,16 +159,18 @@ std::uint32_t ConstraintRowIndex::FindOrAddBucket(std::size_t row,
 }
 
 std::uint32_t ConstraintRowIndex::FindOrAddGroup(std::uint32_t bucket,
-                                                 const Value& value) {
+                                                 std::uint32_t code) {
   // `Value` equality puts every null in one group: null != null is false.
-  const std::uint64_t hash = HashCombine(value.Hash(), bucket);
+  const ValueDictionary& dict = table_->dictionary();
+  const std::uint64_t hash = HashCombine(dict.value_hash(code), bucket);
   const std::uint32_t found = groups_.Find(hash, [&](std::uint32_t group) {
-    return group_bucket_[group] == bucket && group_value_[group] == value;
+    return group_bucket_[group] == bucket &&
+           dict.SameValue(group_code_[group], code);
   });
   if (found != kNone) return found;
   const std::uint32_t group = groups_.Add(hash);
   group_bucket_.push_back(bucket);
-  group_value_.push_back(value);
+  group_code_.push_back(code);
   for (int s = 0; s < num_sides(); ++s) sides_[s].group_size.push_back(0);
   return group;
 }
@@ -197,24 +207,23 @@ void ConstraintRowIndex::Unlink(Side* side, std::size_t row) {
 }
 
 bool ConstraintRowIndex::Irregular(std::size_t row) const {
-  return BreaksTransitivity(table_->at(row, sides_[0].neq_col)) ||
-         BreaksTransitivity(table_->at(row, sides_[1].neq_col));
+  const ValueDictionary& dict = table_->dictionary();
+  return BreaksTransitivity(dict, table_->code(row, sides_[0].neq_col)) ||
+         BreaksTransitivity(dict, table_->code(row, sides_[1].neq_col));
 }
 
 void ConstraintRowIndex::CheckRow(std::size_t row) const {
   TREX_CHECK_LT(row, side(0).bucket_of.size());
 }
 
-bool ConstraintRowIndex::IsKeyColumn(std::size_t col) const {
-  if (!use_buckets_) return false;
-  for (const Side& side : sides_) {
-    if (std::find(side.key_cols.begin(), side.key_cols.end(), col) !=
-        side.key_cols.end()) {
-      return true;
-    }
-    if (counted_ && side.neq_col == col) return true;
+bool ConstraintRowIndex::KeptBucket(std::size_t row, const Side& side) const {
+  const std::uint32_t bucket = side.bucket_of[row];
+  if (bucket == kNone) return false;
+  const std::uint32_t* key = &bucket_keys_[bucket * key_width_];
+  for (std::size_t i = 0; i < key_width_; ++i) {
+    if (table_->code(row, side.key_cols[i]) != key[i]) return false;
   }
-  return false;
+  return true;
 }
 
 void ConstraintRowIndex::Rekey(std::size_t row) {
@@ -222,11 +231,20 @@ void ConstraintRowIndex::Rekey(std::size_t row) {
   CheckRow(row);
   for (int s = 0; s < num_sides(); ++s) {
     Side& side = sides_[s];
-    const std::uint32_t bucket = FindOrAddBucket(row, side);
-    const std::uint32_t group =
-        counted_ && bucket != kNone
-            ? FindOrAddGroup(bucket, table_->at(row, side.neq_col))
-            : kNone;
+    // A key whose codes are the bucket's stored codes can only find that
+    // bucket (no other bucket matched them when either was added), and
+    // likewise for a group: skip the hashing in that common case.
+    const std::uint32_t bucket = KeptBucket(row, side)
+                                     ? side.bucket_of[row]
+                                     : FindOrAddBucket(row, side);
+    std::uint32_t group = kNone;
+    if (counted_ && bucket != kNone) {
+      const std::uint32_t code = table_->code(row, side.neq_col);
+      group = bucket == side.bucket_of[row] &&
+                      group_code_[side.group_of[row]] == code
+                  ? side.group_of[row]
+                  : FindOrAddGroup(bucket, code);
+    }
     if (bucket == side.bucket_of[row] && group == side.group_of[row]) {
       continue;
     }

@@ -19,6 +19,12 @@
 // against the own group's size, the row itself excluded. Every other
 // shape tests each bucket partner with `IsViolatedBy`.
 //
+// Rows are keyed by their cells' dictionary codes (table/table.h): bucket
+// keys and group values are code tuples, hashed from the dictionary's
+// per-entry `Value::Hash` and compared with `ValueDictionary::SameValue`,
+// so a probe never hashes or compares a `Value` unless a double is
+// involved, and answers exactly as a `Value`-keyed index would.
+//
 // Exactness: a probe returns exactly what the nested-loop scan would.
 // Cross-tuple equality on a null is false (see EvalOp in predicate.cc),
 // so rows with null join keys are correctly unbucketed on that side —
@@ -74,7 +80,9 @@ class ConstraintRowIndex {
   /// True iff `col` is indexed (a join-key column, or the counted
   /// shape's `!=` column): after writing such a column, call
   /// `Rekey(row)` for the changed row.
-  bool IsKeyColumn(std::size_t col) const;
+  bool IsKeyColumn(std::size_t col) const {
+    return col < key_column_.size() && key_column_[col] != 0;
+  }
 
   /// Re-buckets and re-groups `row` from the table's current values.
   void Rekey(std::size_t row);
@@ -144,8 +152,11 @@ class ConstraintRowIndex {
   /// The bucket of `row`'s key on `side`, created if new; kNone when the
   /// key holds a null (null never joins).
   std::uint32_t FindOrAddBucket(std::size_t row, const Side& side);
-  /// The group of (`bucket`, `value`), created if new.
-  std::uint32_t FindOrAddGroup(std::uint32_t bucket, const Value& value);
+  /// True iff `row`'s key codes on `side` are exactly its bucket's stored
+  /// key codes.
+  bool KeptBucket(std::size_t row, const Side& side) const;
+  /// The group of (`bucket`, the value of `code`), created if new.
+  std::uint32_t FindOrAddGroup(std::uint32_t bucket, std::uint32_t code);
   void Link(Side* side, std::size_t row, std::uint32_t bucket,
             std::uint32_t group);
   void Unlink(Side* side, std::size_t row);
@@ -166,12 +177,14 @@ class ConstraintRowIndex {
   /// side serves both orientations.
   bool shared_side_ = false;
   std::array<Side, 2> sides_;
+  /// Per table column: 1 iff `IsKeyColumn`.
+  std::vector<std::uint8_t> key_column_;
   std::size_t key_width_ = 0;
   IdChains buckets_;
-  std::vector<Value> bucket_keys_;  // key_width_ values per bucket
+  std::vector<std::uint32_t> bucket_keys_;  // key_width_ codes per bucket
   IdChains groups_;
   std::vector<std::uint32_t> group_bucket_;
-  std::vector<Value> group_value_;
+  std::vector<std::uint32_t> group_code_;
   /// Rows whose `!=` value on either side breaks transitive equality,
   /// and their count (counted shape only).
   std::vector<std::uint8_t> irregular_;

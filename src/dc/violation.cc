@@ -9,24 +9,32 @@
 namespace trex::dc {
 namespace {
 
-/// Key for composite hash joins: hashes of the joined values.
+/// Key for composite hash joins: the joined cells' codes, hashed from the
+/// dictionary's per-entry `Value::Hash` and compared with `SameValue`,
+/// exactly as the cells' values would be.
 struct JoinKey {
-  std::vector<Value> values;
-
-  bool operator==(const JoinKey& other) const {
-    if (values.size() != other.values.size()) return false;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (values[i] != other.values[i]) return false;
-    }
-    return true;
-  }
+  std::vector<std::uint32_t> codes;
 };
 
 struct JoinKeyHash {
+  const ValueDictionary* dict;
   std::size_t operator()(const JoinKey& key) const {
     std::size_t h = 0x811c9dc5;
-    for (const Value& v : key.values) h = HashCombine(h, v.Hash());
+    for (std::uint32_t code : key.codes) {
+      h = HashCombine(h, dict->value_hash(code));
+    }
     return h;
+  }
+};
+
+struct JoinKeyEqual {
+  const ValueDictionary* dict;
+  bool operator()(const JoinKey& a, const JoinKey& b) const {
+    if (a.codes.size() != b.codes.size()) return false;
+    for (std::size_t i = 0; i < a.codes.size(); ++i) {
+      if (!dict->SameValue(a.codes[i], b.codes[i])) return false;
+    }
+    return true;
   }
 };
 
@@ -65,19 +73,21 @@ void FindBinaryViolationsHashJoin(const Table& table,
   TREX_CHECK(!t1_cols.empty());
 
   const std::size_t n = table.num_rows();
-  std::unordered_map<JoinKey, std::vector<std::size_t>, JoinKeyHash> buckets;
-  buckets.reserve(n);
+  const ValueDictionary* dict = &table.dictionary();
+  std::unordered_map<JoinKey, std::vector<std::size_t>, JoinKeyHash,
+                     JoinKeyEqual>
+      buckets(n, JoinKeyHash{dict}, JoinKeyEqual{dict});
   for (std::size_t r = 0; r < n; ++r) {
     JoinKey key;
-    key.values.reserve(t2_cols.size());
+    key.codes.reserve(t2_cols.size());
     bool has_null = false;
     for (std::size_t col : t2_cols) {
-      const Value& v = table.at(r, col);
-      if (v.is_null()) {
+      const std::uint32_t code = table.code(r, col);
+      if (code == kNullCode) {
         has_null = true;
         break;
       }
-      key.values.push_back(v);
+      key.codes.push_back(code);
     }
     if (has_null) continue;  // null never joins
     buckets[std::move(key)].push_back(r);
@@ -85,15 +95,15 @@ void FindBinaryViolationsHashJoin(const Table& table,
 
   for (std::size_t r1 = 0; r1 < n; ++r1) {
     JoinKey probe;
-    probe.values.reserve(t1_cols.size());
+    probe.codes.reserve(t1_cols.size());
     bool has_null = false;
     for (std::size_t col : t1_cols) {
-      const Value& v = table.at(r1, col);
-      if (v.is_null()) {
+      const std::uint32_t code = table.code(r1, col);
+      if (code == kNullCode) {
         has_null = true;
         break;
       }
-      probe.values.push_back(v);
+      probe.codes.push_back(code);
     }
     if (has_null) continue;
     auto it = buckets.find(probe);

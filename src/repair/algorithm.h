@@ -30,14 +30,18 @@ namespace trex::repair {
 /// derived state (probe indices, statistics) across repairs of inputs
 /// that differ in a few cells (see `RepairAlgorithm::OpenSession`).
 ///
+/// A session works on the bound table's dictionary codes (table/table.h):
+/// a code read from the bound table, or returned by its `Intern`, stays
+/// valid for it, since its dictionary only grows.
+///
 /// Contract:
-///   * equality with `Repair`: after any sequence of `Set` calls,
-///     `RepairInPlace` leaves the bound table bit-identical (type and
-///     bytes of every cell) to `Repair(dcs, T)`, where T is the bound
-///     table as it stood before the call;
-///   * the undo log: `RepairInPlace(&undo)` appends one `CellWrite` per
-///     overwritten cell, holding the cell's prior value, in write order.
-///     Replaying the log in reverse through `Set` restores the input
+///   * equality with `Repair`: after any sequence of writes,
+///     `RepairCodes` leaves the bound table bit-identical (type and bytes
+///     of every cell) to `Repair(dcs, T)`, where T is the bound table as
+///     it stood before the call;
+///   * the undo log: `RepairCodes(&undo)` appends one `CodeWrite` per
+///     overwritten cell, holding the cell's prior code, in write order.
+///     Replaying the log in reverse through `SetCode` restores the input
 ///     table bit for bit, and the session stays usable for the next
 ///     input;
 ///   * self-containment: a session references nothing but its bound
@@ -46,25 +50,48 @@ namespace trex::repair {
 ///     holds one is thread-local and outlives boxes and algorithms);
 ///   * one thread per session: sessions are not synchronized.
 ///
-/// Every write to the bound table must go through `Set` while the
-/// session is open; the caller owns the table and keeps it alive.
+/// Every write to the bound table must go through the session while it
+/// is open; the caller owns the table and keeps it alive.
 class RepairSession {
  public:
-  RepairSession() = default;
+  explicit RepairSession(Table* table) : table_(table) {}
   RepairSession(const RepairSession&) = delete;
   RepairSession& operator=(const RepairSession&) = delete;
   virtual ~RepairSession() = default;
 
-  /// Writes `value` into `cell` of the bound table and brings the
+  /// Writes `code` into `cell` of the bound table and brings the
   /// session's derived state in step.
-  virtual void Set(CellRef cell, Value value) = 0;
+  virtual void SetCode(CellRef cell, std::uint32_t code) = 0;
 
   /// Repairs the bound table in place; see the class comment for the
   /// undo log. `undo` may be null when the caller keeps the output (a
   /// one-shot repair), which lets the session drop derived state it
   /// would otherwise retain. On failure the bound table may be partly
   /// repaired and the session must be discarded.
-  [[nodiscard]] virtual Status RepairInPlace(std::vector<CellWrite>* undo) = 0;
+  [[nodiscard]] virtual Status RepairCodes(std::vector<CodeWrite>* undo) = 0;
+
+  /// `SetCode` of `value`'s code in the bound table.
+  void Set(CellRef cell, const Value& value) {
+    SetCode(cell, table_->Intern(value));
+  }
+
+  /// `RepairCodes` with the undo log decoded to values: replaying it in
+  /// reverse through `Set` restores the input.
+  [[nodiscard]] Status RepairInPlace(std::vector<CellWrite>* undo) {
+    if (undo == nullptr) return RepairCodes(nullptr);
+    std::vector<CodeWrite> codes;
+    TREX_RETURN_NOT_OK(RepairCodes(&codes));
+    for (const CodeWrite& write : codes) {
+      undo->push_back({write.cell, table_->dictionary().value(write.code)});
+    }
+    return Status::Ok();
+  }
+
+ protected:
+  Table* table() const { return table_; }
+
+ private:
+  Table* const table_;
 };
 
 /// Abstract deterministic repair algorithm.

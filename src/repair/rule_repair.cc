@@ -1,6 +1,6 @@
 #include "repair/rule_repair.h"
 
-#include <map>
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -14,42 +14,66 @@
 namespace trex::repair {
 namespace {
 
-/// Value counts with the mode maintained under single-value updates —
-/// the incremental form of `ColumnStats::MostCommon` (nulls excluded,
-/// ties toward the smallest value). The mode is patched on increments
-/// and lazily rescanned (ascending key order, strictly-greater count
-/// wins — exactly `MostCommon`'s scan) when the current mode loses
-/// weight, so a repair loop's writes cost O(1) amortized instead of an
-/// O(n) stats rebuild each.
+constexpr std::uint32_t kNone = 0xffffffffu;
+
+/// Counts of non-null codes with the mode maintained under single
+/// updates — the incremental form of `ColumnStats::MostCommon` (nulls
+/// excluded, ties toward the smallest value). The mode is patched on
+/// increments and lazily rescanned (strictly-greater count wins, ties to
+/// the smaller value) when the current mode loses weight, so a repair
+/// loop's writes cost O(1) amortized instead of an O(n) stats rebuild
+/// each.
+///
+/// While the counted column holds no double, equal values have equal
+/// codes, so codes are counted in a flat array: indexed by code when
+/// `dense` (one counter per column), else scanned (one small counter per
+/// conditioning group). Only ties decode values. A counter built while
+/// the column held a double (`by_value`) counts `Value`-equality classes
+/// instead, as an ordered map from value to count would: its entries stay
+/// sorted by value, a class is found by binary search, it is keyed by the
+/// first code counted into it and dropped at count zero.
 class ModeCounter {
  public:
-  void Add(const Value& v) {
-    if (v.is_null()) return;
-    const std::size_t count = ++counts_[v];
+  ModeCounter(const Table* table, bool by_value, bool dense)
+      : table_(table), by_value_(by_value), dense_(dense && !by_value) {}
+
+  bool by_value() const { return by_value_; }
+
+  void Add(std::uint32_t code) {
+    if (code == kNullCode) return;
+    const std::uint32_t count = ++FindOrInsert(code).count;
     if (stale_) return;
-    if (!mode_.has_value() || count > mode_count_ ||
-        (count == mode_count_ && v < *mode_)) {
-      mode_ = v;
+    if (mode_ == kNullCode || count > mode_count_ ||
+        (count == mode_count_ && Less(code, mode_))) {
+      mode_ = code;
       mode_count_ = count;
     }
   }
 
-  void Remove(const Value& v) {
-    if (v.is_null()) return;
-    auto it = counts_.find(v);
-    if (it == counts_.end()) return;  // never counted (defensive)
-    if (--it->second == 0) counts_.erase(it);
-    if (!stale_ && mode_.has_value() && v == *mode_) stale_ = true;
+  void Remove(std::uint32_t code) {
+    if (code == kNullCode) return;
+    const std::size_t i = Find(code);
+    if (i == kNone || entries_[i].count == 0) return;  // defensive
+    if (--entries_[i].count == 0 && by_value_) {
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    if (!stale_ && mode_ != kNullCode &&
+        table_->dictionary().SameValue(code, mode_)) {
+      stale_ = true;
+    }
   }
 
-  std::optional<Value> Mode() const {
+  /// The mode's code, or kNullCode when nothing is counted.
+  std::uint32_t Mode() const {
     if (stale_) {
-      mode_.reset();
+      mode_ = kNullCode;
       mode_count_ = 0;
-      for (const auto& [value, count] : counts_) {  // ascending keys
-        if (count > mode_count_) {
-          mode_ = value;
-          mode_count_ = count;
+      for (const Entry& entry : entries_) {
+        if (entry.count > mode_count_ ||
+            (entry.count == mode_count_ && mode_ != kNullCode &&
+             Less(entry.code, mode_))) {
+          mode_ = entry.code;
+          mode_count_ = entry.count;
         }
       }
       stale_ = false;
@@ -58,49 +82,148 @@ class ModeCounter {
   }
 
  private:
-  std::map<Value, std::size_t> counts_;
-  mutable std::optional<Value> mode_;
-  mutable std::size_t mode_count_ = 0;
+  struct Entry {
+    std::uint32_t code;
+    std::uint32_t count;
+  };
+
+  const Value& value(std::uint32_t code) const {
+    return table_->dictionary().value(code);
+  }
+  bool Less(std::uint32_t a, std::uint32_t b) const {
+    return value(a) < value(b);
+  }
+
+  /// By-value mode: the first entry whose value is not below `code`'s.
+  std::size_t LowerBound(std::uint32_t code) const {
+    const Value& v = value(code);
+    const auto it = std::lower_bound(
+        entries_.begin(), entries_.end(), v,
+        [&](const Entry& entry, const Value& x) {
+          return value(entry.code) < x;
+        });
+    return static_cast<std::size_t>(it - entries_.begin());
+  }
+
+  /// The index of the entry counting `code`'s value, or kNone.
+  std::size_t Find(std::uint32_t code) const {
+    if (by_value_) {
+      const std::size_t i = LowerBound(code);
+      return i < entries_.size() && !(value(code) < value(entries_[i].code))
+                 ? i
+                 : kNone;
+    }
+    if (dense_) return code < slot_.size() ? slot_[code] : kNone;
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].code == code) return i;
+    }
+    return kNone;
+  }
+
+  Entry& FindOrInsert(std::uint32_t code) {
+    const std::size_t found = Find(code);
+    if (found != kNone) return entries_[found];
+    if (by_value_) {
+      const std::size_t i = LowerBound(code);
+      const auto at = entries_.begin() + static_cast<std::ptrdiff_t>(i);
+      return *entries_.insert(at, Entry{code, 0});
+    }
+    if (dense_) {
+      if (code >= slot_.size()) {
+        slot_.resize(std::max<std::size_t>(code + 1,
+                                           table_->dictionary().size()),
+                     kNone);
+      }
+      slot_[code] = static_cast<std::uint32_t>(entries_.size());
+    }
+    return entries_.emplace_back(Entry{code, 0});
+  }
+
+  const Table* table_;
+  bool by_value_;
+  bool dense_;
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> slot_;  // dense: entry index by code
+  mutable std::uint32_t mode_ = kNullCode;
+  mutable std::uint32_t mode_count_ = 0;
   mutable bool stale_ = false;
 };
 
 /// Incremental `JointStats::MostCommonGiven` over (cond, target)
 /// columns: one `ModeCounter` per conditioning value, rows with a null
-/// on either side excluded — matching `JointStats::Build`.
+/// on either side excluded — matching `JointStats::Build`. Groups are
+/// found by code, or, when the conditioning column held a double at
+/// build, by `Value` hash and equality like the
+/// `unordered_map<Value, …>` they replace.
 class ConditionalModeCounter {
  public:
-  ConditionalModeCounter(const Table& table, std::size_t cond_col,
-                         std::size_t target_col) {
-    for (std::size_t r = 0; r < table.num_rows(); ++r) {
-      Add(table.at(r, cond_col), table.at(r, target_col));
+  ConditionalModeCounter(const Table* table, std::size_t cond_col,
+                         std::size_t target_col)
+      : table_(table),
+        cond_by_value_(table->num_doubles(cond_col) > 0),
+        target_by_value_(table->num_doubles(target_col) > 0) {
+    for (std::size_t r = 0; r < table->num_rows(); ++r) {
+      Add(table->code(r, cond_col), table->code(r, target_col));
     }
   }
 
-  void Add(const Value& cond, const Value& target) {
-    if (cond.is_null() || target.is_null()) return;
-    groups_[cond].Add(target);
+  bool by_value() const { return cond_by_value_ || target_by_value_; }
+
+  void Add(std::uint32_t cond, std::uint32_t target) {
+    if (cond == kNullCode || target == kNullCode) return;
+    std::uint32_t group = FindGroup(cond);
+    if (group == kNone) {
+      group = static_cast<std::uint32_t>(groups_.size());
+      groups_.emplace_back(table_, target_by_value_, /*dense=*/false);
+      if (cond_by_value_) {
+        group_of_value_.emplace(table_->dictionary().value(cond), group);
+      } else {
+        if (cond >= group_of_.size()) {
+          group_of_.resize(std::max<std::size_t>(
+                               cond + 1, table_->dictionary().size()),
+                           kNone);
+        }
+        group_of_[cond] = group;
+      }
+    }
+    groups_[group].Add(target);
   }
 
-  void Remove(const Value& cond, const Value& target) {
-    if (cond.is_null() || target.is_null()) return;
-    auto it = groups_.find(cond);
-    if (it != groups_.end()) it->second.Remove(target);
+  void Remove(std::uint32_t cond, std::uint32_t target) {
+    if (cond == kNullCode || target == kNullCode) return;
+    const std::uint32_t group = FindGroup(cond);
+    if (group != kNone) groups_[group].Remove(target);
   }
 
-  std::optional<Value> MostCommonGiven(const Value& cond) const {
-    auto it = groups_.find(cond);
-    if (it == groups_.end()) return std::nullopt;
-    return it->second.Mode();
+  /// The mode among rows whose conditioning value equals `cond`'s, or
+  /// kNullCode when there is none.
+  std::uint32_t MostCommonGiven(std::uint32_t cond) const {
+    const std::uint32_t group = FindGroup(cond);
+    return group == kNone ? kNullCode : groups_[group].Mode();
   }
 
  private:
-  std::unordered_map<Value, ModeCounter, ValueHash> groups_;
+  std::uint32_t FindGroup(std::uint32_t cond) const {
+    if (cond_by_value_) {
+      const auto it =
+          group_of_value_.find(table_->dictionary().value(cond));
+      return it == group_of_value_.end() ? kNone : it->second;
+    }
+    return cond < group_of_.size() ? group_of_[cond] : kNone;
+  }
+
+  const Table* table_;
+  bool cond_by_value_;
+  bool target_by_value_;
+  std::vector<std::uint32_t> group_of_;  // by conditioning code
+  std::unordered_map<Value, std::uint32_t, ValueHash> group_of_value_;
+  std::vector<ModeCounter> groups_;
 };
 
 ModeCounter BuildModeCounter(const Table& table, std::size_t col) {
-  ModeCounter counter;
+  ModeCounter counter(&table, table.num_doubles(col) > 0, /*dense=*/true);
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    counter.Add(table.at(r, col));
+    counter.Add(table.code(r, col));
   }
   return counter;
 }
@@ -123,19 +246,18 @@ class RuleRepairSession : public RepairSession {
  public:
   RuleRepairSession(const dc::DcSet& dcs, Table* table,
                     const std::vector<RepairRule>& rules, int max_passes)
-      : dcs_(dcs), table_(table), max_passes_(max_passes) {
-    TREX_CHECK(table_ != nullptr);
+      : RepairSession(table), dcs_(dcs), max_passes_(max_passes) {
+    TREX_CHECK(table != nullptr);
     resolve_status_ = Resolve(rules);
     if (!resolve_status_.ok()) rules_.clear();
     states_.resize(rules_.size());
-    num_doubles_.assign(table_->num_columns(), kUncounted);
   }
 
-  void Set(CellRef cell, Value value) override {
-    Write(cell.row, cell.col, std::move(value), nullptr);
+  void SetCode(CellRef cell, std::uint32_t code) override {
+    Write(cell.row, cell.col, code, nullptr);
   }
 
-  Status RepairInPlace(std::vector<CellWrite>* undo) override;
+  Status RepairCodes(std::vector<CodeWrite>* undo) override;
 
  private:
   /// A rule's violation probe index and statistics, built when the rule
@@ -145,8 +267,6 @@ class RuleRepairSession : public RepairSession {
     std::optional<ModeCounter> column_mode;
     std::optional<ConditionalModeCounter> joint_mode;
   };
-
-  static constexpr std::size_t kUncounted = static_cast<std::size_t>(-1);
 
   /// Resolves `rules` against the constraint set and the table's schema
   /// into `rules_`. Rules bound to constraints not present in `dcs_` are
@@ -161,29 +281,28 @@ class RuleRepairSession : public RepairSession {
   /// True iff column `col` holds a double. A retained counter keeps the
   /// same counts as one rebuilt from the current table, and `Mode()` is
   /// a function of the counts — the argmax, ties to the smallest value —
-  /// but the `Value` it returns is a stored representative. Among ints
-  /// and strings equal values are identical, so the representative is
-  /// too; a double makes it depend on history (int 1 vs double 1.0,
-  /// +0.0 vs -0.0, NaN). Retained counters over such a column are
-  /// therefore rebuilt when their rule runs, exactly as a one-shot
-  /// repair builds them. Counted once per column, then maintained.
-  bool HoldsDoubles(std::size_t col);
+  /// but the code it returns is a stored representative. Among ints and
+  /// strings equal values are identical, so the representative is too; a
+  /// double makes it depend on history (int 1 vs double 1.0, +0.0 vs
+  /// -0.0, NaN). Retained counters over such a column, or built while it
+  /// held one, are therefore rebuilt when their rule runs, exactly as a
+  /// one-shot repair builds them.
+  bool HoldsDoubles(std::size_t col) const {
+    return table()->num_doubles(col) > 0;
+  }
 
-  /// Overwrites one cell, logs its prior value to `undo` (if given) and
+  /// Overwrites one cell, logs its prior code to `undo` (if given) and
   /// keeps every built index and counter in step.
-  void Write(std::size_t row, std::size_t col, Value value,
-             std::vector<CellWrite>* undo);
+  void Write(std::size_t row, std::size_t col, std::uint32_t code,
+             std::vector<CodeWrite>* undo);
 
   // Copied, not referenced: a session may outlive the caller's DcSet
   // (the indices below point into it).
   const dc::DcSet dcs_;
-  Table* const table_;
   const int max_passes_;
   Status resolve_status_;
   std::vector<ResolvedRule> rules_;
   std::vector<RuleState> states_;
-  /// Per column, the number of cells holding a double, or kUncounted.
-  std::vector<std::size_t> num_doubles_;
 };
 
 Status RuleRepairSession::Resolve(const std::vector<RepairRule>& rules) {
@@ -191,11 +310,11 @@ Status RuleRepairSession::Resolve(const std::vector<RepairRule>& rules) {
     auto constraint_index = dcs_.IndexOf(rule.constraint_name);
     if (!constraint_index.ok()) continue;  // constraint dropped from input
     TREX_ASSIGN_OR_RETURN(std::size_t target_col,
-                          table_->ColumnIndex(rule.target_attribute));
+                          table()->ColumnIndex(rule.target_attribute));
     std::size_t given_col = 0;
     if (rule.action == RuleAction::kSetMostCommonGiven) {
       TREX_ASSIGN_OR_RETURN(given_col,
-                            table_->ColumnIndex(rule.given_attribute));
+                            table()->ColumnIndex(rule.given_attribute));
     }
     rules_.push_back(ResolvedRule{
         *constraint_index, rule.action, target_col, given_col,
@@ -203,16 +322,6 @@ Status RuleRepairSession::Resolve(const std::vector<RepairRule>& rules) {
             given_col == target_col});
   }
   return Status::Ok();
-}
-
-bool RuleRepairSession::HoldsDoubles(std::size_t col) {
-  if (num_doubles_[col] == kUncounted) {
-    num_doubles_[col] = 0;
-    for (std::size_t r = 0; r < table_->num_rows(); ++r) {
-      num_doubles_[col] += table_->at(r, col).is_double();
-    }
-  }
-  return num_doubles_[col] > 0;
 }
 
 RuleRepairSession::RuleState& RuleRepairSession::Prepare(std::size_t i) {
@@ -223,34 +332,31 @@ RuleRepairSession::RuleState& RuleRepairSession::Prepare(std::size_t i) {
   // dc::RowViolates' full scan. Its answers depend on the table's
   // content alone, so a retained index answers as a fresh one would.
   if (!state.index.has_value()) {
-    state.index.emplace(table_, &dcs_.at(rule.constraint_index));
+    state.index.emplace(table(), &dcs_.at(rule.constraint_index));
   }
   // The paper's semantics: statistics reflect the *current* (partially
   // repaired) table. The incremental counters are updated on every
   // write, so each query sees exactly what a fresh ColumnStats /
   // JointStats build over the current table would.
   if (rule.action == RuleAction::kSetMostCommon) {
-    if (!state.column_mode.has_value() || HoldsDoubles(rule.target_col)) {
-      state.column_mode = BuildModeCounter(*table_, rule.target_col);
+    if (!state.column_mode.has_value() || state.column_mode->by_value() ||
+        HoldsDoubles(rule.target_col)) {
+      state.column_mode = BuildModeCounter(*table(), rule.target_col);
     }
   } else if (!rule.self_conditioned) {
-    if (!state.joint_mode.has_value() || HoldsDoubles(rule.given_col) ||
-        HoldsDoubles(rule.target_col)) {
-      state.joint_mode.emplace(*table_, rule.given_col, rule.target_col);
+    if (!state.joint_mode.has_value() || state.joint_mode->by_value() ||
+        HoldsDoubles(rule.given_col) || HoldsDoubles(rule.target_col)) {
+      state.joint_mode.emplace(table(), rule.given_col, rule.target_col);
     }
   }
   return state;
 }
 
-void RuleRepairSession::Write(std::size_t row, std::size_t col, Value value,
-                              std::vector<CellWrite>* undo) {
-  Value old_value = table_->at(row, col);
-  if (num_doubles_[col] != kUncounted) {
-    num_doubles_[col] = num_doubles_[col] + value.is_double() -
-                        old_value.is_double();
-  }
-  table_->Set(row, col, std::move(value));
-  const Value& new_value = table_->at(row, col);
+void RuleRepairSession::Write(std::size_t row, std::size_t col,
+                              std::uint32_t code,
+                              std::vector<CodeWrite>* undo) {
+  const std::uint32_t old_code = table()->code(row, col);
+  table()->SetCode(row, col, code);
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     RuleState& state = states_[i];
     if (!state.index.has_value()) continue;
@@ -259,56 +365,54 @@ void RuleRepairSession::Write(std::size_t row, std::size_t col, Value value,
     if (state.index->IsKeyColumn(col)) state.index->Rekey(row);
     const ResolvedRule& rule = rules_[i];
     if (state.column_mode.has_value() && col == rule.target_col) {
-      state.column_mode->Remove(old_value);
-      state.column_mode->Add(new_value);
+      state.column_mode->Remove(old_code);
+      state.column_mode->Add(code);
     }
     if (state.joint_mode.has_value()) {
       if (col == rule.target_col) {
-        const Value& cond = table_->at(row, rule.given_col);
-        state.joint_mode->Remove(cond, old_value);
-        state.joint_mode->Add(cond, new_value);
+        const std::uint32_t cond = table()->code(row, rule.given_col);
+        state.joint_mode->Remove(cond, old_code);
+        state.joint_mode->Add(cond, code);
       } else if (col == rule.given_col) {
-        const Value& target = table_->at(row, rule.target_col);
-        state.joint_mode->Remove(old_value, target);
-        state.joint_mode->Add(new_value, target);
+        const std::uint32_t target = table()->code(row, rule.target_col);
+        state.joint_mode->Remove(old_code, target);
+        state.joint_mode->Add(code, target);
       }
     }
   }
-  if (undo != nullptr) {
-    undo->push_back({CellRef{row, col}, std::move(old_value)});
-  }
+  if (undo != nullptr) undo->push_back({CellRef{row, col}, old_code});
 }
 
-Status RuleRepairSession::RepairInPlace(std::vector<CellWrite>* undo) {
+Status RuleRepairSession::RepairCodes(std::vector<CodeWrite>* undo) {
   if (!resolve_status_.ok()) return resolve_status_;
   for (int pass = 0; pass < max_passes_; ++pass) {
     bool changed = false;
     for (std::size_t i = 0; i < rules_.size(); ++i) {
       const ResolvedRule& rule = rules_[i];
       const RuleState& state = Prepare(i);
-      for (std::size_t row = 0; row < table_->num_rows(); ++row) {
+      for (std::size_t row = 0; row < table()->num_rows(); ++row) {
         if (!state.index->RowViolates(row)) continue;
-        std::optional<Value> replacement;
+        std::uint32_t replacement = kNullCode;
         if (rule.action == RuleAction::kSetMostCommon) {
           replacement = state.column_mode->Mode();
         } else {
-          const Value& given = table_->at(row, rule.given_col);
-          if (given.is_null()) continue;  // no conditioning evidence
-          replacement =
-              rule.self_conditioned
-                  ? JointStats::Build(*table_, rule.given_col,
-                                      rule.target_col)
-                        .MostCommonGiven(given)
-                  : state.joint_mode->MostCommonGiven(given);
+          const std::uint32_t given = table()->code(row, rule.given_col);
+          if (given == kNullCode) continue;  // no conditioning evidence
+          if (rule.self_conditioned) {
+            const std::optional<Value> mode =
+                JointStats::Build(*table(), rule.given_col, rule.target_col)
+                    .MostCommonGiven(table()->dictionary().value(given));
+            if (mode.has_value()) replacement = table()->Intern(*mode);
+          } else {
+            replacement = state.joint_mode->MostCommonGiven(given);
+          }
         }
-        if (!replacement.has_value()) continue;  // no evidence at all
-        const Value& current = table_->at(row, rule.target_col);
-        const bool differs =
-            current.is_null() ? !replacement->is_null()
-                              : (replacement->is_null() ||
-                                 *replacement != current);
-        if (differs) {
-          Write(row, rule.target_col, std::move(*replacement), undo);
+        if (replacement == kNullCode) continue;  // no evidence at all
+        // A null cell differs from every replacement; values compare
+        // with `Value::operator==`.
+        if (!table()->dictionary().SameValue(
+                replacement, table()->code(row, rule.target_col))) {
+          Write(row, rule.target_col, replacement, undo);
           changed = true;
         }
       }
@@ -331,7 +435,7 @@ Result<Table> RuleRepair::Repair(const dc::DcSet& dcs,
                                  const Table& dirty) const {
   Table table = dirty;
   RuleRepairSession session(dcs, &table, rules_, options_.max_passes);
-  TREX_RETURN_NOT_OK(session.RepairInPlace(nullptr));
+  TREX_RETURN_NOT_OK(session.RepairCodes(nullptr));
   return table;
 }
 

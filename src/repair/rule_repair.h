@@ -76,7 +76,7 @@ class RuleRepair : public RepairAlgorithm {
 
   /// A session keeping each rule's probe index and mode counters across
   /// repairs (see file comment). Rules resolve against `table`'s schema;
-  /// a resolution error surfaces from `RepairInPlace`, as `Repair` would
+  /// a resolution error surfaces from `RepairCodes`, as `Repair` would
   /// return it.
   std::unique_ptr<RepairSession> OpenSession(const dc::DcSet& dcs,
                                              Table* table) const override;

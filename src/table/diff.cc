@@ -31,6 +31,11 @@ Result<std::vector<RepairedCell>> DiffTables(const Table& dirty,
 
 bool CellRepairedTo(const Table& candidate, const Table& clean,
                     CellRef cell) {
+  // Null is code 0 and equals only itself, as below.
+  if (candidate.SharesDictionary(clean)) {
+    return clean.dictionary().SameValue(candidate.code(cell),
+                                        clean.code(cell));
+  }
   const Value& got = candidate.at(cell);
   const Value& want = clean.at(cell);
   if (got.is_null() || want.is_null()) {

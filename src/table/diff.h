@@ -35,7 +35,9 @@ struct RepairedCell {
 
 /// Convenience: true iff cell `cell` holds `clean`'s value in `candidate`,
 /// i.e. the repair of that cell was reproduced (the paper's
-/// `Alg|t[A] = 1` test against the reference clean value).
+/// `Alg|t[A] = 1` test against the reference clean value). Both nulls
+/// match; otherwise null matches nothing and values compare with
+/// `Value::operator==`. Tables sharing a dictionary compare codes.
 bool CellRepairedTo(const Table& candidate, const Table& clean, CellRef cell);
 
 }  // namespace trex

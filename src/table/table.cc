@@ -1,5 +1,7 @@
 #include "table/table.h"
 
+#include <algorithm>
+
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -17,30 +19,166 @@ std::string CellRef::ToString(const Schema& schema) const {
   return ToString();
 }
 
+ValueDictionary::ValueDictionary() {
+  Rehash(16);
+  TREX_CHECK_EQ(Add(Value::Null()), kNullCode);
+}
+
+std::uint32_t ValueDictionary::Find(const Value& value) const {
+  if (value.is_null()) return kNullCode;
+  const std::size_t hash = value.Hash();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t slot = Slot(hash);; slot = (slot + 1) & mask) {
+    const std::uint32_t code = slots_[slot];
+    if (code == kAbsent) return kAbsent;
+    if (hashes_[code] == hash && ExactlyEqual(this->value(code), value)) {
+      return code;
+    }
+  }
+}
+
+std::uint32_t ValueDictionary::Add(Value value) {
+  TREX_CHECK_LT(size(), std::size_t{kAbsent});
+  const auto code = static_cast<std::uint32_t>(size());
+  const std::uint64_t shifted = std::uint64_t{code} + 8;
+  const auto chunk = static_cast<std::size_t>(std::bit_width(shifted)) - 4;
+  if (chunks_[chunk] == nullptr) {
+    chunks_[chunk] = std::make_unique<Value[]>(std::size_t{8} << chunk);
+  }
+  hashes_.push_back(value.Hash());
+  types_.push_back(value.type());
+  chunks_[chunk][shifted - (std::uint64_t{8} << chunk)] = std::move(value);
+  if (2 * size() > slots_.size()) {
+    Rehash(2 * slots_.size());
+  } else {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = Slot(hashes_[code]);
+    while (slots_[slot] != kAbsent) slot = (slot + 1) & mask;
+    slots_[slot] = code;
+  }
+  return code;
+}
+
+void ValueDictionary::Rehash(std::size_t num_slots) {
+  slots_.assign(num_slots, kAbsent);
+  shift_ = 64 - std::countr_zero(num_slots);
+  const std::size_t mask = num_slots - 1;
+  for (std::uint32_t code = 0; code < size(); ++code) {
+    std::size_t slot = Slot(hashes_[code]);
+    while (slots_[slot] != kAbsent) slot = (slot + 1) & mask;
+    slots_[slot] = code;
+  }
+}
+
+std::shared_ptr<ValueDictionary> ValueDictionary::Clone(
+    std::shared_ptr<const ValueDictionary> self) const {
+  std::shared_ptr<ValueDictionary> clone(new ValueDictionary());
+  for (std::size_t chunk = 0;
+       chunk < kNumChunks && chunks_[chunk] != nullptr;
+       ++chunk) {
+    const std::size_t chunk_size = std::size_t{8} << chunk;
+    clone->chunks_[chunk] = std::make_unique<Value[]>(chunk_size);
+    std::copy(chunks_[chunk].get(), chunks_[chunk].get() + chunk_size,
+              clone->chunks_[chunk].get());
+  }
+  clone->hashes_ = hashes_;
+  clone->types_ = types_;
+  clone->slots_ = slots_;
+  clone->shift_ = shift_;
+  clone->parent_ = std::move(self);
+  return clone;
+}
+
+Table::Table(Schema schema)
+    : schema_(std::move(schema)),
+      dict_(std::make_shared<ValueDictionary>()),
+      columns_(schema_.size()),
+      num_doubles_(schema_.size(), 0) {}
+
+Table::Table(const Table& other)
+    : schema_(other.schema_),
+      dict_(other.dict_),
+      columns_(other.columns_),
+      num_doubles_(other.num_doubles_) {
+  MarkShared();
+}
+
+Table& Table::operator=(const Table& other) {
+  if (this == &other) return *this;
+  schema_ = other.schema_;
+  dict_ = other.dict_;
+  columns_ = other.columns_;
+  num_doubles_ = other.num_doubles_;
+  MarkShared();
+  return *this;
+}
+
+void Table::MarkShared() const {
+  // A moved-from table holds no dictionary.
+  if (dict_ != nullptr) dict_->shared_.store(true, std::memory_order_relaxed);
+}
+
+std::uint32_t Table::Intern(const Value& value) {
+  const std::uint32_t found =
+      dict_ != nullptr ? dict_->Find(value) : ValueDictionary::kAbsent;
+  return found != ValueDictionary::kAbsent ? found : InternValue(Value(value));
+}
+
+std::uint32_t Table::InternValue(Value&& value) {
+  if (dict_ == nullptr) dict_ = std::make_shared<ValueDictionary>();
+  const std::uint32_t found = dict_->Find(value);
+  if (found != ValueDictionary::kAbsent) return found;
+  if (dict_->shared_.load(std::memory_order_relaxed)) {
+    dict_ = dict_->Clone(dict_);
+  }
+  return dict_->Add(std::move(value));
+}
+
 Status Table::AppendRow(std::vector<Value> row) {
   if (row.size() != schema_.size()) {
     return Status::InvalidArgument(
         "row arity " + std::to_string(row.size()) +
         " does not match schema arity " + std::to_string(schema_.size()));
   }
-  for (auto& value : row) cells_.push_back(std::move(value));
+  for (std::size_t col = 0; col < row.size(); ++col) {
+    const std::uint32_t code = InternValue(std::move(row[col]));
+    columns_[col].push_back(code);
+    num_doubles_[col] += dict_->is_double(code);
+  }
   return Status::Ok();
 }
 
-const Value& Table::at(std::size_t row, std::size_t col) const {
+void Table::SetCode(std::size_t row, std::size_t col, std::uint32_t code) {
   TREX_CHECK_LT(row, num_rows());
   TREX_CHECK_LT(col, num_columns());
-  return cells_[row * num_columns() + col];
+  TREX_CHECK_LT(code, dict_->size());
+  std::uint32_t& cell = columns_[col][row];
+  num_doubles_[col] =
+      num_doubles_[col] - dict_->is_double(cell) + dict_->is_double(code);
+  cell = code;
 }
 
-void Table::Set(std::size_t row, std::size_t col, Value value) {
-  TREX_CHECK_LT(row, num_rows());
-  TREX_CHECK_LT(col, num_columns());
-  cells_[row * num_columns() + col] = std::move(value);
+bool Table::operator==(const Table& other) const {
+  if (schema_ != other.schema_ || num_rows() != other.num_rows()) {
+    return false;
+  }
+  const bool shared = SharesDictionary(other);
+  for (std::size_t col = 0; col < columns_.size(); ++col) {
+    const std::vector<std::uint32_t>& mine = columns_[col];
+    const std::vector<std::uint32_t>& theirs = other.columns_[col];
+    for (std::size_t row = 0; row < mine.size(); ++row) {
+      if (shared ? !dict_->SameValue(mine[row], theirs[row])
+                 : dict_->value(mine[row]) !=
+                       other.dict_->value(theirs[row])) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 CellRef Table::FromLinearIndex(std::size_t index) const {
-  TREX_CHECK_LT(index, cells_.size());
+  TREX_CHECK_LT(index, num_cells());
   return CellRef{index / num_columns(), index % num_columns()};
 }
 
@@ -165,22 +303,26 @@ std::uint64_t Table::Fingerprint() const {
   Fnv64 schema_hash;
   MixSchema(&schema_hash, schema_);
   std::uint64_t fp64 = schema_hash.h64;
-  const std::size_t columns = num_columns();
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    Fnv64 cell;
-    MixCell(&cell, i / columns, i % columns, cells_[i]);
-    fp64 ^= cell.h64;
+  // XOR is order-free: walk column by column.
+  for (std::size_t col = 0; col < columns_.size(); ++col) {
+    for (std::size_t row = 0; row < columns_[col].size(); ++row) {
+      Fnv64 cell;
+      MixCell(&cell, row, col, dict_->value(columns_[col][row]));
+      fp64 ^= cell.h64;
+    }
   }
   return fp64;
 }
 
 void Table::DualFingerprint(std::uint64_t* fp64, Hash128* fp128) const {
   DualHash combined = SchemaHash(schema_);
-  const std::size_t columns = num_columns();
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const DualHash cell = CellContentHash(i / columns, i % columns, cells_[i]);
-    combined.fp64 ^= cell.fp64;
-    combined.fp128 ^= cell.fp128;
+  for (std::size_t col = 0; col < columns_.size(); ++col) {
+    for (std::size_t row = 0; row < columns_[col].size(); ++row) {
+      const DualHash cell =
+          CellContentHash(row, col, dict_->value(columns_[col][row]));
+      combined.fp64 ^= cell.fp64;
+      combined.fp128 ^= cell.fp128;
+    }
   }
   *fp64 = combined.fp64;
   *fp128 = combined.fp128;

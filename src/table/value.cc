@@ -1,6 +1,7 @@
 #include "table/value.h"
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <ostream>
 
@@ -148,6 +149,24 @@ Value Value::Infer(std::string_view text) {
 
 std::ostream& operator<<(std::ostream& os, const Value& value) {
   return os << value.ToString();
+}
+
+bool ExactlyEqual(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ValueType::kNull:
+      return true;
+    case ValueType::kInt:
+      return a.as_int() == b.as_int();
+    case ValueType::kDouble: {
+      const double x = a.as_double();
+      const double y = b.as_double();
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case ValueType::kString:
+      return a.as_string() == b.as_string();
+  }
+  return false;
 }
 
 }  // namespace trex

@@ -101,6 +101,11 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& value);
 
+/// Bit-level equality: same type tag and same bytes. Stricter than
+/// `Value::operator==`, which equates 1 with 1.0, +0.0 with -0.0 and a
+/// NaN with every number; it is the equality of `Table` codes.
+bool ExactlyEqual(const Value& a, const Value& b);
+
 /// std::hash adapter so `Value` can key unordered containers.
 struct ValueHash {
   std::size_t operator()(const Value& v) const { return v.Hash(); }

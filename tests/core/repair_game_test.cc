@@ -284,6 +284,27 @@ TEST(BlackBoxRepairTest, CrossRequestHitAccounting) {
   EXPECT_EQ(box->num_cross_request_hits(), 1u);
 }
 
+TEST(BlackBoxRepairTest, GrandCellCoalitionIsServedFromTheReference) {
+  auto box = MakeBox(data::SoccerTargetCell());
+  ASSERT_TRUE(box.ok());
+  const std::size_t bytes = box->approx_memo_bytes();
+  // An empty write set, and one that re-states T^d's own values, are T^d
+  // itself: its repair is T^c, so no call runs and no entry is stored.
+  const CellRef place = data::SoccerCell(1, "Place");
+  const std::vector<CellWrite> restated = {
+      {place, box->dirty().at(place)}};
+  for (int request = 1; request <= 2; ++request) {
+    box->BeginRequest(request);
+    EXPECT_TRUE(box->EvalPerturbation({}, 0));
+    EXPECT_TRUE(box->EvalPerturbation(restated, 0));
+  }
+  EXPECT_EQ(box->num_algorithm_calls(), 1u);  // the reference run only
+  EXPECT_EQ(box->num_cache_hits(), 4u);
+  EXPECT_EQ(box->num_cross_request_hits(), 0u);
+  EXPECT_EQ(box->num_table_memo_entries(), 0u);
+  EXPECT_EQ(box->approx_memo_bytes(), bytes);
+}
+
 TEST(BlackBoxRepairTest, TableCacheVerifiesFullContentNotJustFingerprint) {
   // Two perturbations with different content must never share a cache
   // entry. (A fingerprint collision between arbitrary tables cannot be

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 namespace trex {
 namespace {
 
@@ -124,6 +128,104 @@ TEST(TableTest, FingerprintDistinguishesTypeOfSameRendering) {
   EXPECT_TRUE(a.AppendRow({Value("1")}).ok());
   EXPECT_TRUE(b.AppendRow({Value(1)}).ok());
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+}
+
+// ---- Dictionary encoding --------------------------------------------------
+
+TEST(TableDictionaryTest, CopySetLeavesOriginalUntouched) {
+  const Table original = SmallTable();
+  std::uint64_t fp64 = 0;
+  Hash128 fp128;
+  original.DualFingerprint(&fp64, &fp128);
+  Table copy = original;
+  ASSERT_TRUE(copy.SharesDictionary(original));
+  const std::size_t dictionary_size = original.dictionary().size();
+
+  copy.Set(0, 0, Value("y"));  // a value the shared dictionary holds
+  EXPECT_TRUE(copy.SharesDictionary(original));
+  copy.Set(1, 0, Value("brand new"));  // clones the shared dictionary
+  EXPECT_FALSE(copy.SharesDictionary(original));
+  copy.Set(2, 1, Value(3.5));
+
+  EXPECT_EQ(original, SmallTable());
+  EXPECT_EQ(original.dictionary().size(), dictionary_size);
+  EXPECT_EQ(original.at(1, 0), Value("y"));
+  EXPECT_TRUE(original.at(2, 1).is_null());
+  EXPECT_EQ(original.num_doubles(1), 0u);
+  std::uint64_t after64 = 0;
+  Hash128 after128;
+  original.DualFingerprint(&after64, &after128);
+  EXPECT_EQ(after64, fp64);
+  EXPECT_EQ(after128, fp128);
+  EXPECT_EQ(original.Fingerprint(), SmallTable().Fingerprint());
+
+  EXPECT_EQ(copy.at(0, 0), Value("y"));
+  EXPECT_EQ(copy.at(1, 0), Value("brand new"));
+  EXPECT_EQ(copy.num_doubles(1), 1u);
+  // The clone keeps every code, so codes read before it still decode.
+  EXPECT_EQ(copy.code(0, 0), original.code(1, 0));
+  EXPECT_NE(copy.Fingerprint(), original.Fingerprint());
+}
+
+TEST(TableDictionaryTest, CodesSeparateValuesThatCompareEqual) {
+  const double nan_a = std::numeric_limits<double>::quiet_NaN();
+  double nan_b = nan_a;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &nan_b, sizeof(bits));
+  bits ^= 1;  // another payload
+  std::memcpy(&nan_b, &bits, sizeof(bits));
+
+  Table t(Schema::AllStrings({"A"}));
+  for (const Value& v :
+       {Value(1), Value(1.0), Value(0.0), Value(-0.0), Value(""),
+        Value::Null(), Value(nan_a), Value(nan_b)}) {
+    ASSERT_TRUE(t.AppendRow({v}).ok());
+  }
+  const auto code = [&](std::size_t row) { return t.code(row, 0); };
+  EXPECT_EQ(t.at(0, 0), t.at(1, 0));  // 1 == 1.0 ...
+  EXPECT_NE(code(0), code(1));        // ... but their bytes differ
+  EXPECT_EQ(t.at(2, 0), t.at(3, 0));  // +0.0 == -0.0
+  EXPECT_NE(code(2), code(3));
+  EXPECT_NE(code(4), code(5));  // "" vs null
+  EXPECT_EQ(code(5), kNullCode);
+  EXPECT_NE(code(6), code(7));  // NaN payloads
+  EXPECT_EQ(t.num_doubles(0), 5u);  // 1.0, both zeros, both NaNs
+
+  const ValueDictionary& dict = t.dictionary();
+  EXPECT_TRUE(dict.SameValue(code(0), code(1)));
+  EXPECT_TRUE(dict.SameValue(code(2), code(3)));
+  EXPECT_FALSE(dict.SameValue(code(4), code(5)));
+  // Interning an equal-bytes value finds the existing code.
+  EXPECT_EQ(t.Intern(Value(-0.0)), code(3));
+  EXPECT_EQ(t.Intern(Value(nan_b)), code(7));
+  EXPECT_EQ(t.Intern(Value::Null()), kNullCode);
+}
+
+TEST(TableDictionaryTest, ReferenceSurvivesSetOfAnotherCell) {
+  Table t = SmallTable();
+  const Table shared = t;  // the next new value clones the dictionary
+  const Value& held = t.at(0, 0);
+  for (int i = 0; i < 200; ++i) {  // grows the clone through many chunks
+    t.Set(1, 0, Value("value " + std::to_string(i)));
+  }
+  EXPECT_EQ(held, Value("x"));
+  EXPECT_EQ(t.at(0, 0), Value("x"));
+  EXPECT_EQ(t.at(1, 0), Value("value 199"));
+  EXPECT_EQ(shared.at(1, 0), Value("y"));
+}
+
+TEST(TableDictionaryTest, EqualityAcrossDictionariesComparesValues) {
+  Table a(Schema::AllStrings({"A"}));
+  Table b(Schema::AllStrings({"A"}));
+  ASSERT_TRUE(a.AppendRow({Value(1)}).ok());
+  ASSERT_TRUE(b.AppendRow({Value(1.0)}).ok());
+  EXPECT_FALSE(a.SharesDictionary(b));
+  EXPECT_EQ(a, b);  // `Value::operator==`: 1 == 1.0
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());  // content bytes differ
+  Table c = a;
+  c.SetCode(0, 0, c.Intern(Value(1.0)));
+  EXPECT_EQ(c, a);
+  EXPECT_EQ(c.Fingerprint(), b.Fingerprint());
 }
 
 TEST(CellRefTest, OrderingAndEquality) {
