@@ -530,7 +530,10 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
     // Permutation-sweep sampling with the configured replacement policy
     // (Example 2.5 generalized to rank all players per sweep), sharded
     // like shap::EstimateShapleyAllPlayers: fixed shards with derived
-    // seeds make the estimates independent of thread count.
+    // seeds make the estimates independent of thread count. The sweep's
+    // write set finds a player's write by binary search, so it relies on
+    // `PlayerCells` returning cells in linear-index order.
+    TREX_CHECK(std::is_sorted(players.begin(), players.end()));
     TableStats stats(&box_->dirty());
     if (options.policy == AbsentCellPolicy::kSampleFromColumn) {
       // Pre-build the column distributions serially: TableStats builds
@@ -549,36 +552,20 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
                          const std::vector<bool>& frozen) {
       const std::vector<std::size_t> perm = rng->Permutation(players.size());
       // Baseline: every player absent (replaced); non-players untouched.
-      // The working table is a *write set* over the dirty table —
-      // restoring a player removes its write (swap-with-last; delta
-      // fingerprints are order-insensitive) and XORs its precomputed
-      // delta out of the running fingerprint, so each evaluation costs
-      // O(1) hashing and the perturbed table is never materialized on
-      // the memo hit path. Replacement draws stay in the exact order of
-      // the materialized loop, so estimates are bit-identical. Frozen
+      // The working table is a *write set* over the dirty table, kept in
+      // the players' linear-index order — the memo's canonical order, so
+      // no evaluation re-sorts it. Restoring a player erases its write,
+      // and the perturbed table is never materialized on the memo hit
+      // path. Replacement draws stay in the exact order of the
+      // materialized loop, so estimates are bit-identical. Frozen
       // players still have their writes removed in permutation order
       // (other players' coalitions are undisturbed) but skip both of
       // their evaluations; the preceding state is re-evaluated lazily
       // when the next unfrozen player needs it.
       std::vector<CellWrite> writes;
-      std::vector<FingerprintDelta> deltas;  // parallel to `writes`
       writes.reserve(players.size());
-      deltas.reserve(players.size());
-      std::vector<std::size_t> slot_of(players.size());   // player -> slot
-      std::vector<std::size_t> player_at(players.size()); // slot -> player
-      std::uint64_t fp64 = 0;
-      Hash128 fp128;
-      box_->dirty_fingerprints(&fp64, &fp128);
-      for (std::size_t i = 0; i < players.size(); ++i) {
-        Value value = replacement(players[i], rng);
-        const FingerprintDelta delta =
-            box_->dirty().WriteDelta(players[i], value);
-        fp64 ^= delta.fp64;
-        fp128 ^= delta.fp128;
-        writes.push_back({players[i], std::move(value)});
-        deltas.push_back(delta);
-        slot_of[i] = i;
-        player_at[i] = i;
+      for (const CellRef& player : players) {
+        writes.push_back({player, replacement(player, rng)});
       }
       double prev = 0.0;
       bool have_prev = false;
@@ -586,32 +573,22 @@ Result<Explanation> Engine::ExplainCells(std::size_t target_index,
       // trex-check-ok(cancel-poll): RunShardedSweeps polls at shard bounds
       for (std::size_t pos = 0; pos < perm.size(); ++pos) {
         const std::size_t player = perm[pos];
-        const std::size_t slot = slot_of[player];
-        const std::size_t last = writes.size() - 1;
-        const std::size_t moved = player_at[last];
         if (!frozen[player] && !have_prev) {
           // State before this player's restoration (the all-absent
           // baseline on the first unfrozen player).
-          prev = box_->EvalPerturbation(writes, fp64, fp128, target_index)
-                     ? 1.0
-                     : 0.0;
+          prev = box_->EvalPerturbation(writes, target_index) ? 1.0 : 0.0;
         }
-        fp64 ^= deltas[slot].fp64;  // deltas are self-inverse
-        fp128 ^= deltas[slot].fp128;
-        std::swap(writes[slot], writes[last]);
-        std::swap(deltas[slot], deltas[last]);
-        writes.pop_back();
-        deltas.pop_back();
-        slot_of[moved] = slot;
-        player_at[slot] = moved;
+        writes.erase(std::lower_bound(
+            writes.begin(), writes.end(), players[player],
+            [](const CellWrite& write, CellRef cell) {
+              return write.cell < cell;
+            }));
         if (frozen[player]) {
           have_prev = false;
           continue;
         }
         const double curr =
-            box_->EvalPerturbation(writes, fp64, fp128, target_index)
-                ? 1.0
-                : 0.0;
+            box_->EvalPerturbation(writes, target_index) ? 1.0 : 0.0;
         (*running)[player].Add(curr - prev);
         prev = curr;
         have_prev = true;
@@ -711,15 +688,6 @@ Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
     }
     const std::vector<std::size_t> perm = rng.Permutation(players.size());
     writes.clear();
-    std::uint64_t fp64 = 0;
-    Hash128 fp128;
-    box_->dirty_fingerprints(&fp64, &fp128);
-    auto push_write = [&](CellRef cell, Value value) {
-      const FingerprintDelta delta = box_->dirty().WriteDelta(cell, value);
-      fp64 ^= delta.fp64;
-      fp128 ^= delta.fp128;
-      writes.push_back({cell, std::move(value)});
-    };
     bool before_player = true;
     for (std::size_t pos = 0; pos < perm.size(); ++pos) {
       if (perm[pos] == player_index) {
@@ -728,16 +696,14 @@ Result<PlayerScore> Engine::ExplainSingleCell(std::size_t target_index,
       }
       if (!before_player) {
         const CellRef cell = players[perm[pos]];
-        push_write(cell, replacement(cell));
+        writes.push_back({cell, replacement(cell)});
       }
     }
     const double v_with =
-        box_->EvalPerturbation(writes, fp64, fp128, target_index) ? 1.0
-                                                                  : 0.0;
-    push_write(player_cell, replacement(player_cell));
+        box_->EvalPerturbation(writes, target_index) ? 1.0 : 0.0;
+    writes.push_back({player_cell, replacement(player_cell)});
     const double v_without =
-        box_->EvalPerturbation(writes, fp64, fp128, target_index) ? 1.0
-                                                                  : 0.0;
+        box_->EvalPerturbation(writes, target_index) ? 1.0 : 0.0;
     stat.Add(v_with - v_without);
     if (stop.target_half_width.has_value() &&
         (sample + 1) % check_interval == 0 &&

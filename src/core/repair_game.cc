@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/fault.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "table/diff.h"
 
@@ -51,7 +52,7 @@ struct EvalScratch {
 
   /// Writes one cell, through the session when there is one. Codes are
   /// `ExactlyEqual` values, so a write that keeps the cell's code is
-  /// skipped: its bytes, and so its fingerprint, are already resident.
+  /// skipped: its bytes are already resident.
   void Set(CellRef cell, const Value& value) {
     const std::uint32_t code = table.Intern(value);
     if (table.code(cell) == code) return;
@@ -150,9 +151,6 @@ Result<BlackBoxRepair> BlackBoxRepair::MakeMultiTarget(
   box.dcs_ = std::move(dcs);
   box.dirty_ = std::move(dirty);
   box.state_ = std::make_unique<CacheState>();
-  // The delta-evaluation base: every perturbation's fingerprints derive
-  // from these in O(#writes).
-  box.dirty_->DualFingerprint(&box.dirty_fp64_, &box.dirty_fp128_);
   TREX_ASSIGN_OR_RETURN(box.clean_,
                         algorithm->Repair(box.dcs_, *box.dirty_));
   if (box.clean_.schema() != box.dirty_->schema() ||
@@ -466,17 +464,7 @@ Result<std::vector<std::uint32_t>> BlackBoxRepair::RepairScratch(
 
 bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
                                       std::size_t target_index) const {
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
-  dirty_->DeltaFingerprint(dirty_fp64_, dirty_fp128_, writes, &fp64, &fp128);
-  return EvalPerturbation(writes, fp64, fp128, target_index);
-}
-
-bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
-                                      std::uint64_t fp64, Hash128 fp128,
-                                      std::size_t target_index) const {
   TREX_CHECK_LT(target_index, targets_.size());
-  if (fingerprint_fn_) fingerprint_fn_(&fp64, &fp128);
   // The input's canonical write set: writes that change a cell's bytes,
   // sorted by linear index. Two inputs are equal iff these are.
   thread_local std::vector<WriteRef> canonical;
@@ -495,20 +483,28 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
     state_->hits.fetch_add(1);
     return Outcome({}, target_index);
   }
-  std::sort(canonical.begin(), canonical.end(),
-            [](const WriteRef& a, const WriteRef& b) {
-              return a.index < b.index;
-            });
-  // Never trust the 64-bit bucket fingerprint alone: a hit needs the
-  // 128-bit fingerprint and the exact write set, so a collision falls
-  // through to a fresh repair run instead of another input's outcome.
+  // The cell game and the engine's sweeps pass their writes in
+  // linear-index order already.
+  const auto by_index = [](const WriteRef& a, const WriteRef& b) {
+    return a.index < b.index;
+  };
+  if (!std::is_sorted(canonical.begin(), canonical.end(), by_index)) {
+    std::sort(canonical.begin(), canonical.end(), by_index);
+  }
+  // The bucket key. `Value::Hash` follows `operator==` (7 and 7.0, +0.0
+  // and -0.0 hash alike), so distinct inputs may share a bucket: a hit
+  // needs the exact write set, compared with `ExactlyEqual`, and a
+  // collision falls through to a fresh repair run instead of another
+  // input's outcome.
+  std::uint64_t key = 0;
+  for (const WriteRef& write : canonical) {
+    key = HashCombine(HashCombine(key, write.index), write.value->Hash());
+  }
   const auto same_input = [&](const CacheEntry& entry) {
-    if (entry.fp128 != fp128 || entry.writes.size() != canonical.size()) {
-      return false;
-    }
+    if (entry.writes.size() != canonical.size()) return false;
     for (std::size_t i = 0; i < canonical.size(); ++i) {
       if (entry.writes[i].index != canonical[i].index ||
-          entry.writes[i].value != *canonical[i].value) {
+          !ExactlyEqual(entry.writes[i].value, *canonical[i].value)) {
         return false;
       }
     }
@@ -516,7 +512,7 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
   };
   if (cache_enabled_) {
     ReaderLock lock(state_->mu);
-    auto it = state_->table_cache.find(fp64);
+    auto it = state_->table_cache.find(key);
     if (it != state_->table_cache.end()) {
       for (const CacheEntry& entry : it->second) {
         if (!same_input(entry)) continue;
@@ -542,7 +538,7 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
   const bool outcome = Outcome(*diff, target_index);
   if (!cache_enabled_) return outcome;
   WriterLock lock(state_->mu);
-  std::vector<CacheEntry>& bucket = state_->table_cache[fp64];
+  std::vector<CacheEntry>& bucket = state_->table_cache[key];
   // Re-check under the exclusive lock: a concurrent miss on the same
   // input may have inserted while we ran the repair — don't retain a
   // duplicate entry.
@@ -550,7 +546,6 @@ bool BlackBoxRepair::EvalPerturbation(std::span<const CellWrite> writes,
     if (same_input(entry)) return outcome;
   }
   CacheEntry entry;
-  entry.fp128 = fp128;
   entry.writes.reserve(canonical.size());
   for (const WriteRef& write : canonical) {
     entry.writes.push_back({write.index, *write.value});
@@ -576,38 +571,17 @@ double ConstraintGame::Value(const shap::Coalition& coalition) const {
   return box_->EvalConstraintSubset(mask, target_index_) ? 1.0 : 0.0;
 }
 
-CellGame::CellGame(const BlackBoxRepair* box, std::vector<CellRef> players,
-                   std::size_t target_index)
-    : box_(box),
-      players_(std::move(players)),
-      target_index_(target_index) {
-  box_->dirty_fingerprints(&base64_, &base128_);
-  null_deltas_.reserve(players_.size());
-  for (const CellRef& player : players_) {
-    null_deltas_.push_back(box_->dirty().WriteDelta(player, Value::Null()));
-  }
-}
-
 double CellGame::Value(const shap::Coalition& coalition) const {
   TREX_CHECK_EQ(coalition.size(), players_.size());
   // Absent players become a write set over the dirty table; the
-  // perturbation's fingerprints are the base XOR the precomputed
-  // per-player deltas (no hashing here), and the perturbed table is
-  // only materialized on a memo miss (then into the per-thread
-  // scratch, never a fresh copy per coalition).
+  // perturbed table is only materialized on a memo miss (then into the
+  // per-thread scratch, never a fresh copy per coalition).
   thread_local std::vector<CellWrite> writes;
   writes.clear();
-  std::uint64_t fp64 = base64_;
-  Hash128 fp128 = base128_;
   for (std::size_t i = 0; i < players_.size(); ++i) {
-    if (!coalition[i]) {
-      writes.push_back({players_[i], Value::Null()});
-      fp64 ^= null_deltas_[i].fp64;
-      fp128 ^= null_deltas_[i].fp128;
-    }
+    if (!coalition[i]) writes.push_back({players_[i], Value::Null()});
   }
-  return box_->EvalPerturbation(writes, fp64, fp128, target_index_) ? 1.0
-                                                                    : 0.0;
+  return box_->EvalPerturbation(writes, target_index_) ? 1.0 : 0.0;
 }
 
 }  // namespace trex

@@ -14,15 +14,14 @@
 //
 // ## Memoization layer contract
 //
-// Two memo caches answer repeat evaluations: constraint subsets are
-// keyed by bitmask, perturbed tables by XOR-combinable content
-// fingerprint (64-bit bucket key; see `Table::Fingerprint`). Every entry
-// in both memos has one format: the cells where the repair's output
-// fails `CellRepairedTo` (table/diff.h) against T^c, as sorted linear
-// indices. A target's outcome is "its index is not in the list", so one
-// cached repair run answers the characteristic function for *every*
-// target — including one registered after the entry was written. This
-// is what lets one `Engine` share one box across its requests for
+// Two memo caches answer repeat evaluations: constraint subsets are keyed
+// by bitmask, perturbed tables by their canonical write set against T^d
+// (below). Every entry in both memos has one format: the cells where the
+// repair's output fails `CellRepairedTo` (table/diff.h) against T^c, as
+// sorted linear indices. A target's outcome is "its index is not in the
+// list", so one cached repair run answers the characteristic function for
+// *every* target — including one registered after the entry was written.
+// This is what lets one `Engine` share one box across its requests for
 // different targets, and what keeps an entry O(cells the output gets
 // wrong) instead of O(table) (Bertossi & Schwind: a repair is the set of
 // cells it changes).
@@ -43,26 +42,33 @@
 // reference repair T^c itself (empty diff), so no subset sweep re-runs
 // it. Hits on it count as cache hits but never as cross-request hits.
 //
-// A table-memo entry also stores its input's 128-bit fingerprint and
-// canonical write set against T^d (the cells whose bytes differ from
-// T^d, sorted by linear index). A hit needs the 128-bit fingerprint to
-// match *and* the write sets to be equal, value by value — exact content
-// equality of the two inputs, checked in O(#writes) with no stored table.
-// A bare 64-bit bucket fingerprint is never trusted alone.
+// A table-memo entry is keyed by its input's canonical write set against
+// T^d: the writes whose value is not `ExactlyEqual` to the T^d cell,
+// sorted by linear index. Two inputs are the same table iff their
+// canonical write sets are equal, so the write set is the input's
+// identity just as the diff is the output's. Entries sit in buckets
+// keyed by a 64-bit hash mixing each canonical write's linear index with
+// its `Value::Hash`. That hash follows `Value::operator==`, which equates
+// 7 with 7.0, +0.0 with -0.0 and a NaN with any number, so a bucket may
+// hold inputs that repair differently: a hit needs the write sets to be
+// equal index by index and value by value under `ExactlyEqual` — exact
+// content equality of the two inputs, checked in O(#writes) with no
+// stored table. The bucket hash alone is never trusted.
 //
 // ## Delta evaluation
 //
-// `EvalPerturbation(writes, target)` evaluates a perturbed table
-// described as (dirty table, write set) without materializing it: the
-// memo key comes from `Table::DeltaFingerprint` over the dirty table's
-// cached base fingerprints in O(#writes). Only a memo *miss*
-// materializes the table, into a per-thread scratch reused across
-// evaluations (reset from the dirty table by undoing the previous
+// `EvalPerturbation(writes, target)` is the one way to evaluate a
+// perturbed table, described as (dirty table, write set) and never
+// materialized on the hit path: a lookup canonicalizes the writes (a sort
+// only when they are not already in linear-index order, as the cell game's
+// and the engine's sweeps keep them), hashes them and compares them
+// against the bucket's entries, all in O(#writes) plus the sort. Only a
+// memo *miss* materializes the table, into a per-thread scratch reused
+// across evaluations (reset from the dirty table by undoing the previous
 // writes, then applying the new ones) instead of a fresh copy per
-// coalition. `CellGame::Value` and the engine's permutation-sweep
-// loops sit on this path; warm-cache evaluations make zero full-table
-// copies (`num_eval_table_copies()` counts the scratch
-// (re)initializations).
+// coalition. `CellGame::Value` and the engine's permutation-sweep loops
+// sit on this path; warm-cache evaluations make zero full-table copies
+// (`num_eval_table_copies()` counts the scratch (re)initializations).
 //
 // Repair sessions: when the algorithm opens a `repair::RepairSession`
 // on the scratch table (`RepairAlgorithm::OpenSession`; rule_repair
@@ -104,16 +110,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/hash.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "common/status.h"
@@ -193,29 +198,11 @@ class BlackBoxRepair {
   /// Alg|t[A] for target `target_index` with the full constraint set and
   /// the perturbed table described by (dirty table, `writes`) — without
   /// materializing it on the memo hit path (see file comment). `writes`
-  /// must address pairwise-distinct, in-bounds cells; outcomes are
-  /// identical to a fresh repair of the materialized table.
+  /// must address pairwise-distinct, in-bounds cells, in any order
+  /// (linear-index order skips a sort); outcomes are identical to a
+  /// fresh repair of the materialized table.
   bool EvalPerturbation(std::span<const CellWrite> writes,
                         std::size_t target_index = 0) const;
-
-  /// Like above, with the perturbed table's fingerprints already in
-  /// hand — for hot loops that maintain a running fingerprint by XORing
-  /// precomputed `Table::WriteDelta`s (the cell game, the engine's
-  /// permutation sweeps) instead of re-hashing O(#writes) per
-  /// evaluation. `fp64`/`fp128` MUST equal
-  /// `dirty().DeltaFingerprint(dirty fps, writes)`: they are the memo
-  /// key, and a wrong pair would file the entry where no later lookup
-  /// of the same input finds it.
-  bool EvalPerturbation(std::span<const CellWrite> writes,
-                        std::uint64_t fp64, Hash128 fp128,
-                        std::size_t target_index) const;
-
-  /// The dirty table's own fingerprints — the base the running
-  /// fingerprints above start from.
-  void dirty_fingerprints(std::uint64_t* fp64, Hash128* fp128) const {
-    *fp64 = dirty_fp64_;
-    *fp128 = dirty_fp128_;
-  }
 
   /// Total underlying algorithm invocations (cache misses), including the
   /// reference run.
@@ -272,16 +259,6 @@ class BlackBoxRepair {
   /// Table-memo entries currently resident.
   std::size_t num_table_memo_entries() const;
 
-  /// Test-only: rewrites the fingerprints of every table-memo lookup and
-  /// insert (both widths in, both out), so tests can force distinct
-  /// inputs into one bucket — or one 128-bit fingerprint — and prove the
-  /// write-set comparison still tells them apart. Must not race with
-  /// evaluations.
-  void set_fingerprint_fn_for_test(
-      std::function<void(std::uint64_t* fp64, Hash128* fp128)> fn) {
-    fingerprint_fn_ = std::move(fn);
-  }
-
  private:
   BlackBoxRepair() = default;
 
@@ -308,10 +285,9 @@ class BlackBoxRepair {
   /// One memoized repair run (see file comment). `diff` holds the sorted
   /// linear indices of the cells where the output fails
   /// `CellRepairedTo` against T^c. Table-memo entries also identify
-  /// their input by `fp128` plus its canonical write set `writes`;
-  /// mask-memo entries leave both empty (the mask is the key).
+  /// their input by its canonical write set `writes`; mask-memo entries
+  /// leave it empty (the mask is the key).
   struct CacheEntry {
-    Hash128 fp128;
     std::vector<MemoWrite> writes;
     std::vector<std::uint32_t> diff;
     std::size_t request_id = 0;
@@ -395,17 +371,12 @@ class BlackBoxRepair {
   /// against T^c: the session path's diff of every cell neither the
   /// input nor the repair wrote.
   std::vector<std::uint32_t> static_diff_;
-  /// The dirty table's own fingerprints: the delta-evaluation base.
-  std::uint64_t dirty_fp64_ = 0;
-  Hash128 dirty_fp128_;
   std::vector<TargetInfo> targets_;
   /// Per column, the dummy-constraint mask of its targets; empty when
   /// the algorithm exposes no influence graph or |C| > 64.
   std::vector<std::uint64_t> column_dummy_masks_;
   std::unordered_map<CellRef, std::size_t, CellRefHash> target_index_;
   bool cache_enabled_ = true;
-  /// Test-only fingerprint override (null in production).
-  std::function<void(std::uint64_t*, Hash128*)> fingerprint_fn_;
   std::unique_ptr<CacheState> state_;
 };
 
@@ -435,13 +406,14 @@ class ConstraintGame : public shap::Game {
 /// `players` may be a subset of all cells (relevant-cell pruning); cells
 /// outside the player list keep their original values — sound when the
 /// excluded cells are dummy players under the algorithm's influence
-/// graph.
+/// graph. Players in linear-index order spare each evaluation a sort.
 class CellGame : public shap::Game {
  public:
-  /// Precomputes each player's null-write fingerprint delta, so a
-  /// coalition evaluation is one XOR per absent player — no hashing.
   CellGame(const BlackBoxRepair* box, std::vector<CellRef> players,
-           std::size_t target_index = 0);
+           std::size_t target_index = 0)
+      : box_(box),
+        players_(std::move(players)),
+        target_index_(target_index) {}
 
   std::size_t num_players() const override { return players_.size(); }
   double Value(const shap::Coalition& coalition) const override;
@@ -452,12 +424,6 @@ class CellGame : public shap::Game {
   const BlackBoxRepair* box_;
   std::vector<CellRef> players_;
   std::size_t target_index_;
-  /// The dirty table's fingerprints (the running fingerprint base).
-  std::uint64_t base64_ = 0;
-  Hash128 base128_;
-  /// Per-player `WriteDelta(player, null)` — the XOR a player's absence
-  /// applies to the base.
-  std::vector<FingerprintDelta> null_deltas_;
 };
 
 }  // namespace trex

@@ -70,23 +70,6 @@ class RepairSession {
   /// repaired and the session must be discarded.
   [[nodiscard]] virtual Status RepairCodes(std::vector<CodeWrite>* undo) = 0;
 
-  /// `SetCode` of `value`'s code in the bound table.
-  void Set(CellRef cell, const Value& value) {
-    SetCode(cell, table_->Intern(value));
-  }
-
-  /// `RepairCodes` with the undo log decoded to values: replaying it in
-  /// reverse through `Set` restores the input.
-  [[nodiscard]] Status RepairInPlace(std::vector<CellWrite>* undo) {
-    if (undo == nullptr) return RepairCodes(nullptr);
-    std::vector<CodeWrite> codes;
-    TREX_RETURN_NOT_OK(RepairCodes(&codes));
-    for (const CodeWrite& write : codes) {
-      undo->push_back({write.cell, table_->dictionary().value(write.code)});
-    }
-    return Status::Ok();
-  }
-
  protected:
   Table* table() const { return table_; }
 

@@ -201,21 +201,12 @@ const Value& Table::Cell(std::size_t row, const std::string& attribute) const {
 
 namespace {
 
-/// One FNV pass feeding both fingerprint widths at once (tables are
-/// hashed on the memo's hot path; one traversal, two digests).
-struct DualFnv {
+/// 64-bit FNV-1a state fed by the fingerprint's serialization below.
+struct Fnv64 {
   std::uint64_t h64 = 0xcbf29ce484222325ULL;
-  Fnv1a128 h128;
-
   void Mix(const void* data, std::size_t len) {
     h64 = Fnv1aBytes(data, len, h64);
-    h128.Mix(data, len);
   }
-};
-
-struct DualHash {
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
 };
 
 /// Serializes one value into the hash state: a type tag plus the value
@@ -224,8 +215,7 @@ struct DualHash {
 /// and no payload byte can masquerade as a tag. Cross-cell masquerading
 /// (the old sequential scheme's ("a\x03","b") vs ("a","\x03b") trap)
 /// is structurally impossible here: every cell is hashed in isolation.
-template <typename Hasher>
-void MixValue(Hasher* h, const Value& v) {
+void MixValue(Fnv64* h, const Value& v) {
   const std::uint8_t tag = static_cast<std::uint8_t>(v.type());
   h->Mix(&tag, 1);
   switch (v.type()) {
@@ -250,103 +240,35 @@ void MixValue(Hasher* h, const Value& v) {
   }
 }
 
-/// The XOR unit of the table fingerprints: a position-keyed hash of one
-/// cell. Seeding with (row, col) makes equal values in different cells
-/// hash apart, so the XOR of all cell hashes is order-insensitive yet
-/// position-sensitive — and any single-cell change shifts the combined
-/// fingerprint by exactly H(pos, old) ^ H(pos, new). `Hasher` is
-/// `DualFnv` on the memo path (which needs both widths) or a bare
-/// 64-bit state for single-width callers (the router key), who must
-/// not pay for the 128-bit multiplies.
-template <typename Hasher>
-void MixCell(Hasher* h, std::size_t row, std::size_t col, const Value& v) {
+/// A position-keyed hash of one cell. Seeding with (row, col) makes equal
+/// values in different cells hash apart, so the XOR of all cell hashes is
+/// order-insensitive yet position-sensitive.
+std::uint64_t CellHash(std::size_t row, std::size_t col, const Value& v) {
+  Fnv64 h;
   const std::uint64_t r = row;
   const std::uint64_t c = col;
-  h->Mix(&r, sizeof(r));
-  h->Mix(&c, sizeof(c));
-  MixValue(h, v);
-}
-
-DualHash CellContentHash(std::size_t row, std::size_t col, const Value& v) {
-  DualFnv h;
-  MixCell(&h, row, col, v);
-  return {h.h64, h.h128.Digest()};
-}
-
-/// 64-bit-only FNV state with the `Mix` shape `MixCell` expects.
-struct Fnv64 {
-  std::uint64_t h64 = 0xcbf29ce484222325ULL;
-  void Mix(const void* data, std::size_t len) {
-    h64 = Fnv1aBytes(data, len, h64);
-  }
-};
-
-template <typename Hasher>
-void MixSchema(Hasher* h, const Schema& schema) {
-  const std::string schema_string = schema.ToString();
-  const std::uint64_t length = schema_string.size();
-  h->Mix(&length, sizeof(length));
-  h->Mix(schema_string.data(), schema_string.size());
-}
-
-DualHash SchemaHash(const Schema& schema) {
-  DualFnv h;
-  MixSchema(&h, schema);
-  return {h.h64, h.h128.Digest()};
+  h.Mix(&r, sizeof(r));
+  h.Mix(&c, sizeof(c));
+  MixValue(&h, v);
+  return h.h64;
 }
 
 }  // namespace
 
 std::uint64_t Table::Fingerprint() const {
-  // Single-width traversal: callers that only key on 64 bits (the
-  // engine router) must not pay the 128-bit per-byte multiplies.
+  const std::string schema_string = schema_.ToString();
+  const std::uint64_t length = schema_string.size();
   Fnv64 schema_hash;
-  MixSchema(&schema_hash, schema_);
+  schema_hash.Mix(&length, sizeof(length));
+  schema_hash.Mix(schema_string.data(), schema_string.size());
   std::uint64_t fp64 = schema_hash.h64;
   // XOR is order-free: walk column by column.
   for (std::size_t col = 0; col < columns_.size(); ++col) {
     for (std::size_t row = 0; row < columns_[col].size(); ++row) {
-      Fnv64 cell;
-      MixCell(&cell, row, col, dict_->value(columns_[col][row]));
-      fp64 ^= cell.h64;
+      fp64 ^= CellHash(row, col, dict_->value(columns_[col][row]));
     }
   }
   return fp64;
-}
-
-void Table::DualFingerprint(std::uint64_t* fp64, Hash128* fp128) const {
-  DualHash combined = SchemaHash(schema_);
-  for (std::size_t col = 0; col < columns_.size(); ++col) {
-    for (std::size_t row = 0; row < columns_[col].size(); ++row) {
-      const DualHash cell =
-          CellContentHash(row, col, dict_->value(columns_[col][row]));
-      combined.fp64 ^= cell.fp64;
-      combined.fp128 ^= cell.fp128;
-    }
-  }
-  *fp64 = combined.fp64;
-  *fp128 = combined.fp128;
-}
-
-void Table::DeltaFingerprint(std::uint64_t base64, const Hash128& base128,
-                             std::span<const CellWrite> writes,
-                             std::uint64_t* fp64, Hash128* fp128) const {
-  std::uint64_t h64 = base64;
-  Hash128 h128 = base128;
-  for (const CellWrite& write : writes) {
-    const FingerprintDelta delta = WriteDelta(write.cell, write.value);
-    h64 ^= delta.fp64;
-    h128 ^= delta.fp128;
-  }
-  *fp64 = h64;
-  *fp128 = h128;
-}
-
-FingerprintDelta Table::WriteDelta(CellRef cell, const Value& value) const {
-  const DualHash old_hash = CellContentHash(cell.row, cell.col, at(cell));
-  const DualHash new_hash = CellContentHash(cell.row, cell.col, value);
-  return FingerprintDelta{old_hash.fp64 ^ new_hash.fp64,
-                          old_hash.fp128 ^ new_hash.fp128};
 }
 
 }  // namespace trex

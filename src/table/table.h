@@ -31,11 +31,9 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "table/schema.h"
@@ -68,11 +66,11 @@ struct CellRefHash {
   }
 };
 
-/// One pending cell overwrite: the unit of the table layer's delta
-/// fingerprints (`Table::DeltaFingerprint`) and of perturbation-based
-/// coalition evaluation (`BlackBoxRepair::EvalPerturbation`), which
-/// describe a perturbed table as (base table, write set) without ever
-/// materializing it.
+/// One pending cell overwrite: the unit of perturbation-based coalition
+/// evaluation (`BlackBoxRepair::EvalPerturbation`), which describes a
+/// perturbed table as (base table, write set) and materializes it only
+/// on a memo miss. The write set's cells whose bytes differ from the
+/// base, sorted by linear index, are the memo's key for that table.
 struct CellWrite {
   CellRef cell;
   Value value;
@@ -157,16 +155,6 @@ class ValueDictionary {
   /// The dictionary this one was cloned from: references a table handed
   /// out before the clone point into it.
   std::shared_ptr<const ValueDictionary> parent_;
-};
-
-/// The XOR shift one cell write applies to a table's fingerprints
-/// (`Table::WriteDelta`). Self-inverse and order-independent, so hot
-/// loops precompute deltas once and maintain a running fingerprint by
-/// XORing `fp64`/`fp128` per change — no hashing on the evaluation
-/// path.
-struct FingerprintDelta {
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
 };
 
 /// A relation: schema plus rows of `Value`s, stored as dictionary codes
@@ -281,43 +269,12 @@ class Table {
   bool operator==(const Table& other) const;
   bool operator!=(const Table& other) const { return !(*this == other); }
 
-  /// Content fingerprint; equal tables have equal fingerprints. Used to
-  /// memoize black-box repair calls and to key engines in the router.
-  ///
-  /// The fingerprint is *XOR-combinable*: it is the schema hash XOR'd
-  /// with one position-keyed hash per cell (row, col, value). Changing a
-  /// cell therefore shifts the fingerprint by exactly
-  /// `H(pos, old) ^ H(pos, new)`, which is what lets
-  /// `DeltaFingerprint` compute a perturbed table's fingerprint in
-  /// O(#writes) from a cached base instead of re-hashing O(#cells).
+  /// Content fingerprint; equal tables have equal fingerprints. Keys
+  /// engines in the router (serving/router.h). The schema hash XOR'd
+  /// with one position-keyed FNV-1a hash per cell (row, col, type tag,
+  /// value bytes), so it is order-free to compute and tells apart values
+  /// that `operator==` equates (1 and 1.0, null and "").
   std::uint64_t Fingerprint() const;
-
-  /// `Fingerprint()` plus a 128-bit fingerprint over exactly the
-  /// per-cell hashes it XORs (same position-keyed scheme, wider state),
-  /// in one content traversal. The repair-table memo needs both per
-  /// evaluation: the 64-bit bucket key, and the 128-bit hash as its first
-  /// verification step before the exact write-set comparison. Equal
-  /// tables have equal fingerprints.
-  void DualFingerprint(std::uint64_t* fp64, Hash128* fp128) const;
-
-  /// Fingerprints of the table obtained by applying `writes` on top of
-  /// this table, computed in O(#writes) from this table's own
-  /// fingerprints (`base64`/`base128`, as returned by
-  /// `DualFingerprint`) — the perturbed table is never materialized.
-  /// Equal to the from-scratch `DualFingerprint` of the materialized
-  /// table. Writes must address in-bounds, pairwise-distinct cells (a
-  /// duplicate cell would double-cancel its base hash); a write that
-  /// re-states the current value is a no-op.
-  void DeltaFingerprint(std::uint64_t base64, const Hash128& base128,
-                        std::span<const CellWrite> writes,
-                        std::uint64_t* fp64, Hash128* fp128) const;
-
-  /// The XOR shift that writing `value` into `cell` applies to this
-  /// table's fingerprints: H(pos, current) ^ H(pos, value).
-  /// `DeltaFingerprint` is exactly the fold of these; hot loops
-  /// precompute the deltas of the writes they toggle and XOR them into
-  /// a running fingerprint instead of re-hashing per evaluation.
-  FingerprintDelta WriteDelta(CellRef cell, const Value& value) const;
 
  private:
   /// `Intern`, moving `value` into the dictionary when it is new.

@@ -19,12 +19,9 @@
 #include "repair/holoclean.h"
 #include "repair/soccer_algorithm1.h"
 #include "table/diff.h"
-#include "tests/serving/determinism_check.h"
 
 namespace trex {
 namespace {
-
-using testing::Fingerprint128;
 
 // Keep the algorithm alive for all boxes (Make holds a raw pointer);
 // a static instance is simplest for tests.
@@ -327,67 +324,41 @@ TEST(BlackBoxRepairTest, TableCacheVerifiesFullContentNotJustFingerprint) {
   EXPECT_EQ(box->num_cache_hits(), 2u);
 }
 
-TEST(BlackBoxRepairTest, CollisionPathFallsThroughUnderForcedFingerprintClash) {
-  // Force every input into one 64-bit bucket — and in the second round
-  // onto one 128-bit fingerprint as well (the test-only hook): the exact
-  // write-set comparison must still keep distinct inputs apart, never
-  // serving one input's outcome for another.
-  const std::vector<CellWrite> writes_a = {
-      {data::SoccerCell(5, "League"), Value::Null()}};
-  const std::vector<CellWrite> writes_b = {
-      {data::SoccerCell(5, "Country"), Value::Null()}};
+TEST(BlackBoxRepairTest, CollisionPathKeepsEqualComparingValuesApart) {
+  // `Value::Hash` follows `Value::operator==`, so 7 and 7.0, and +0.0
+  // and -0.0, share a memo bucket by construction. The inputs still
+  // differ (a repair may treat an int and a double differently), so the
+  // exact write-set comparison must keep all four apart, never serving
+  // one input's outcome for another.
+  ASSERT_EQ(Value(7).Hash(), Value(7.0).Hash());
+  ASSERT_EQ(Value(0.0).Hash(), Value(-0.0).Hash());
+  const CellRef place = data::SoccerCell(5, "Place");
+  const CellRef year = data::SoccerCell(5, "Year");
+  const std::vector<std::vector<CellWrite>> inputs = {
+      {{place, Value(7)}},
+      {{place, Value(7.0)}},
+      {{year, Value(0.0)}},
+      {{year, Value(-0.0)}}};
   auto uncached = MakeBox(data::SoccerTargetCell());
   ASSERT_TRUE(uncached.ok());
   uncached->set_cache_enabled(false);
-  for (const bool clash128 : {false, true}) {
-    SCOPED_TRACE(clash128 ? "64+128-bit clash" : "64-bit clash");
-    auto box = MakeBox(data::SoccerTargetCell());
-    ASSERT_TRUE(box.ok());
-    box->set_fingerprint_fn_for_test(
-        [clash128](std::uint64_t* fp64, Hash128* fp128) {
-          *fp64 = 7;
-          if (clash128) *fp128 = Hash128{};
-        });
-    const std::size_t base = box->num_algorithm_calls();
-    const bool outcome_a = box->EvalPerturbation(writes_a);
-    const bool outcome_b = box->EvalPerturbation(writes_b);
-    // Distinct entries despite the colliding fingerprints...
-    EXPECT_EQ(box->num_algorithm_calls(), base + 2);
-    EXPECT_EQ(outcome_a, uncached->EvalPerturbation(writes_a));
-    EXPECT_EQ(outcome_b, uncached->EvalPerturbation(writes_b));
-    // ...and verified hits on re-evaluation, with unchanged outcomes.
-    EXPECT_EQ(box->EvalPerturbation(writes_a), outcome_a);
-    EXPECT_EQ(box->EvalPerturbation(writes_b), outcome_b);
-    EXPECT_EQ(box->num_algorithm_calls(), base + 2);
-    EXPECT_EQ(box->num_cache_hits(), 2u);
+  auto box = MakeBox(data::SoccerTargetCell());
+  ASSERT_TRUE(box.ok());
+  const std::size_t base = box->num_algorithm_calls();
+  std::vector<bool> outcomes;
+  for (const std::vector<CellWrite>& writes : inputs) {
+    outcomes.push_back(box->EvalPerturbation(writes));
+    EXPECT_EQ(outcomes.back(), uncached->EvalPerturbation(writes));
   }
-}
-
-TEST(BlackBoxRepairTest, Fingerprint128SeparatesNearIdenticalTables) {
-  const Table base = data::SoccerDirtyTable();
-  Table tweaked = base;
-  tweaked.Set(data::SoccerCell(5, "League"), Value("X"));
-  EXPECT_EQ(Fingerprint128(base), Fingerprint128(data::SoccerDirtyTable()));
-  EXPECT_NE(Fingerprint128(base), Fingerprint128(tweaked));
-  // Null vs empty string vs zero must hash apart (type tags).
-  Table null_cell = base;
-  null_cell.Set(data::SoccerCell(5, "League"), Value::Null());
-  Table empty_cell = base;
-  empty_cell.Set(data::SoccerCell(5, "League"), Value(""));
-  EXPECT_NE(Fingerprint128(null_cell), Fingerprint128(empty_cell));
-}
-
-TEST(BlackBoxRepairTest, FingerprintsLengthDelimitStringCells) {
-  // Without length prefixes, ("a\x03", "b") and ("a", "\x03b") would
-  // serialize identically — 0x03 is the kString type tag — and collide
-  // deterministically in both fingerprint widths. Regression for exactly
-  // that pair.
-  Table one(Schema::AllStrings({"A", "B"}));
-  ASSERT_TRUE(one.AppendRow({Value(std::string("a\x03")), Value("b")}).ok());
-  Table two(Schema::AllStrings({"A", "B"}));
-  ASSERT_TRUE(two.AppendRow({Value("a"), Value(std::string("\x03b"))}).ok());
-  EXPECT_NE(Fingerprint128(one), Fingerprint128(two));
-  EXPECT_NE(one.Fingerprint(), two.Fingerprint());
+  // One repair per input despite the shared buckets...
+  EXPECT_EQ(box->num_algorithm_calls(), base + inputs.size());
+  EXPECT_EQ(box->num_table_memo_entries(), inputs.size());
+  // ...and verified hits on re-evaluation, with unchanged outcomes.
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(box->EvalPerturbation(inputs[i]), outcomes[i]) << i;
+  }
+  EXPECT_EQ(box->num_algorithm_calls(), base + inputs.size());
+  EXPECT_EQ(box->num_cache_hits(), inputs.size());
 }
 
 TEST(BlackBoxRepairTest, EvalPerturbationMatchesFreshRepair) {

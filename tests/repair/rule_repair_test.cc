@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -17,6 +16,7 @@
 #include "data/soccer.h"
 #include "dc/parser.h"
 #include "dc/violation.h"
+#include "tests/serving/determinism_check.h"
 
 namespace trex::repair {
 namespace {
@@ -25,6 +25,7 @@ using repair::MakeAlgorithm1;
 using data::SoccerCleanTable;
 using data::SoccerConstraints;
 using data::SoccerDirtyTable;
+using testing::ExpectSameBits;
 
 TEST(RuleRepairTest, Algorithm1ReproducesFigure2) {
   auto alg = MakeAlgorithm1();
@@ -215,37 +216,6 @@ TEST(RuleRepairTest, NameIsReported) {
 
 // ---- Repair sessions ------------------------------------------------------
 
-/// Type plus bytes: stricter than `Value::operator==`, which equates 1
-/// with 1.0, +0.0 with -0.0 and a NaN with every number.
-bool SameBits(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kInt:
-      return a.as_int() == b.as_int();
-    case ValueType::kDouble: {
-      const double x = a.as_double();
-      const double y = b.as_double();
-      return std::memcmp(&x, &y, sizeof(x)) == 0;
-    }
-    case ValueType::kString:
-      return a.as_string() == b.as_string();
-  }
-  return false;
-}
-
-void ExpectSameBits(const Table& got, const Table& want,
-                    const std::string& what) {
-  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
-  ASSERT_EQ(got.num_columns(), want.num_columns()) << what;
-  for (const CellRef& cell : want.AllCells()) {
-    EXPECT_TRUE(SameBits(got.at(cell), want.at(cell)))
-        << what << ": " << cell.ToString() << " holds "
-        << got.at(cell).ToString() << ", want " << want.at(cell).ToString();
-  }
-}
-
 struct World {
   Table dirty;
   dc::DcSet dcs;
@@ -266,9 +236,9 @@ World SessionWorld(std::uint64_t seed) {
 /// sequences — nulls, swaps within a column, restores to the dirty
 /// value, int columns rewritten as equal doubles, and a NaN or the int
 /// 2^53+1 in a `!=` column (City, Country, Team) — and checks, after
-/// each `RepairInPlace`, that the bound table equals a one-shot `Repair`
+/// each `RepairCodes`, that the bound table equals a one-shot `Repair`
 /// of the materialized input bit for bit, and that replaying the undo
-/// log restores the input bit for bit.
+/// log in reverse through `SetCode` restores the input bit for bit.
 void CheckSessionMatchesRepair(const RepairAlgorithm& alg,
                                const dc::DcSet& dcs, const Table& dirty,
                                std::uint64_t seed, int rounds = 12) {
@@ -293,29 +263,31 @@ void CheckSessionMatchesRepair(const RepairAlgorithm& alg,
       switch (rng.UniformUint64(6)) {
         case 0:
         case 1:
-          session->Set(cell, Value::Null());
+          session->SetCode(cell, kNullCode);
           break;
         case 2: {
           const CellRef other{rng.UniformUint64(dirty.num_rows()), cell.col};
-          const Value held = bound.at(cell);
-          session->Set(cell, bound.at(other));
-          session->Set(other, held);
+          const std::uint32_t held = bound.code(cell);
+          session->SetCode(cell, bound.code(other));
+          session->SetCode(other, held);
           break;
         }
         case 3:
-          session->Set(cell, dirty.at(cell));
+          session->SetCode(cell, bound.Intern(dirty.at(cell)));
           break;
         case 4:
           if (bound.at(cell).is_int()) {
-            session->Set(cell,
-                         static_cast<double>(bound.at(cell).as_int()));
+            session->SetCode(cell, bound.Intern(static_cast<double>(
+                                       bound.at(cell).as_int())));
           }
           break;
         default: {
           const CellRef neq{cell.row, neq_cols[rng.UniformUint64(3)]};
-          session->Set(neq, rng.Bernoulli(0.5)
-                                ? Value(std::numeric_limits<double>::quiet_NaN())
-                                : Value(std::int64_t{(1LL << 53) + 1}));
+          session->SetCode(
+              neq, bound.Intern(
+                       rng.Bernoulli(0.5)
+                           ? Value(std::numeric_limits<double>::quiet_NaN())
+                           : Value(std::int64_t{(1LL << 53) + 1})));
           break;
         }
       }
@@ -323,11 +295,11 @@ void CheckSessionMatchesRepair(const RepairAlgorithm& alg,
     const Table input = bound;
     auto want = alg.Repair(dcs, input);
     ASSERT_TRUE(want.ok()) << want.status();
-    std::vector<CellWrite> undo;
-    ASSERT_TRUE(session->RepairInPlace(&undo).ok()) << what;
+    std::vector<CodeWrite> undo;
+    ASSERT_TRUE(session->RepairCodes(&undo).ok()) << what;
     ExpectSameBits(bound, *want, what + " repaired");
     for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-      session->Set(it->cell, it->value);
+      session->SetCode(it->cell, it->code);
     }
     ExpectSameBits(bound, input, what + " undone");
   }
@@ -377,9 +349,9 @@ TEST(RuleRepairTest, SessionReportsResolutionErrorsLikeRepair) {
   Table bound = SoccerDirtyTable();
   auto session = alg.OpenSession(SoccerConstraints(), &bound);
   ASSERT_NE(session, nullptr);
-  session->Set(data::SoccerCell(5, "City"), Value::Null());  // still safe
+  session->SetCode(data::SoccerCell(5, "City"), kNullCode);  // still safe
   EXPECT_TRUE(bound.at(data::SoccerCell(5, "City")).is_null());
-  const Status status = session->RepairInPlace(nullptr);
+  const Status status = session->RepairCodes(nullptr);
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(status.code(),
             alg.Repair(SoccerConstraints(), SoccerDirtyTable())

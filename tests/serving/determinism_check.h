@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,16 +25,24 @@
 #include "core/repair_game.h"
 #include "repair/algorithm.h"
 #include "table/diff.h"
+#include "table/table.h"
+#include "table/value.h"
 
 namespace trex::testing {
 
-/// The 128-bit half of `Table::DualFingerprint`: the memo's
-/// verification hash.
-inline Hash128 Fingerprint128(const Table& table) {
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
-  table.DualFingerprint(&fp64, &fp128);
-  return fp128;
+/// Expects `got` to hold `want`'s schema and, cell by cell, its exact
+/// values: `ExactlyEqual` (same type, same bytes), stricter than
+/// `Table::operator==`, which equates 1 with 1.0, +0.0 with -0.0 and a
+/// NaN with every number.
+inline void ExpectSameBits(const Table& got, const Table& want,
+                           const std::string& what) {
+  ASSERT_TRUE(got.schema() == want.schema()) << what;
+  ASSERT_EQ(got.num_rows(), want.num_rows()) << what;
+  for (const CellRef& cell : want.AllCells()) {
+    EXPECT_TRUE(ExactlyEqual(got.at(cell), want.at(cell)))
+        << what << ": " << cell.ToString() << " holds "
+        << got.at(cell).ToString() << ", want " << want.at(cell).ToString();
+  }
 }
 
 /// Runs the determinism checks on `algorithm` over (`dcs`, `table`);
@@ -47,8 +56,7 @@ inline void CheckDeterminism(const repair::RepairAlgorithm& algorithm,
   for (int repeat = 0; repeat < 3; ++repeat) {
     auto again = algorithm.Repair(dcs, table);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(*again, *reference);
-    EXPECT_EQ(Fingerprint128(*again), Fingerprint128(*reference));
+    ExpectSameBits(*again, *reference, "repeated repair");
   }
 
   constexpr std::size_t kConcurrent = 4;
@@ -59,17 +67,14 @@ inline void CheckDeterminism(const repair::RepairAlgorithm& algorithm,
   });
   for (const auto& result : concurrent) {
     ASSERT_TRUE(result.has_value() && result->ok());
-    EXPECT_EQ(**result, *reference);
-    EXPECT_EQ(Fingerprint128(**result), Fingerprint128(*reference));
+    ExpectSameBits(**result, *reference, "concurrent repair");
   }
 
   // Every cell a target, so one evaluation checks the whole output.
   const std::vector<CellRef> targets = table.AllCells();
   auto box = BlackBoxRepair::MakeMultiTarget(&algorithm, dcs, table, targets);
   ASSERT_TRUE(box.ok()) << box.status();
-  EXPECT_EQ(box->reference_clean(), *reference);
-  EXPECT_EQ(Fingerprint128(box->reference_clean()),
-            Fingerprint128(*reference));
+  ExpectSameBits(box->reference_clean(), *reference, "boxed repair");
 
   // A walk of small steps over write sets (nulls, and values moved
   // within a column), like the coalitions of a sweep, with the

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 
 namespace trex {
 namespace {
@@ -130,13 +131,33 @@ TEST(TableTest, FingerprintDistinguishesTypeOfSameRendering) {
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
 }
 
+TEST(TableTest, FingerprintPositionKeyedNotJustValueKeyed) {
+  // Swapping two different values between cells must change the
+  // fingerprint: per-cell hashes are keyed by (row, col), so the XOR
+  // of the swapped pair does not cancel.
+  Table table(Schema::AllStrings({"A", "B"}));
+  ASSERT_TRUE(table.AppendRow({Value("x"), Value("y")}).ok());
+  Table swapped(Schema::AllStrings({"A", "B"}));
+  ASSERT_TRUE(swapped.AppendRow({Value("y"), Value("x")}).ok());
+  EXPECT_NE(table.Fingerprint(), swapped.Fingerprint());
+}
+
+TEST(TableTest, FingerprintLengthDelimitsStringCells) {
+  // Without length prefixes, ("a\x03", "b") and ("a", "\x03b") would
+  // serialize identically — 0x03 is the kString type tag — and collide
+  // deterministically. Regression for exactly that pair.
+  Table one(Schema::AllStrings({"A", "B"}));
+  ASSERT_TRUE(one.AppendRow({Value(std::string("a\x03")), Value("b")}).ok());
+  Table two(Schema::AllStrings({"A", "B"}));
+  ASSERT_TRUE(two.AppendRow({Value("a"), Value(std::string("\x03b"))}).ok());
+  EXPECT_NE(one.Fingerprint(), two.Fingerprint());
+}
+
 // ---- Dictionary encoding --------------------------------------------------
 
 TEST(TableDictionaryTest, CopySetLeavesOriginalUntouched) {
   const Table original = SmallTable();
-  std::uint64_t fp64 = 0;
-  Hash128 fp128;
-  original.DualFingerprint(&fp64, &fp128);
+  const std::uint64_t fingerprint = original.Fingerprint();
   Table copy = original;
   ASSERT_TRUE(copy.SharesDictionary(original));
   const std::size_t dictionary_size = original.dictionary().size();
@@ -152,11 +173,7 @@ TEST(TableDictionaryTest, CopySetLeavesOriginalUntouched) {
   EXPECT_EQ(original.at(1, 0), Value("y"));
   EXPECT_TRUE(original.at(2, 1).is_null());
   EXPECT_EQ(original.num_doubles(1), 0u);
-  std::uint64_t after64 = 0;
-  Hash128 after128;
-  original.DualFingerprint(&after64, &after128);
-  EXPECT_EQ(after64, fp64);
-  EXPECT_EQ(after128, fp128);
+  EXPECT_EQ(original.Fingerprint(), fingerprint);
   EXPECT_EQ(original.Fingerprint(), SmallTable().Fingerprint());
 
   EXPECT_EQ(copy.at(0, 0), Value("y"));

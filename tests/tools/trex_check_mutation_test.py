@@ -5,8 +5,9 @@ Proves the checker is load-bearing, not decorative: a pristine copy of
 src/ passes, and reverting a protected property — stripping one
 [[nodiscard]] from a Status-returning header declaration, re-adding a
 float accumulation under unordered iteration, adding one upward include,
-reusing a fault-site name, or adding a raw `std::mutex` — makes the
-checker fail with the right check name.
+reusing a fault-site name, adding a raw `std::mutex`, or re-adding a
+test-only `_for_test` hook — makes the checker fail with the right
+check name.
 
 Usage: trex_check_mutation_test.py --root <repo root>
 """
@@ -150,6 +151,20 @@ def main():
             f.write(text + "\n#include <mutex>\n"
                     "namespace trex {\nstd::mutex mutation_mu;\n}\n")
 
+    def test_hook(tmp):
+        # A test-only override on the memo's box: a second path through
+        # the hot code that only tests take.
+        full = os.path.join(tmp, "src", "core", "repair_game.h")
+        with open(full, encoding="utf-8") as f:
+            text = f.read()
+        new = text.replace(
+            "  void set_cache_enabled(bool enabled)",
+            "  void set_cache_enabled_for_test(bool enabled) {}\n"
+            "  void set_cache_enabled(bool enabled)", 1)
+        assert new != text
+        with open(full, "w", encoding="utf-8") as f:
+            f.write(new)
+
     check("strip one [[nodiscard]]", strip_nodiscard, "status-discipline")
     check("re-add unordered float fold", inject_float_fold,
           "unordered-determinism")
@@ -157,6 +172,7 @@ def main():
     check("reuse a fault site name across layers", duplicate_fault_site,
           "fault-site-discipline")
     check("add a raw std::mutex", raw_mutex, "raw-mutex")
+    check("re-add a test-only hook", test_hook, "test-hook")
 
     if failures:
         for f in failures:

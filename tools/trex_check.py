@@ -65,6 +65,13 @@ lock and fingerprint contracts honest:
       must not synchronize with a bare `sleep_for`: sleeps hide races and
       flake under load. A deliberate sleep carries a suppression.
 
+  test-hook
+      No identifier ending in `_for_test`, `ForTest` or `ForTesting` may
+      be declared (or used) under src/. Production code has no test-only
+      entry points: a test drives the public API, or the hook is a real
+      feature with a production name. A test-only override left in src/
+      tends to become a second, unreviewed path through the hot code.
+
 Engine
 ------
 One bundled text engine, with no dependency beyond the Python standard
@@ -73,7 +80,7 @@ stripping lexer with brace-matched loop and scope tracking and
 project-wide declaration maps (unordered-determinism, cancel-poll,
 seed derivation). The line-level checks (layering, fault sites,
 raw-mutex, length prefixes, sleeps, unseeded sources, header
-[[nodiscard]]) are text by nature. A tree run walks src/ with the
+[[nodiscard]], test hooks) are text by nature. A tree run walks src/ with the
 engine and feeds bench/ and tests/ through the line-level checks only.
 
 Suppressions
@@ -115,6 +122,7 @@ CHECKS = (
     "raw-mutex",
     "fingerprint-length-prefix",
     "sleep-discipline",
+    "test-hook",
 )
 
 # Layer ranks; an include edge src/<a>/ -> src/<b>/ is legal iff
@@ -502,6 +510,8 @@ LENGTH_PREFIX_WINDOW = 4  # lines preceding the bytes-mix to search
 
 SLEEP_RE = re.compile(r"\bsleep_for\s*\(")
 
+TEST_HOOK_RE = re.compile(r"\b\w+(?:_for_test|ForTest|ForTesting)\b")
+
 
 def _matching_lines(raw_text, rx):
     """Line numbers whose comment/string-stripped code matches `rx`."""
@@ -556,6 +566,15 @@ def check_sleep(path, raw_text):
             for lineno in _matching_lines(raw_text, SLEEP_RE)]
 
 
+def check_test_hook(path, raw_text):
+    if not path.startswith("src/"):
+        return []
+    return [finding(path, lineno, "test-hook",
+                    "test-only entry point in src/; drive the public API "
+                    "from the test instead")
+            for lineno in _matching_lines(raw_text, TEST_HOOK_RE)]
+
+
 # Each scopes itself by path, so every file of every walked tree can be
 # fed through all of them.
 TEXT_CHECKS = (
@@ -566,6 +585,7 @@ TEXT_CHECKS = (
     check_unseeded_random,
     check_length_prefix,
     check_sleep,
+    check_test_hook,
 )
 
 
@@ -1334,6 +1354,27 @@ SELF_TEST_CASES = [
     FixtureCase("sleep-discipline", "tests/table/elsewhere_test.cc",
                 "std::this_thread::sleep_for("
                 "std::chrono::milliseconds(1));\n", 0),
+
+    FixtureCase("test-hook", "src/core/bad_hook.h",
+                "class Box {\n"
+                " public:\n"
+                "  void set_fingerprint_fn_for_test(Fn fn);\n"
+                "  static Box MakeForTest();\n"
+                "  int CountForTesting() const;\n"
+                "};\n", 3),
+    FixtureCase("test-hook", "src/core/good_hook.h",
+                "// Tests call set_fn_for_test() through the public API.\n"
+                "class Box {\n"
+                " public:\n"
+                "  void set_cache_enabled(bool enabled);\n"
+                "  bool ForTestingPurposes() const;\n"
+                "  const char* name = \"MakeForTest\";\n"
+                "};\n", 0),
+    FixtureCase("test-hook", "tests/core/helper_test.cc",
+                "Box MakeBoxForTest();\n", 0),
+    FixtureCase("test-hook", "src/core/suppressed_hook.h",
+                "// trex-check-ok(test-hook): mirrors an external API name\n"
+                "void ResetForTesting();\n", 0),
 ]
 
 
