@@ -77,14 +77,6 @@ double Rng::Gaussian() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
-std::size_t Rng::Zipf(const std::vector<double>& cdf) {
-  TREX_CHECK(!cdf.empty());
-  const double u = UniformDouble();
-  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-  if (it == cdf.end()) return cdf.size() - 1;
-  return static_cast<std::size_t>(it - cdf.begin());
-}
-
 std::vector<std::size_t> Rng::Permutation(std::size_t n) {
   std::vector<std::size_t> perm(n);
   std::iota(perm.begin(), perm.end(), std::size_t{0});

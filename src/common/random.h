@@ -49,12 +49,6 @@ class Rng {
   /// Standard normal variate (Box-Muller; one value per call).
   double Gaussian();
 
-  /// Zipf-distributed rank in `[0, n)` with exponent `s >= 0`; rank 0 is
-  /// the most likely. `s == 0` degenerates to uniform. O(n) setup is
-  /// avoided by inverse-CDF over a cached harmonic table supplied by the
-  /// caller via `ZipfTable`.
-  std::size_t Zipf(const std::vector<double>& cdf);
-
   /// Fisher-Yates shuffle of `items` in place.
   template <typename T>
   void Shuffle(std::vector<T>* items) {
@@ -83,8 +77,10 @@ class Rng {
   std::uint64_t s_[4];
 };
 
-/// Precomputes the normalized CDF for `Rng::Zipf` over `n` ranks with
-/// exponent `s`.
+/// The normalized CDF of a Zipf distribution over `n` ranks with
+/// exponent `s >= 0`: rank 0 is the most likely, and `s == 0` is
+/// uniform. Draw a rank by inverse CDF (`std::lower_bound` of a uniform
+/// variate).
 std::vector<double> ZipfTable(std::size_t n, double s);
 
 }  // namespace trex

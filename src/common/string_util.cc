@@ -7,6 +7,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 namespace trex {
 
@@ -75,19 +76,37 @@ Result<std::int64_t> ParseInt64(std::string_view s) {
   return value;
 }
 
-Result<double> ParseDouble(std::string_view s) {
+namespace {
+
+/// `s` as a floating-point literal, NaN spellings included, or nullopt.
+std::optional<double> StrtodWhole(std::string_view s) {
   s = TrimView(s);
-  if (s.empty()) return Status::ParseError("empty double literal");
+  if (s.empty()) return std::nullopt;
   // std::from_chars for double is not fully supported everywhere; use
   // strtod on a bounded copy.
-  std::string copy(s);
+  const std::string copy(s);
   errno = 0;
   char* end = nullptr;
-  double value = std::strtod(copy.c_str(), &end);
+  const double value = std::strtod(copy.c_str(), &end);
   if (end != copy.c_str() + copy.size() || errno == ERANGE) {
-    return Status::ParseError("not a double: '" + copy + "'");
+    return std::nullopt;
   }
   return value;
+}
+
+}  // namespace
+
+Result<double> ParseDouble(std::string_view s) {
+  const std::optional<double> value = StrtodWhole(s);
+  if (!value.has_value()) {
+    return Status::ParseError("not a double: '" + std::string(TrimView(s)) +
+                              "'");
+  }
+  if (std::isnan(*value)) {
+    return Status::ParseError("NaN is not a value: '" +
+                              std::string(TrimView(s)) + "'");
+  }
+  return *value;
 }
 
 std::string FormatDouble(double value, int precision) {
@@ -110,7 +129,7 @@ bool LooksLikeInt(std::string_view s) {
 }
 
 bool LooksLikeDouble(std::string_view s) {
-  return ParseDouble(s).ok();
+  return StrtodWhole(s).has_value();
 }
 
 std::string CsvEscape(std::string_view field, char sep) {

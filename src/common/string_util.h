@@ -30,7 +30,8 @@ std::string ToUpper(std::string_view s);
 /// Parses a full string as a signed 64-bit integer (no trailing junk).
 [[nodiscard]] Result<std::int64_t> ParseInt64(std::string_view s);
 
-/// Parses a full string as a double (no trailing junk).
+/// Parses a full string as a double (no trailing junk). A NaN is an
+/// error: no cell or constant holds one.
 [[nodiscard]] Result<double> ParseDouble(std::string_view s);
 
 /// Formats a double compactly: integers render without a decimal point,
@@ -41,7 +42,9 @@ std::string FormatDouble(double value, int precision = 6);
 /// sign (and is non-empty).
 bool LooksLikeInt(std::string_view s);
 
-/// True iff `s` parses as a floating-point literal.
+/// True iff `s` is a floating-point literal. A NaN spelling is one, so a
+/// numeric CSV column holding "nan" is typed double and fails to load
+/// instead of turning into strings.
 bool LooksLikeDouble(std::string_view s);
 
 /// Escapes a string for a CSV field per RFC 4180 (quotes when the value

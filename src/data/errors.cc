@@ -1,6 +1,8 @@
 #include "data/errors.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -8,6 +10,27 @@
 
 namespace trex::data {
 namespace {
+
+/// A fresh value for a typo of `truth`, which sits at `pos` in the clean
+/// column `domain`: a string gets a character appended; an int or double
+/// moves past the domain's maximum by one plus `pos`, keeping its column
+/// type (null where that overflows).
+Value Typo(const Value& truth, const std::vector<Value>& domain,
+           std::size_t pos) {
+  const auto step = static_cast<std::int64_t>(pos) + 1;
+  if (truth.is_int()) {
+    std::int64_t typo = 0;
+    return __builtin_add_overflow(domain.back().as_int(), step, &typo)
+               ? Value::Null()
+               : Value(typo);
+  }
+  if (truth.is_double()) {
+    const double max = domain.back().as_double();
+    const double typo = max + static_cast<double>(step);
+    return typo > max && !std::isinf(typo) ? Value(typo) : Value::Null();
+  }
+  return Value(truth.ToString() + "~");
+}
 
 ErrorKind PickKind(Rng* rng, const ErrorInjectorOptions& options) {
   const double total =
@@ -63,28 +86,21 @@ InjectionResult InjectErrors(const Table& clean,
     const CellRef cell = candidates[i];
     const Value truth = clean.at(cell);
     Value corrupted;
-    switch (PickKind(&rng, options)) {
-      case ErrorKind::kSwapWithinColumn: {
-        const std::vector<Value>& domain = domain_of(cell.col);
-        // Pick a value different from the truth; fall back to a typo
-        // when the column has a single distinct value.
-        std::vector<Value> others;
-        for (const Value& v : domain) {
-          if (v != truth) others.push_back(v);
-        }
-        if (!others.empty()) {
-          corrupted = others[rng.Index(others.size())];
-          break;
-        }
-        [[fallthrough]];
+    const ErrorKind kind = PickKind(&rng, options);
+    if (kind != ErrorKind::kMissing) {
+      // The domain holds the truth exactly once, at `pos`; a swap draws
+      // one of the others, and a single-value column falls back to a
+      // typo.
+      const std::vector<Value>& domain = domain_of(cell.col);
+      const std::size_t pos = static_cast<std::size_t>(
+          std::lower_bound(domain.begin(), domain.end(), truth) -
+          domain.begin());
+      if (kind == ErrorKind::kSwapWithinColumn && domain.size() > 1) {
+        const std::size_t k = rng.Index(domain.size() - 1);
+        corrupted = domain[k + (k >= pos ? 1 : 0)];
+      } else {
+        corrupted = Typo(truth, domain, pos);
       }
-      case ErrorKind::kTypo: {
-        corrupted = Value(truth.ToString() + "~");
-        break;
-      }
-      case ErrorKind::kMissing:
-        corrupted = Value::Null();
-        break;
     }
     result.dirty.Set(cell, corrupted);
     result.injected.push_back(RepairedCell{cell, truth, corrupted});

@@ -21,8 +21,8 @@ namespace trex::data {
 enum class ErrorKind {
   /// Replace with a different value drawn from the same column.
   kSwapWithinColumn,
-  /// Append a character to the string form (a typo; yields a fresh,
-  /// out-of-domain value).
+  /// A fresh, out-of-domain value of the column's type: a character
+  /// appended to a string, a number past the column's maximum.
   kTypo,
   /// Set the cell to null.
   kMissing,

@@ -1,5 +1,6 @@
 #include "data/generator.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,13 +64,38 @@ GeneratedData GenerateSoccer(const SoccerGenOptions& options) {
     }
   }
 
+  // Zipf-skewed team draws by inverse CDF, narrowed by a guide table:
+  // bucketing u as floor(u * n) is monotone, so the lower_bound of a draw
+  // in bucket b lies between the first ranks whose CDF bucket reaches b
+  // and b + 1.
+  const std::vector<double> team_cdf =
+      ZipfTable(teams.size(), options.zipf_exponent);
+  const std::size_t n = team_cdf.size();
+  const auto bucket = [n](double x) {
+    return std::min(n - 1,
+                    static_cast<std::size_t>(x * static_cast<double>(n)));
+  };
+  std::vector<std::size_t> first_rank(n + 1);
+  for (std::size_t b = 0, rank = 0; b <= n; ++b) {
+    while (rank < n && bucket(team_cdf[rank]) < b) ++rank;
+    first_rank[b] = rank;
+  }
+  const auto draw_team = [&] {
+    const double u = rng.UniformDouble();
+    const std::size_t b = bucket(u);
+    const auto it = std::lower_bound(
+        team_cdf.begin() + static_cast<std::ptrdiff_t>(first_rank[b]),
+        team_cdf.begin() +
+            static_cast<std::ptrdiff_t>(std::min(first_rank[b + 1] + 1, n)),
+        u);
+    return std::min(static_cast<std::size_t>(it - team_cdf.begin()), n - 1);
+  };
+
   // Emit standings rows: pick a team (Zipf-skewed) and a year, each
   // (team, year) at most once, and give the row the smallest place free
   // for its (league, year) so C4 holds on clean data. Places are never
   // freed, so a (league, year) always holds places 1..k and the next one
   // is its counter plus one. Teams are laid out league by league.
-  const std::vector<double> team_cdf =
-      ZipfTable(teams.size(), options.zipf_exponent);
   std::vector<bool> used_team_years(teams.size() * num_years, false);
   std::vector<int> places_taken(
       teams.size() / options.teams_per_league * num_years, 0);
@@ -95,7 +121,7 @@ GeneratedData GenerateSoccer(const SoccerGenOptions& options) {
   const std::size_t max_attempts = options.num_rows * 64 + 1024;
   while (emitted < options.num_rows && attempts < max_attempts) {
     ++attempts;
-    const std::size_t team_index = rng.Zipf(team_cdf);
+    const std::size_t team_index = draw_team();
     const int year = static_cast<int>(
         rng.UniformInt(options.first_year, options.last_year));
     emit(team_index, year);

@@ -152,9 +152,10 @@ std::string Operand::ToString(const Schema& schema) const {
 bool Predicate::Eval(const Table& table, std::size_t row1,
                      std::size_t row2) const {
   if (lhs.is_cell() && rhs.is_cell() &&
-      (op == CompareOp::kEq || op == CompareOp::kNeq)) {
-    // EvalOp on the cells' codes: null is code 0, and `SameValue` is
-    // `Value::operator==`.
+      (op == CompareOp::kEq || op == CompareOp::kNeq) &&
+      !MixesIntAndDouble(table.schema(), lhs.col(), rhs.col())) {
+    // EvalOp on the cells' codes: null is code 0, and equal values have
+    // equal codes.
     const std::uint32_t a =
         table.code(lhs.tuple_index() == 0 ? row1 : row2, lhs.col());
     const std::uint32_t b =
@@ -162,7 +163,7 @@ bool Predicate::Eval(const Table& table, std::size_t row1,
     if (a == kNullCode || b == kNullCode) {
       return op == CompareOp::kNeq && (a == kNullCode) != (b == kNullCode);
     }
-    return table.dictionary().SameValue(a, b) == (op == CompareOp::kEq);
+    return (a == b) == (op == CompareOp::kEq);
   }
   const Value& a = lhs.Resolve(table, row1, row2);
   const Value& b = rhs.Resolve(table, row1, row2);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <utility>
 
 #include "common/hash.h"
@@ -10,20 +9,6 @@
 #include "dc/predicate.h"
 
 namespace trex::dc {
-namespace {
-
-/// True iff entry `code` can compare equal to two values that differ
-/// from each other: a NaN (equal to every number) or an integer that only
-/// compares through its rounded double.
-bool BreaksTransitivity(const ValueDictionary& dict, std::uint32_t code) {
-  if (dict.is_double(code)) return std::isnan(dict.value(code).as_double());
-  if (dict.type(code) != ValueType::kInt) return false;
-  const std::int64_t v = dict.value(code).as_int();
-  const double d = static_cast<double>(v);
-  return d >= 9223372036854775808.0 || static_cast<std::int64_t>(d) != v;
-}
-
-}  // namespace
 
 std::uint32_t ConstraintRowIndex::IdChains::Add(std::uint64_t hash) {
   TREX_CHECK_LT(hashes_.size(), std::size_t{kNone});
@@ -64,7 +49,8 @@ ConstraintRowIndex::ConstraintRowIndex(const Table* table,
   if (dc_->arity() != 2) return;
   // The same join-key convention as the detector's hash fast path —
   // shared extraction keeps probe and detector agreeing on what joins.
-  CrossTupleKeyColumns cols = CrossTupleEqualityColumns(*dc_);
+  CrossTupleKeyColumns cols =
+      CrossTupleEqualityColumns(*dc_, table_->schema());
   if (cols.t1_cols.empty()) return;
   use_buckets_ = true;
   key_width_ = cols.t1_cols.size();
@@ -75,10 +61,11 @@ ConstraintRowIndex::ConstraintRowIndex(const Table* table,
   const Predicate* neq = nullptr;
   std::size_t num_residual = 0;
   for (const Predicate& p : dc_->predicates()) {
-    if (p.IsCrossTupleEquality()) continue;
+    if (IsJoinKey(p, table_->schema())) continue;
     ++num_residual;
     if (p.op == CompareOp::kNeq && p.lhs.is_cell() && p.rhs.is_cell() &&
-        p.lhs.tuple_index() != p.rhs.tuple_index()) {
+        p.lhs.tuple_index() != p.rhs.tuple_index() &&
+        !MixesIntAndDouble(table_->schema(), p.lhs.col(), p.rhs.col())) {
       neq = &p;
     }
   }
@@ -118,13 +105,6 @@ ConstraintRowIndex::ConstraintRowIndex(const Table* table,
                : kNone);
     }
   }
-  if (counted_) {
-    irregular_.resize(n);
-    for (std::size_t row = 0; row < n; ++row) {
-      irregular_[row] = Irregular(row);
-      num_irregular_ += irregular_[row];
-    }
-  }
 }
 
 std::uint32_t ConstraintRowIndex::FindOrAddBucket(std::size_t row,
@@ -140,7 +120,7 @@ std::uint32_t ConstraintRowIndex::FindOrAddBucket(std::size_t row,
   const std::uint32_t found = buckets_.Find(hash, [&](std::uint32_t bucket) {
     const std::uint32_t* key = &bucket_keys_[bucket * key_width_];
     for (std::size_t i = 0; i < key_width_; ++i) {
-      if (!dict.SameValue(table_->code(row, side.key_cols[i]), key[i])) {
+      if (table_->code(row, side.key_cols[i]) != key[i]) {
         return false;
       }
     }
@@ -160,12 +140,11 @@ std::uint32_t ConstraintRowIndex::FindOrAddBucket(std::size_t row,
 
 std::uint32_t ConstraintRowIndex::FindOrAddGroup(std::uint32_t bucket,
                                                  std::uint32_t code) {
-  // `Value` equality puts every null in one group: null != null is false.
-  const ValueDictionary& dict = table_->dictionary();
-  const std::uint64_t hash = HashCombine(dict.value_hash(code), bucket);
+  // Every null is in one group: null != null is false.
+  const std::uint64_t hash =
+      HashCombine(table_->dictionary().value_hash(code), bucket);
   const std::uint32_t found = groups_.Find(hash, [&](std::uint32_t group) {
-    return group_bucket_[group] == bucket &&
-           dict.SameValue(group_code_[group], code);
+    return group_bucket_[group] == bucket && group_code_[group] == code;
   });
   if (found != kNone) return found;
   const std::uint32_t group = groups_.Add(hash);
@@ -204,12 +183,6 @@ void ConstraintRowIndex::Unlink(Side* side, std::size_t row) {
   if (side->group_of[row] != kNone) --side->group_size[side->group_of[row]];
   side->bucket_of[row] = kNone;
   side->group_of[row] = kNone;
-}
-
-bool ConstraintRowIndex::Irregular(std::size_t row) const {
-  const ValueDictionary& dict = table_->dictionary();
-  return BreaksTransitivity(dict, table_->code(row, sides_[0].neq_col)) ||
-         BreaksTransitivity(dict, table_->code(row, sides_[1].neq_col));
 }
 
 void ConstraintRowIndex::CheckRow(std::size_t row) const {
@@ -251,11 +224,6 @@ void ConstraintRowIndex::Rekey(std::size_t row) {
     Unlink(&side, row);
     Link(&side, row, bucket, group);
   }
-  if (counted_) {
-    const bool irregular = Irregular(row);
-    num_irregular_ = num_irregular_ - irregular_[row] + irregular;
-    irregular_[row] = irregular;
-  }
 }
 
 bool ConstraintRowIndex::HasCountedPartner(std::size_t row, int s) const {
@@ -286,7 +254,7 @@ bool ConstraintRowIndex::RowViolates(std::size_t row) const {
     return false;
   }
   CheckRow(row);
-  if (Counting()) {
+  if (counted_) {
     // One side serves both orientations of a shared-side constraint.
     return HasCountedPartner(row, 0) ||
            (!shared_side_ && HasCountedPartner(row, 1));
@@ -332,7 +300,6 @@ std::vector<Violation> ConstraintRowIndex::ViolationsOfRow(
     return out;
   }
   CheckRow(row);
-  const bool counting = Counting();
   for (int s = 0; s < 2; ++s) {
     const Side& own = side(s);
     const std::uint32_t bucket = own.bucket_of[row];
@@ -341,7 +308,7 @@ std::vector<Violation> ConstraintRowIndex::ViolationsOfRow(
     for (std::uint32_t other = other_side.first[bucket]; other != kNone;
          other = other_side.next[other]) {
       if (other == row) continue;
-      if (counting) {
+      if (counted_) {
         // Every partner outside the row's group violates; its own group
         // never does.
         if (other_side.group_of[other] == own.group_of[row]) continue;

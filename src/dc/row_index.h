@@ -21,19 +21,19 @@
 //
 // Rows are keyed by their cells' dictionary codes (table/table.h): bucket
 // keys and group values are code tuples, hashed from the dictionary's
-// per-entry `Value::Hash` and compared with `ValueDictionary::SameValue`,
-// so a probe never hashes or compares a `Value` unless a double is
-// involved, and answers exactly as a `Value`-keyed index would.
+// per-entry `Value::Hash` and compared code by code, so a probe never
+// hashes or compares a `Value`. Only `IsJoinKey` equalities key buckets,
+// and the counted shape's `!=` must not mix int and double columns
+// either; in those columns equal codes are equal values, so the index
+// answers exactly as a `Value`-keyed index would. An int-vs-double
+// predicate is a residual one, tested pair by pair.
 //
 // Exactness: a probe returns exactly what the nested-loop scan would.
 // Cross-tuple equality on a null is false (see EvalOp in predicate.cc),
 // so rows with null join keys are correctly unbucketed on that side —
 // the same argument that makes `FindViolations`' hash fast path exact.
-// Grouping needs `Value` equality to be transitive on the `!=` column;
-// while any row holds a NaN or an integer a double cannot represent
-// there, counted probes test partners one by one instead.
-// Constraints with no cross-tuple equality predicate (and unary
-// constraints) fall back to the scan, so the index is safe for any DC.
+// Constraints with no join key (and unary constraints) fall back to the
+// scan, so the index is safe for any DC.
 //
 // Mutation contract: the index reads the caller's table *live* for every
 // column it does not index — such edits are visible immediately. After
@@ -87,8 +87,8 @@ class ConstraintRowIndex {
   /// Re-buckets and re-groups `row` from the table's current values.
   void Rekey(std::size_t row);
 
-  /// False when the constraint has no cross-tuple equality predicate
-  /// (probes fall back to the O(n) scan).
+  /// False when the constraint has no join key (probes fall back to the
+  /// O(n) scan).
   bool uses_buckets() const { return use_buckets_; }
 
  private:
@@ -163,15 +163,12 @@ class ConstraintRowIndex {
   /// Counted probe: does a partner for ordered pairs in which `row` plays
   /// tuple variable `s` sit outside the row's group?
   bool HasCountedPartner(std::size_t row, int s) const;
-  /// True iff the counted probe may be used (see file comment).
-  bool Counting() const { return counted_ && num_irregular_ == 0; }
-  bool Irregular(std::size_t row) const;
   void CheckRow(std::size_t row) const;
 
   const Table* table_;
   const DenialConstraint* dc_;
   bool use_buckets_ = false;
-  /// Cross-tuple equalities plus exactly one cross-tuple `!=`.
+  /// Join keys plus exactly one cross-tuple `!=` (see file comment).
   bool counted_ = false;
   /// Both tuple variables have the same key and `!=` columns, so one
   /// side serves both orientations.
@@ -185,10 +182,6 @@ class ConstraintRowIndex {
   IdChains groups_;
   std::vector<std::uint32_t> group_bucket_;
   std::vector<std::uint32_t> group_code_;
-  /// Rows whose `!=` value on either side breaks transitive equality,
-  /// and their count (counted shape only).
-  std::vector<std::uint8_t> irregular_;
-  std::size_t num_irregular_ = 0;
 };
 
 }  // namespace trex::dc

@@ -10,10 +10,11 @@ namespace trex::dc {
 namespace {
 
 /// Key for composite hash joins: the joined cells' codes, hashed from the
-/// dictionary's per-entry `Value::Hash` and compared with `SameValue`,
-/// exactly as the cells' values would be.
+/// dictionary's per-entry `Value::Hash`. Join-key columns never mix int
+/// and double (`IsJoinKey`), so equal codes are equal values.
 struct JoinKey {
   std::vector<std::uint32_t> codes;
+  bool operator==(const JoinKey& other) const { return codes == other.codes; }
 };
 
 struct JoinKeyHash {
@@ -24,17 +25,6 @@ struct JoinKeyHash {
       h = HashCombine(h, dict->value_hash(code));
     }
     return h;
-  }
-};
-
-struct JoinKeyEqual {
-  const ValueDictionary* dict;
-  bool operator()(const JoinKey& a, const JoinKey& b) const {
-    if (a.codes.size() != b.codes.size()) return false;
-    for (std::size_t i = 0; i < a.codes.size(); ++i) {
-      if (!dict->SameValue(a.codes[i], b.codes[i])) return false;
-    }
-    return true;
   }
 };
 
@@ -64,19 +54,18 @@ void FindBinaryViolationsNestedLoop(const Table& table,
 
 void FindBinaryViolationsHashJoin(const Table& table,
                                   const DenialConstraint& dc,
+                                  const CrossTupleKeyColumns& cols,
                                   std::size_t constraint_index,
                                   bool symmetric_dedup,
                                   std::vector<Violation>* out) {
-  // Partition rows by the t2-side columns of every cross-tuple equality
-  // predicate; probe with the t1-side columns.
-  const auto [t1_cols, t2_cols] = CrossTupleEqualityColumns(dc);
+  // Partition rows by the t2-side join-key columns; probe with the
+  // t1-side columns.
+  const auto& [t1_cols, t2_cols] = cols;
   TREX_CHECK(!t1_cols.empty());
 
   const std::size_t n = table.num_rows();
-  const ValueDictionary* dict = &table.dictionary();
-  std::unordered_map<JoinKey, std::vector<std::size_t>, JoinKeyHash,
-                     JoinKeyEqual>
-      buckets(n, JoinKeyHash{dict}, JoinKeyEqual{dict});
+  std::unordered_map<JoinKey, std::vector<std::size_t>, JoinKeyHash> buckets(
+      n, JoinKeyHash{&table.dictionary()});
   for (std::size_t r = 0; r < n; ++r) {
     JoinKey key;
     key.codes.reserve(t2_cols.size());
@@ -119,10 +108,16 @@ void FindBinaryViolationsHashJoin(const Table& table,
 
 }  // namespace
 
-CrossTupleKeyColumns CrossTupleEqualityColumns(const DenialConstraint& dc) {
+bool IsJoinKey(const Predicate& p, const Schema& schema) {
+  return p.IsCrossTupleEquality() &&
+         !MixesIntAndDouble(schema, p.lhs.col(), p.rhs.col());
+}
+
+CrossTupleKeyColumns CrossTupleEqualityColumns(const DenialConstraint& dc,
+                                               const Schema& schema) {
   CrossTupleKeyColumns cols;
   for (const Predicate& p : dc.predicates()) {
-    if (!p.IsCrossTupleEquality()) continue;
+    if (!IsJoinKey(p, schema)) continue;
     const Operand& a = p.lhs.tuple_index() == 0 ? p.lhs : p.rhs;
     const Operand& b = p.lhs.tuple_index() == 0 ? p.rhs : p.lhs;
     cols.t1_cols.push_back(a.col());
@@ -156,15 +151,10 @@ std::vector<Violation> FindViolationsOf(const Table& table,
     return out;
   }
   const bool symmetric_dedup = options.dedupe_symmetric && dc.IsSymmetric();
-  bool has_equality = false;
-  for (const Predicate& p : dc.predicates()) {
-    if (p.IsCrossTupleEquality()) {
-      has_equality = true;
-      break;
-    }
-  }
-  if (has_equality) {
-    FindBinaryViolationsHashJoin(table, dc, constraint_index,
+  const CrossTupleKeyColumns cols =
+      CrossTupleEqualityColumns(dc, table.schema());
+  if (!cols.t1_cols.empty()) {
+    FindBinaryViolationsHashJoin(table, dc, cols, constraint_index,
                                  symmetric_dedup, &out);
   } else {
     FindBinaryViolationsNestedLoop(table, dc, constraint_index,

@@ -69,17 +69,22 @@ bool RowViolates(const Table& table, const DenialConstraint& dc,
 std::vector<CellRef> ImplicatedCells(const Violation& violation,
                                      const DcSet& dcs);
 
-/// The join-key columns of a binary DC's cross-tuple equality
-/// predicates: parallel vectors of the t1-side and t2-side columns, one
-/// entry per such predicate (empty when the DC has none). Both the
-/// detector's hash fast path and `ConstraintRowIndex` partition rows by
-/// these columns — sharing the extraction keeps them agreeing on what
-/// joins.
+/// True iff `p` is a join key: a cross-tuple equality between columns
+/// whose equal values have equal codes (not `MixesIntAndDouble`). An
+/// int-vs-double equality stays a residual predicate, compared by value.
+bool IsJoinKey(const Predicate& p, const Schema& schema);
+
+/// The join-key columns of a binary DC: parallel vectors of the t1-side
+/// and t2-side columns, one entry per `IsJoinKey` predicate (empty when
+/// the DC has none). Both the detector's hash fast path and
+/// `ConstraintRowIndex` partition rows by these columns' codes — sharing
+/// the extraction keeps them agreeing on what joins.
 struct CrossTupleKeyColumns {
   std::vector<std::size_t> t1_cols;
   std::vector<std::size_t> t2_cols;
 };
-CrossTupleKeyColumns CrossTupleEqualityColumns(const DenialConstraint& dc);
+CrossTupleKeyColumns CrossTupleEqualityColumns(const DenialConstraint& dc,
+                                               const Schema& schema);
 
 }  // namespace trex::dc
 

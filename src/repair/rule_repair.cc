@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -24,20 +23,13 @@ constexpr std::uint32_t kNone = 0xffffffffu;
 /// loop's writes cost O(1) amortized instead of an O(n) stats rebuild
 /// each.
 ///
-/// While the counted column holds no double, equal values have equal
-/// codes, so codes are counted in a flat array: indexed by code when
-/// `dense` (one counter per column), else scanned (one small counter per
-/// conditioning group). Only ties decode values. A counter built while
-/// the column held a double (`by_value`) counts `Value`-equality classes
-/// instead, as an ordered map from value to count would: its entries stay
-/// sorted by value, a class is found by binary search, it is keyed by the
-/// first code counted into it and dropped at count zero.
+/// Equal values of one column have equal codes, so codes are counted in
+/// a flat array: indexed by code when `dense` (one counter per column),
+/// else scanned (one small counter per conditioning group). Only ties
+/// decode values.
 class ModeCounter {
  public:
-  ModeCounter(const Table* table, bool by_value, bool dense)
-      : table_(table), by_value_(by_value), dense_(dense && !by_value) {}
-
-  bool by_value() const { return by_value_; }
+  ModeCounter(const Table* table, bool dense) : table_(table), dense_(dense) {}
 
   void Add(std::uint32_t code) {
     if (code == kNullCode) return;
@@ -54,13 +46,8 @@ class ModeCounter {
     if (code == kNullCode) return;
     const std::size_t i = Find(code);
     if (i == kNone || entries_[i].count == 0) return;  // defensive
-    if (--entries_[i].count == 0 && by_value_) {
-      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    if (!stale_ && mode_ != kNullCode &&
-        table_->dictionary().SameValue(code, mode_)) {
-      stale_ = true;
-    }
+    --entries_[i].count;
+    if (code == mode_) stale_ = true;
   }
 
   /// The mode's code, or kNullCode when nothing is counted.
@@ -87,32 +74,13 @@ class ModeCounter {
     std::uint32_t count;
   };
 
-  const Value& value(std::uint32_t code) const {
-    return table_->dictionary().value(code);
-  }
   bool Less(std::uint32_t a, std::uint32_t b) const {
-    return value(a) < value(b);
+    const ValueDictionary& dict = table_->dictionary();
+    return dict.value(a) < dict.value(b);
   }
 
-  /// By-value mode: the first entry whose value is not below `code`'s.
-  std::size_t LowerBound(std::uint32_t code) const {
-    const Value& v = value(code);
-    const auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), v,
-        [&](const Entry& entry, const Value& x) {
-          return value(entry.code) < x;
-        });
-    return static_cast<std::size_t>(it - entries_.begin());
-  }
-
-  /// The index of the entry counting `code`'s value, or kNone.
+  /// The index of the entry counting `code`, or kNone.
   std::size_t Find(std::uint32_t code) const {
-    if (by_value_) {
-      const std::size_t i = LowerBound(code);
-      return i < entries_.size() && !(value(code) < value(entries_[i].code))
-                 ? i
-                 : kNone;
-    }
     if (dense_) return code < slot_.size() ? slot_[code] : kNone;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       if (entries_[i].code == code) return i;
@@ -123,11 +91,6 @@ class ModeCounter {
   Entry& FindOrInsert(std::uint32_t code) {
     const std::size_t found = Find(code);
     if (found != kNone) return entries_[found];
-    if (by_value_) {
-      const std::size_t i = LowerBound(code);
-      const auto at = entries_.begin() + static_cast<std::ptrdiff_t>(i);
-      return *entries_.insert(at, Entry{code, 0});
-    }
     if (dense_) {
       if (code >= slot_.size()) {
         slot_.resize(std::max<std::size_t>(code + 1,
@@ -140,7 +103,6 @@ class ModeCounter {
   }
 
   const Table* table_;
-  bool by_value_;
   bool dense_;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> slot_;  // dense: entry index by code
@@ -150,41 +112,30 @@ class ModeCounter {
 };
 
 /// Incremental `JointStats::MostCommonGiven` over (cond, target)
-/// columns: one `ModeCounter` per conditioning value, rows with a null
-/// on either side excluded — matching `JointStats::Build`. Groups are
-/// found by code, or, when the conditioning column held a double at
-/// build, by `Value` hash and equality like the
-/// `unordered_map<Value, …>` they replace.
+/// columns: one `ModeCounter` per conditioning code, rows with a null on
+/// either side excluded — matching `JointStats::Build`.
 class ConditionalModeCounter {
  public:
   ConditionalModeCounter(const Table* table, std::size_t cond_col,
                          std::size_t target_col)
-      : table_(table),
-        cond_by_value_(table->num_doubles(cond_col) > 0),
-        target_by_value_(table->num_doubles(target_col) > 0) {
+      : table_(table) {
     for (std::size_t r = 0; r < table->num_rows(); ++r) {
       Add(table->code(r, cond_col), table->code(r, target_col));
     }
   }
-
-  bool by_value() const { return cond_by_value_ || target_by_value_; }
 
   void Add(std::uint32_t cond, std::uint32_t target) {
     if (cond == kNullCode || target == kNullCode) return;
     std::uint32_t group = FindGroup(cond);
     if (group == kNone) {
       group = static_cast<std::uint32_t>(groups_.size());
-      groups_.emplace_back(table_, target_by_value_, /*dense=*/false);
-      if (cond_by_value_) {
-        group_of_value_.emplace(table_->dictionary().value(cond), group);
-      } else {
-        if (cond >= group_of_.size()) {
-          group_of_.resize(std::max<std::size_t>(
-                               cond + 1, table_->dictionary().size()),
-                           kNone);
-        }
-        group_of_[cond] = group;
+      groups_.emplace_back(table_, /*dense=*/false);
+      if (cond >= group_of_.size()) {
+        group_of_.resize(
+            std::max<std::size_t>(cond + 1, table_->dictionary().size()),
+            kNone);
       }
+      group_of_[cond] = group;
     }
     groups_[group].Add(target);
   }
@@ -195,7 +146,7 @@ class ConditionalModeCounter {
     if (group != kNone) groups_[group].Remove(target);
   }
 
-  /// The mode among rows whose conditioning value equals `cond`'s, or
+  /// The mode among rows whose conditioning value is `cond`, or
   /// kNullCode when there is none.
   std::uint32_t MostCommonGiven(std::uint32_t cond) const {
     const std::uint32_t group = FindGroup(cond);
@@ -204,24 +155,16 @@ class ConditionalModeCounter {
 
  private:
   std::uint32_t FindGroup(std::uint32_t cond) const {
-    if (cond_by_value_) {
-      const auto it =
-          group_of_value_.find(table_->dictionary().value(cond));
-      return it == group_of_value_.end() ? kNone : it->second;
-    }
     return cond < group_of_.size() ? group_of_[cond] : kNone;
   }
 
   const Table* table_;
-  bool cond_by_value_;
-  bool target_by_value_;
   std::vector<std::uint32_t> group_of_;  // by conditioning code
-  std::unordered_map<Value, std::uint32_t, ValueHash> group_of_value_;
   std::vector<ModeCounter> groups_;
 };
 
 ModeCounter BuildModeCounter(const Table& table, std::size_t col) {
-  ModeCounter counter(&table, table.num_doubles(col) > 0, /*dense=*/true);
+  ModeCounter counter(&table, /*dense=*/true);
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     counter.Add(table.code(r, col));
   }
@@ -274,22 +217,8 @@ class RuleRepairSession : public RepairSession {
   /// "without" a constraint).
   [[nodiscard]] Status Resolve(const std::vector<RepairRule>& rules);
 
-  /// Builds rule `i`'s state if absent, and refreshes retained counters
-  /// that a rebuild could answer differently (see `HoldsDoubles`).
+  /// Builds rule `i`'s state if absent.
   RuleState& Prepare(std::size_t i);
-
-  /// True iff column `col` holds a double. A retained counter keeps the
-  /// same counts as one rebuilt from the current table, and `Mode()` is
-  /// a function of the counts — the argmax, ties to the smallest value —
-  /// but the code it returns is a stored representative. Among ints and
-  /// strings equal values are identical, so the representative is too; a
-  /// double makes it depend on history (int 1 vs double 1.0, +0.0 vs
-  /// -0.0, NaN). Retained counters over such a column, or built while it
-  /// held one, are therefore rebuilt when their rule runs, exactly as a
-  /// one-shot repair builds them.
-  bool HoldsDoubles(std::size_t col) const {
-    return table()->num_doubles(col) > 0;
-  }
 
   /// Overwrites one cell, logs its prior code to `undo` (if given) and
   /// keeps every built index and counter in step.
@@ -339,15 +268,11 @@ RuleRepairSession::RuleState& RuleRepairSession::Prepare(std::size_t i) {
   // write, so each query sees exactly what a fresh ColumnStats /
   // JointStats build over the current table would.
   if (rule.action == RuleAction::kSetMostCommon) {
-    if (!state.column_mode.has_value() || state.column_mode->by_value() ||
-        HoldsDoubles(rule.target_col)) {
+    if (!state.column_mode.has_value()) {
       state.column_mode = BuildModeCounter(*table(), rule.target_col);
     }
-  } else if (!rule.self_conditioned) {
-    if (!state.joint_mode.has_value() || state.joint_mode->by_value() ||
-        HoldsDoubles(rule.given_col) || HoldsDoubles(rule.target_col)) {
-      state.joint_mode.emplace(table(), rule.given_col, rule.target_col);
-    }
+  } else if (!rule.self_conditioned && !state.joint_mode.has_value()) {
+    state.joint_mode.emplace(table(), rule.given_col, rule.target_col);
   }
   return state;
 }
@@ -408,10 +333,8 @@ Status RuleRepairSession::RepairCodes(std::vector<CodeWrite>* undo) {
           }
         }
         if (replacement == kNullCode) continue;  // no evidence at all
-        // A null cell differs from every replacement; values compare
-        // with `Value::operator==`.
-        if (!table()->dictionary().SameValue(
-                replacement, table()->code(row, rule.target_col))) {
+        // A null cell differs from every replacement.
+        if (replacement != table()->code(row, rule.target_col)) {
           Write(row, rule.target_col, replacement, undo);
           changed = true;
         }

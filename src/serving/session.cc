@@ -180,6 +180,7 @@ Status TRexSession::SetDirtyCell(CellRef cell, Value value) {
     return Status::OutOfRange("cell " + cell.ToString() +
                               " outside the table");
   }
+  TREX_RETURN_NOT_OK(dirty_.CheckValue(cell.col, value));
   dirty_.Set(cell, std::move(value));
   InvalidateRepair();
   return Status::Ok();

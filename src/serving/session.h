@@ -131,7 +131,8 @@ class TRexSession {
 
   // ---- Iteration: edits invalidate the cached repair. ----
 
-  /// Overwrites a cell of the dirty table.
+  /// Overwrites a cell of the dirty table; fails for a cell outside it or
+  /// a value its column may not hold (`Table::CheckValue`).
   [[nodiscard]] Status SetDirtyCell(CellRef cell, Value value);
 
   /// Removes the constraint with the given name.

@@ -1,5 +1,6 @@
 #include "table/csv.h"
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -103,6 +104,18 @@ ValueType InferColumnType(
   return ValueType::kString;
 }
 
+/// A double's field text: it reads back as the same double, and as a
+/// double (an integral value gets ".0").
+std::string DoubleField(double value) {
+  std::string text;
+  for (int precision = 15; precision <= 17; ++precision) {
+    text = StrFormat("%.*g", precision, value);
+    if (std::strtod(text.c_str(), nullptr) == value) break;
+  }
+  if (LooksLikeInt(text)) text += ".0";
+  return text;
+}
+
 }  // namespace
 
 Result<Table> ReadCsv(std::string_view text, const CsvOptions& options) {
@@ -168,7 +181,11 @@ std::string WriteCsv(const Table& table, char separator) {
     for (std::size_t c = 0; c < table.num_columns(); ++c) {
       if (c > 0) out.push_back(separator);
       const Value& v = table.at(r, c);
-      if (!v.is_null()) out += CsvEscape(v.ToString(), separator);
+      if (v.is_double()) {
+        out += DoubleField(v.as_double());
+      } else if (!v.is_null()) {
+        out += CsvEscape(v.ToString(), separator);
+      }
     }
     out.push_back('\n');
   }

@@ -31,7 +31,8 @@ struct CsvOptions {
                           const CsvOptions& options = {});
 
 /// Serializes a table (with header) to CSV text. Null cells render as the
-/// empty field.
+/// empty field; a double renders with the digits that read it back
+/// exactly, and ".0" when integral, so its column reloads as double.
 std::string WriteCsv(const Table& table, char separator = ',');
 
 /// Writes a table to a file.

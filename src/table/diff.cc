@@ -33,8 +33,7 @@ bool CellRepairedTo(const Table& candidate, const Table& clean,
                     CellRef cell) {
   // Null is code 0 and equals only itself, as below.
   if (candidate.SharesDictionary(clean)) {
-    return clean.dictionary().SameValue(candidate.code(cell),
-                                        clean.code(cell));
+    return candidate.code(cell) == clean.code(cell);
   }
   const Value& got = candidate.at(cell);
   const Value& want = clean.at(cell);

@@ -82,7 +82,8 @@ JointStats JointStats::Build(const Table& table, std::size_t cond_col,
   }
   JointStats joint;
   for (auto& [cond, targets] : groups) {
-    Table projection(Schema({Attribute{"v", ValueType::kString}}));
+    Table projection(
+        Schema({Attribute{"v", table.schema().attribute(target_col).type}}));
     for (Value& t : targets) {
       TREX_CHECK(projection.AppendRow({std::move(t)}).ok());
     }

@@ -1,6 +1,7 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -39,6 +40,10 @@ std::uint32_t ValueDictionary::Find(const Value& value) const {
 
 std::uint32_t ValueDictionary::Add(Value value) {
   TREX_CHECK_LT(size(), std::size_t{kAbsent});
+  if (value.is_double()) {
+    TREX_CHECK(!std::isnan(value.as_double())) << "a NaN is not a value";
+    if (value.as_double() == 0.0) value = Value(0.0);
+  }
   const auto code = static_cast<std::uint32_t>(size());
   const std::uint64_t shifted = std::uint64_t{code} + 8;
   const auto chunk = static_cast<std::size_t>(std::bit_width(shifted)) - 4;
@@ -92,14 +97,12 @@ std::shared_ptr<ValueDictionary> ValueDictionary::Clone(
 Table::Table(Schema schema)
     : schema_(std::move(schema)),
       dict_(std::make_shared<ValueDictionary>()),
-      columns_(schema_.size()),
-      num_doubles_(schema_.size(), 0) {}
+      columns_(schema_.size()) {}
 
 Table::Table(const Table& other)
     : schema_(other.schema_),
       dict_(other.dict_),
-      columns_(other.columns_),
-      num_doubles_(other.num_doubles_) {
+      columns_(other.columns_) {
   MarkShared();
 }
 
@@ -108,7 +111,6 @@ Table& Table::operator=(const Table& other) {
   schema_ = other.schema_;
   dict_ = other.dict_;
   columns_ = other.columns_;
-  num_doubles_ = other.num_doubles_;
   MarkShared();
   return *this;
 }
@@ -134,6 +136,30 @@ std::uint32_t Table::InternValue(Value&& value) {
   return dict_->Add(std::move(value));
 }
 
+bool MixesIntAndDouble(const Schema& schema, std::size_t a, std::size_t b) {
+  const ValueType x = schema.attribute(a).type;
+  const ValueType y = schema.attribute(b).type;
+  return x != y && (x == ValueType::kInt || x == ValueType::kDouble) &&
+         (y == ValueType::kInt || y == ValueType::kDouble);
+}
+
+Status Table::CheckValue(std::size_t col, const Value& value) const {
+  TREX_CHECK_LT(col, num_columns());
+  const Attribute& attribute = schema_.attribute(col);
+  if (value.is_null()) return Status::Ok();
+  if (value.type() != attribute.type) {
+    return Status::InvalidArgument(
+        "column " + attribute.name + " holds " +
+        ValueTypeToString(attribute.type) + ", not the " +
+        ValueTypeToString(value.type()) + " " + value.ToString());
+  }
+  if (value.is_double() && std::isnan(value.as_double())) {
+    return Status::InvalidArgument("column " + attribute.name +
+                                   ": a NaN is not a value");
+  }
+  return Status::Ok();
+}
+
 Status Table::AppendRow(std::vector<Value> row) {
   if (row.size() != schema_.size()) {
     return Status::InvalidArgument(
@@ -141,9 +167,10 @@ Status Table::AppendRow(std::vector<Value> row) {
         " does not match schema arity " + std::to_string(schema_.size()));
   }
   for (std::size_t col = 0; col < row.size(); ++col) {
-    const std::uint32_t code = InternValue(std::move(row[col]));
-    columns_[col].push_back(code);
-    num_doubles_[col] += dict_->is_double(code);
+    TREX_RETURN_NOT_OK(CheckValue(col, row[col]));
+  }
+  for (std::size_t col = 0; col < row.size(); ++col) {
+    columns_[col].push_back(InternValue(std::move(row[col])));
   }
   return Status::Ok();
 }
@@ -152,10 +179,10 @@ void Table::SetCode(std::size_t row, std::size_t col, std::uint32_t code) {
   TREX_CHECK_LT(row, num_rows());
   TREX_CHECK_LT(col, num_columns());
   TREX_CHECK_LT(code, dict_->size());
-  std::uint32_t& cell = columns_[col][row];
-  num_doubles_[col] =
-      num_doubles_[col] - dict_->is_double(cell) + dict_->is_double(code);
-  cell = code;
+  TREX_CHECK(dict_->type(code) == schema_.attributes()[col].type ||
+             code == kNullCode)
+      << ValueTypeToString(dict_->type(code)) << " in column " << col;
+  columns_[col][row] = code;
 }
 
 bool Table::operator==(const Table& other) const {
@@ -167,7 +194,7 @@ bool Table::operator==(const Table& other) const {
     const std::vector<std::uint32_t>& mine = columns_[col];
     const std::vector<std::uint32_t>& theirs = other.columns_[col];
     for (std::size_t row = 0; row < mine.size(); ++row) {
-      if (shared ? !dict_->SameValue(mine[row], theirs[row])
+      if (shared ? mine[row] != theirs[row]
                  : dict_->value(mine[row]) !=
                        other.dict_->value(theirs[row])) {
         return false;

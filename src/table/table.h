@@ -4,9 +4,16 @@
 // Storage is dictionary-encoded and columnar: each column is a vector of
 // `uint32` codes, and a code names one entry of the table's append-only
 // `ValueDictionary`. Two codes of one dictionary are equal iff their
-// values are `ExactlyEqual` (same type tag, same bytes): 1 and 1.0, +0.0
-// and -0.0, "" and null, and NaNs with different payloads all get codes
-// of their own. Code 0 (`kNullCode`) is null in every dictionary.
+// values are `ExactlyEqual` (same type, equal value): 1 and 1.0, and ""
+// and null, get codes of their own; -0.0 is interned as +0.0. Code 0
+// (`kNullCode`) is null in every dictionary.
+//
+// Columns are typed: a cell holds null or a value of its attribute's
+// type, and no cell holds a NaN. `AppendRow` returns a `Status` for any
+// other value; `Set` and `SetCode` check it as a programmer error. Equal
+// values in one column therefore have equal codes, and so do equal
+// values in two columns of one type; an int column against a double
+// column is the one pair that must compare values (`MixesIntAndDouble`).
 //
 // Copies of a table share its dictionary copy-on-write. Copying marks the
 // dictionary shared, and a shared dictionary is never mutated again: a
@@ -88,7 +95,7 @@ inline constexpr std::uint32_t kNullCode = 0;
 
 /// The append-only value dictionary behind a `Table`'s codes (see the file
 /// comment). Entry 0 is null. Besides each value it keeps the value's
-/// `Value::Hash` and type, so code-keyed hash indices and equality tests
+/// `Value::Hash` and type, so code-keyed hash indices and type checks
 /// never re-hash or decode a value.
 class ValueDictionary {
  public:
@@ -112,19 +119,6 @@ class ValueDictionary {
   std::size_t value_hash(std::uint32_t code) const { return hashes_[code]; }
 
   ValueType type(std::uint32_t code) const { return types_[code]; }
-  bool is_double(std::uint32_t code) const {
-    return types_[code] == ValueType::kDouble;
-  }
-
-  /// `Value::operator==` between two entries. Equal codes are equal
-  /// values, and distinct codes that are not doubles never compare
-  /// equal, so only a double is ever decoded (1 == 1.0, +0.0 == -0.0,
-  /// a NaN equals every number).
-  bool SameValue(std::uint32_t a, std::uint32_t b) const {
-    if (a == b) return true;
-    if (!is_double(a) && !is_double(b)) return false;
-    return value(a) == value(b);
-  }
 
   /// The code of the entry `ExactlyEqual` to `value`, or kAbsent.
   std::uint32_t Find(const Value& value) const;
@@ -134,7 +128,8 @@ class ValueDictionary {
 
   static constexpr std::size_t kNumChunks = 30;
 
-  /// Appends `value`, which must be absent.
+  /// Appends `value`, which must be absent and not a NaN; -0.0 is stored
+  /// as +0.0.
   std::uint32_t Add(Value value);
   /// A mutable copy with the same codes, keeping this one alive.
   std::shared_ptr<ValueDictionary> Clone(
@@ -156,6 +151,10 @@ class ValueDictionary {
   /// out before the clone point into it.
   std::shared_ptr<const ValueDictionary> parent_;
 };
+
+/// True iff one of columns `a` and `b` is typed int and the other double:
+/// the one pair of columns in which equal values have different codes.
+bool MixesIntAndDouble(const Schema& schema, std::size_t a, std::size_t b);
 
 /// A relation: schema plus rows of `Value`s, stored as dictionary codes
 /// (see the file comment).
@@ -182,10 +181,13 @@ class Table {
   /// Total number of cells (= the Shapley cell game's player count).
   std::size_t num_cells() const { return num_rows() * num_columns(); }
 
-  /// Appends a row; the arity must match the schema. Values are not
-  /// type-checked against attribute types (dirty data is the point), but
-  /// arity is.
+  /// Appends a row. Fails, appending nothing, unless the arity matches
+  /// the schema and every value passes `CheckValue`.
   [[nodiscard]] Status AppendRow(std::vector<Value> row);
+
+  /// Ok iff column `col` may hold `value`: null, or a value of the
+  /// column's type that is not a NaN.
+  [[nodiscard]] Status CheckValue(std::size_t col, const Value& value) const;
 
   /// Cell access (bounds-checked fatally). The reference points into the
   /// dictionary and stays valid while the table lives. Forced inline, as
@@ -201,7 +203,7 @@ class Table {
     return at(cell.row, cell.col);
   }
 
-  /// Overwrites one cell.
+  /// Overwrites one cell; `value` must pass `CheckValue`.
   void Set(std::size_t row, std::size_t col, Value value) {
     SetCode(row, col, InternValue(std::move(value)));
   }
@@ -221,7 +223,8 @@ class Table {
   }
 
   /// Overwrites one cell with `code`, which must be a code of this
-  /// table's dictionary (read from this table, or returned by `Intern`).
+  /// table's dictionary (read from this table, or returned by `Intern`)
+  /// naming null or a value of the column's type.
   void SetCode(std::size_t row, std::size_t col, std::uint32_t code);
   void SetCode(CellRef cell, std::uint32_t code) {
     SetCode(cell.row, cell.col, code);
@@ -237,13 +240,6 @@ class Table {
   /// values across them.
   bool SharesDictionary(const Table& other) const {
     return dict_ == other.dict_;
-  }
-
-  /// Number of cells of column `col` holding a double. Where it is 0,
-  /// distinct codes are distinct values under `Value::operator==`.
-  std::size_t num_doubles(std::size_t col) const {
-    TREX_CHECK_LT(col, num_columns());
-    return num_doubles_[col];
   }
 
   /// Linear (vectorized) cell index, per Example 2.5 ordering.
@@ -272,8 +268,7 @@ class Table {
   /// Content fingerprint; equal tables have equal fingerprints. Keys
   /// engines in the router (serving/router.h). The schema hash XOR'd
   /// with one position-keyed FNV-1a hash per cell (row, col, type tag,
-  /// value bytes), so it is order-free to compute and tells apart values
-  /// that `operator==` equates (1 and 1.0, null and "").
+  /// value bytes), so it is order-free to compute and tells null from "".
   std::uint64_t Fingerprint() const;
 
  private:
@@ -285,7 +280,6 @@ class Table {
   Schema schema_;
   std::shared_ptr<ValueDictionary> dict_;
   std::vector<std::vector<std::uint32_t>> columns_;  // columns_[col][row]
-  std::vector<std::size_t> num_doubles_;             // per column
 };
 
 }  // namespace trex

@@ -1,7 +1,6 @@
 #include "table/value.h"
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <ostream>
 
@@ -40,41 +39,60 @@ const std::string& Value::as_string() const {
   return std::get<std::string>(repr_);
 }
 
-double Value::AsNumeric() const {
-  if (is_int()) return static_cast<double>(std::get<std::int64_t>(repr_));
-  if (is_double()) return std::get<double>(repr_);
-  TREX_CHECK(false) << "Value is not numeric: " << ToString();
-  return 0;
+namespace {
+
+int CompareDoubles(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  // Equal, or a NaN on either side: a NaN sits above every number.
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
 }
 
+/// Exact: `i` is never rounded to a double.
+int CompareIntDouble(std::int64_t i, double d) {
+  if (std::isnan(d) || d >= 0x1p63) return -1;
+  if (d < -0x1p63) return 1;
+  const auto whole = static_cast<std::int64_t>(d);  // truncation is exact
+  if (i != whole) return i < whole ? -1 : 1;
+  const double fraction = d - static_cast<double>(whole);
+  return fraction > 0 ? -1 : (fraction < 0 ? 1 : 0);
+}
+
+}  // namespace
+
 int Value::Compare(const Value& other) const {
-  const bool a_num = is_numeric();
-  const bool b_num = other.is_numeric();
-  if (a_num && b_num) {
-    // Compare ints exactly when both are ints; otherwise numerically.
-    if (is_int() && other.is_int()) {
-      const std::int64_t a = std::get<std::int64_t>(repr_);
-      const std::int64_t b = std::get<std::int64_t>(other.repr_);
-      return a < b ? -1 : (a > b ? 1 : 0);
+  const ValueType a = type();
+  const ValueType b = other.type();
+  if (a == b) {
+    switch (a) {
+      case ValueType::kNull:
+        return 0;
+      case ValueType::kInt: {
+        const std::int64_t x = std::get<std::int64_t>(repr_);
+        const std::int64_t y = std::get<std::int64_t>(other.repr_);
+        return x < y ? -1 : (x > y ? 1 : 0);
+      }
+      case ValueType::kDouble:
+        return CompareDoubles(std::get<double>(repr_),
+                              std::get<double>(other.repr_));
+      case ValueType::kString: {
+        const int c = std::get<std::string>(repr_).compare(
+            std::get<std::string>(other.repr_));
+        return (c > 0) - (c < 0);
+      }
     }
-    const double a = AsNumeric();
-    const double b = other.AsNumeric();
-    return a < b ? -1 : (a > b ? 1 : 0);
   }
-  // Order classes: null(0) < numeric(1) < string(2).
-  auto cls = [](const Value& v) {
-    if (v.is_null()) return 0;
-    if (v.is_numeric()) return 1;
-    return 2;
-  };
-  const int ca = cls(*this);
-  const int cb = cls(other);
-  if (ca != cb) return ca < cb ? -1 : 1;
-  if (ca == 0) return 0;  // both null
-  // Both strings.
-  const std::string& a = std::get<std::string>(repr_);
-  const std::string& b = std::get<std::string>(other.repr_);
-  return a < b ? -1 : (a > b ? 1 : 0);
+  if (a == ValueType::kInt && b == ValueType::kDouble) {
+    return CompareIntDouble(std::get<std::int64_t>(repr_),
+                            std::get<double>(other.repr_));
+  }
+  if (a == ValueType::kDouble && b == ValueType::kInt) {
+    return -CompareIntDouble(std::get<std::int64_t>(other.repr_),
+                             std::get<double>(repr_));
+  }
+  // Different classes: null(0) < numeric(1) < string(2).
+  const auto rank = [](ValueType t) { return (static_cast<int>(t) + 1) / 2; };
+  return rank(a) < rank(b) ? -1 : 1;
 }
 
 std::size_t Value::Hash() const {
@@ -86,13 +104,17 @@ std::size_t Value::Hash() const {
       // Value(1) and Value(1.0) — which compare equal — hash alike.
       const std::int64_t v = std::get<std::int64_t>(repr_);
       const double d = static_cast<double>(v);
-      if (static_cast<std::int64_t>(d) == v) {
+      if (d < 0x1p63 && static_cast<std::int64_t>(d) == v) {
         return std::hash<double>{}(d);
       }
       return std::hash<std::int64_t>{}(v);
     }
-    case ValueType::kDouble:
-      return std::hash<double>{}(std::get<double>(repr_));
+    case ValueType::kDouble: {
+      const double d = std::get<double>(repr_);
+      // Every NaN compares equal to every other; +0.0 and -0.0 already
+      // hash alike.
+      return std::hash<double>{}(std::isnan(d) ? std::nan("") : d);
+    }
     case ValueType::kString:
       return static_cast<std::size_t>(Fnv1a(std::get<std::string>(repr_)));
   }
@@ -152,21 +174,7 @@ std::ostream& operator<<(std::ostream& os, const Value& value) {
 }
 
 bool ExactlyEqual(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
-    case ValueType::kNull:
-      return true;
-    case ValueType::kInt:
-      return a.as_int() == b.as_int();
-    case ValueType::kDouble: {
-      const double x = a.as_double();
-      const double y = b.as_double();
-      return std::memcmp(&x, &y, sizeof(x)) == 0;
-    }
-    case ValueType::kString:
-      return a.as_string() == b.as_string();
-  }
-  return false;
+  return a.type() == b.type() && a.Compare(b) == 0;
 }
 
 }  // namespace trex

@@ -58,18 +58,15 @@ class Value {
   bool is_int() const { return type() == ValueType::kInt; }
   bool is_double() const { return type() == ValueType::kDouble; }
   bool is_string() const { return type() == ValueType::kString; }
-  bool is_numeric() const { return is_int() || is_double(); }
 
   /// Typed accessors; calling the wrong one aborts (programmer error).
   std::int64_t as_int() const;
   double as_double() const;
   const std::string& as_string() const;
 
-  /// Numeric view: ints widen to double. Must be numeric.
-  double AsNumeric() const;
-
-  /// Structural equality. Null equals null; `1` (int) equals `1.0`
-  /// (double) numerically; strings compare bytewise.
+  /// Equality and order under `Compare`. An int equals a double that
+  /// denotes the same number exactly: 1 equals 1.0, but int 2^53 + 1
+  /// does not equal double 2^53.
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator!=(const Value& other) const { return Compare(other) != 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
@@ -77,12 +74,15 @@ class Value {
   bool operator>(const Value& other) const { return Compare(other) > 0; }
   bool operator>=(const Value& other) const { return Compare(other) >= 0; }
 
-  /// Total order: null < numerics (ordered numerically) < strings
-  /// (ordered bytewise). Returns <0, 0, >0.
+  /// Total order: null < numbers < strings. Numbers compare by exact
+  /// value, with no rounding of an int to a double; -0.0 equals +0.0,
+  /// and a NaN (which no table or parsed constant holds) sits above
+  /// every number and equals every NaN. Strings compare bytewise.
+  /// Returns -1, 0 or 1.
   int Compare(const Value& other) const;
 
-  /// Hash consistent with operator== (ints and equal-valued doubles hash
-  /// alike).
+  /// Hash consistent with operator== (an int and the double of the same
+  /// number hash alike).
   std::size_t Hash() const;
 
   /// Renders the value: "∅" for null, decimal for numerics, raw bytes for
@@ -101,9 +101,9 @@ class Value {
 
 std::ostream& operator<<(std::ostream& os, const Value& value);
 
-/// Bit-level equality: same type tag and same bytes. Stricter than
-/// `Value::operator==`, which equates 1 with 1.0, +0.0 with -0.0 and a
-/// NaN with every number; it is the equality of `Table` codes.
+/// Same type and equal under `Compare`: the equality of `Table` codes.
+/// It exists because `operator==` equates an int with the double of the
+/// same number, and a typed column keeps the two apart.
 bool ExactlyEqual(const Value& a, const Value& b);
 
 /// std::hash adapter so `Value` can key unordered containers.

@@ -80,6 +80,8 @@ TEST(ParseDoubleTest, RejectsInvalid) {
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("x").ok());
   EXPECT_FALSE(ParseDouble("1.2.3").ok());
+  EXPECT_FALSE(ParseDouble("nan").ok());
+  EXPECT_FALSE(ParseDouble("-NaN").ok());
 }
 
 TEST(FormatDoubleTest, IntegersRenderWithoutPoint) {
@@ -108,6 +110,8 @@ TEST(LooksLikeTest, DoubleDetection) {
   EXPECT_TRUE(LooksLikeDouble("-2e4"));
   EXPECT_TRUE(LooksLikeDouble("7"));
   EXPECT_FALSE(LooksLikeDouble("abc"));
+  // A NaN reads as a double literal, so that a typed parse rejects it.
+  EXPECT_TRUE(LooksLikeDouble("nan"));
 }
 
 TEST(CsvEscapeTest, PlainFieldsUnchanged) {

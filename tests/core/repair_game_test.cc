@@ -324,41 +324,59 @@ TEST(BlackBoxRepairTest, TableCacheVerifiesFullContentNotJustFingerprint) {
   EXPECT_EQ(box->num_cache_hits(), 2u);
 }
 
-TEST(BlackBoxRepairTest, CollisionPathKeepsEqualComparingValuesApart) {
+/// `table` with its int column `name` retyped double.
+Table WithDoubleColumn(const Table& table, const char* name) {
+  std::vector<Attribute> attributes = table.schema().attributes();
+  const std::size_t col = *table.schema().IndexOf(name);
+  attributes[col].type = ValueType::kDouble;
+  Table out{Schema(std::move(attributes))};
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    std::vector<Value> row;
+    for (std::size_t c = 0; c < table.num_columns(); ++c) {
+      const Value& v = table.at(r, c);
+      row.push_back(c == col && !v.is_null()
+                        ? Value(static_cast<double>(v.as_int()))
+                        : v);
+    }
+    EXPECT_TRUE(out.AppendRow(std::move(row)).ok());
+  }
+  return out;
+}
+
+TEST(BlackBoxRepairTest, EqualValuesOfOneColumnAreOneMemoInput) {
   // `Value::Hash` follows `Value::operator==`, so 7 and 7.0, and +0.0
-  // and -0.0, share a memo bucket by construction. The inputs still
-  // differ (a repair may treat an int and a double differently), so the
-  // exact write-set comparison must keep all four apart, never serving
-  // one input's outcome for another.
+  // and -0.0, share a memo bucket. A column holds one type, so 7 and 7.0
+  // never meet in one cell: 7.0 into the int Place column is rejected.
+  // -0.0 is interned as +0.0, so in a double column the two zeros are
+  // one input: one repair, then a verified hit with the same outcome.
   ASSERT_EQ(Value(7).Hash(), Value(7.0).Hash());
   ASSERT_EQ(Value(0.0).Hash(), Value(-0.0).Hash());
-  const CellRef place = data::SoccerCell(5, "Place");
-  const CellRef year = data::SoccerCell(5, "Year");
-  const std::vector<std::vector<CellWrite>> inputs = {
-      {{place, Value(7)}},
-      {{place, Value(7.0)}},
-      {{year, Value(0.0)}},
-      {{year, Value(-0.0)}}};
-  auto uncached = MakeBox(data::SoccerTargetCell());
+  const Table dirty = WithDoubleColumn(data::SoccerDirtyTable(), "Year");
+  const auto make = [&] {
+    return BlackBoxRepair::Make(Algorithm1Singleton().get(),
+                                data::SoccerConstraints(), dirty,
+                                data::SoccerTargetCell());
+  };
+  auto uncached = make();
   ASSERT_TRUE(uncached.ok());
   uncached->set_cache_enabled(false);
-  auto box = MakeBox(data::SoccerTargetCell());
+  auto box = make();
   ASSERT_TRUE(box.ok());
   const std::size_t base = box->num_algorithm_calls();
-  std::vector<bool> outcomes;
-  for (const std::vector<CellWrite>& writes : inputs) {
-    outcomes.push_back(box->EvalPerturbation(writes));
-    EXPECT_EQ(outcomes.back(), uncached->EvalPerturbation(writes));
-  }
-  // One repair per input despite the shared buckets...
-  EXPECT_EQ(box->num_algorithm_calls(), base + inputs.size());
-  EXPECT_EQ(box->num_table_memo_entries(), inputs.size());
-  // ...and verified hits on re-evaluation, with unchanged outcomes.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    EXPECT_EQ(box->EvalPerturbation(inputs[i]), outcomes[i]) << i;
-  }
-  EXPECT_EQ(box->num_algorithm_calls(), base + inputs.size());
-  EXPECT_EQ(box->num_cache_hits(), inputs.size());
+  const CellRef year = data::SoccerCell(5, "Year");
+  const std::vector<CellWrite> positive = {{year, Value(0.0)}};
+  const std::vector<CellWrite> negative = {{year, Value(-0.0)}};
+  const bool outcome = box->EvalPerturbation(positive);
+  EXPECT_EQ(outcome, uncached->EvalPerturbation(positive));
+  EXPECT_EQ(box->EvalPerturbation(negative), outcome);
+  EXPECT_EQ(uncached->EvalPerturbation(negative), outcome);
+  EXPECT_EQ(box->num_algorithm_calls(), base + 1);
+  EXPECT_EQ(box->num_table_memo_entries(), 1u);
+  EXPECT_EQ(box->num_cache_hits(), 1u);
+
+  const CellRef place = data::SoccerCell(5, "Place");
+  const std::vector<CellWrite> double_into_int = {{place, Value(7.0)}};
+  EXPECT_DEATH(box->EvalPerturbation(double_into_int), "Check failed");
 }
 
 TEST(BlackBoxRepairTest, EvalPerturbationMatchesFreshRepair) {
@@ -371,10 +389,14 @@ TEST(BlackBoxRepairTest, EvalPerturbationMatchesFreshRepair) {
   for (std::size_t round = 0; round < 8; ++round) {
     std::vector<CellWrite> writes;
     for (std::size_t i = 0; i <= round % 4; ++i) {
-      writes.push_back({CellRef{(round + i) % dirty.num_rows(),
-                                (round + 2 * i) % dirty.num_columns()},
-                        i % 2 == 0 ? Value::Null()
-                                   : Value("w" + std::to_string(round))});
+      const CellRef cell{(round + i) % dirty.num_rows(),
+                         (round + 2 * i) % dirty.num_columns()};
+      const bool is_int =
+          dirty.schema().attribute(cell.col).type == ValueType::kInt;
+      writes.push_back(
+          {cell, i % 2 == 0 ? Value::Null()
+                 : is_int   ? Value(static_cast<int>(1000 + round))
+                            : Value("w" + std::to_string(round))});
     }
     Table materialized = dirty;
     for (const CellWrite& w : writes) materialized.Set(w.cell, w.value);

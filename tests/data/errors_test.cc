@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "data/generator.h"
@@ -105,6 +106,20 @@ TEST(ErrorInjectorTest, MissingErrorsAreNulls) {
   }
 }
 
+/// True iff `record` is a typo: a string with '~' appended, or a number
+/// above every clean value of its column (the generator's values never
+/// hold a '~').
+bool IsTypo(const Table& clean, const RepairedCell& record) {
+  if (record.new_value.is_string()) {
+    return record.new_value.as_string().find('~') != std::string::npos;
+  }
+  if (record.new_value.is_null()) return false;
+  for (std::size_t r = 0; r < clean.num_rows(); ++r) {
+    if (clean.at(r, record.cell.col) >= record.new_value) return false;
+  }
+  return true;
+}
+
 TEST(ErrorInjectorTest, TyposCreateFreshValues) {
   auto generated = GenerateSoccer({.num_rows = 60, .seed = 13});
   ErrorInjectorOptions options;
@@ -115,10 +130,38 @@ TEST(ErrorInjectorTest, TyposCreateFreshValues) {
   options.seed = 14;
   auto result = InjectErrors(generated.clean, options);
   ASSERT_FALSE(result.injected.empty());
+  std::set<std::size_t> typed_columns;
   for (const RepairedCell& record : result.injected) {
-    ASSERT_TRUE(record.new_value.is_string());
-    EXPECT_NE(record.new_value.as_string().find('~'), std::string::npos);
+    // A typo keeps its column's type.
+    ASSERT_TRUE(generated.clean.CheckValue(record.cell.col, record.new_value)
+                    .ok());
+    EXPECT_TRUE(IsTypo(generated.clean, record)) << record.new_value;
+    if (!record.new_value.is_string()) typed_columns.insert(record.cell.col);
   }
+  EXPECT_FALSE(typed_columns.empty());  // the int columns Year and Place
+}
+
+TEST(ErrorInjectorTest, NumericTyposOfDistinctTruthsStayDistinct) {
+  auto generated = GenerateSoccer({.num_rows = 60, .seed = 13});
+  ErrorInjectorOptions options;
+  options.error_rate = 0.5;
+  options.weight_swap = 0;
+  options.weight_typo = 1;
+  options.weight_missing = 0;
+  options.seed = 14;
+  const std::size_t year = *generated.clean.ColumnIndex("Year");
+  options.columns = {year};
+  auto result = InjectErrors(generated.clean, options);
+  std::map<Value, Value> typo_of;
+  for (const RepairedCell& record : result.injected) {
+    const auto [it, inserted] =
+        typo_of.emplace(record.old_value, record.new_value);
+    EXPECT_EQ(it->second, record.new_value);  // one typo per truth
+  }
+  std::set<Value> typos;
+  for (const auto& [truth, typo] : typo_of) typos.insert(typo);
+  EXPECT_EQ(typos.size(), typo_of.size());
+  EXPECT_GT(typo_of.size(), 1u);
 }
 
 TEST(ErrorInjectorTest, SwapsStayInColumnDomain) {
@@ -134,7 +177,7 @@ TEST(ErrorInjectorTest, SwapsStayInColumnDomain) {
   for (const RepairedCell& record : result.injected) {
     if (record.new_value.is_null()) continue;
     // Swapped values come from the clean column's domain (modulo typo
-    // fallback for single-valued columns, marked with '~').
+    // fallback for single-valued columns).
     bool in_domain = false;
     for (std::size_t r = 0; r < generated.clean.num_rows(); ++r) {
       if (generated.clean.at(r, record.cell.col) == record.new_value) {
@@ -142,10 +185,7 @@ TEST(ErrorInjectorTest, SwapsStayInColumnDomain) {
         break;
       }
     }
-    const bool typo_fallback =
-        record.new_value.is_string() &&
-        record.new_value.as_string().find('~') != std::string::npos;
-    EXPECT_TRUE(in_domain || typo_fallback);
+    EXPECT_TRUE(in_domain || IsTypo(generated.clean, record));
   }
 }
 
@@ -171,16 +211,53 @@ TEST(ErrorInjectorTest, SwapSourcesComeFromCleanDomain) {
   std::size_t swaps = 0;
   for (const RepairedCell& record : result.injected) {
     ASSERT_FALSE(record.new_value.is_null());
-    const bool is_typo =
-        record.new_value.is_string() &&
-        record.new_value.as_string().find('~') != std::string::npos;
-    if (is_typo) continue;  // generator values never contain '~'
+    if (IsTypo(generated.clean, record)) continue;
     ++swaps;
     EXPECT_EQ(clean_domain[record.cell.col].count(record.new_value), 1u)
         << "swap drew out-of-clean-domain value "
         << record.new_value.ToString();
   }
   EXPECT_GT(swaps, 0u);
+}
+
+// Pins the injected tables byte for byte, as `GeneratorTest.
+// GoldenFingerprints` pins the generator: the first case is perfbench's
+// preparation (4% swaps in City and Country) at 5000 rows, the others
+// add typos in string columns, nulls, and swaps in int columns.
+TEST(ErrorInjectorTest, GoldenFingerprints) {
+  const Schema schema = SoccerSchema();
+  const std::size_t city = *schema.IndexOf("City");
+  const std::size_t country = *schema.IndexOf("Country");
+  ErrorInjectorOptions swaps;
+  swaps.error_rate = 0.04;
+  swaps.weight_swap = 1;
+  swaps.weight_typo = 0;
+  swaps.weight_missing = 0;
+  swaps.columns = {city, country};
+  swaps.seed = 2;
+  ErrorInjectorOptions string_typos;
+  string_typos.error_rate = 0.1;
+  string_typos.columns = {city, country, *schema.IndexOf("League")};
+  string_typos.seed = 38;
+  ErrorInjectorOptions all_columns;
+  all_columns.error_rate = 0.2;
+  all_columns.weight_typo = 0;
+  all_columns.seed = 5;
+  const struct {
+    SoccerGenOptions generate;
+    ErrorInjectorOptions inject;
+    std::uint64_t fingerprint;
+  } cases[] = {
+      {{.num_rows = 5000, .seed = 1}, swaps, 0xda429a840441d0f8ULL},
+      {{.num_rows = 1500, .seed = 37}, string_typos, 0xd1efa0bb67123803ULL},
+      {{.num_rows = 300, .seed = 4}, all_columns, 0x64dbfc5d7d39d078ULL},
+  };
+  for (const auto& c : cases) {
+    const GeneratedData generated = GenerateSoccer(c.generate);
+    EXPECT_EQ(InjectErrors(generated.clean, c.inject).dirty.Fingerprint(),
+              c.fingerprint)
+        << c.generate.num_rows << " rows, seed " << c.generate.seed;
+  }
 }
 
 TEST(ErrorInjectorTest, MaxErrorsCapsInjection) {

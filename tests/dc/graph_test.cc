@@ -8,8 +8,12 @@ namespace trex::dc {
 namespace {
 
 Schema SoccerSchema() {
-  return Schema::AllStrings(
-      {"Team", "City", "Country", "League", "Year", "Place"});
+  return Schema({Attribute{"Team", ValueType::kString},
+                 Attribute{"City", ValueType::kString},
+                 Attribute{"Country", ValueType::kString},
+                 Attribute{"League", ValueType::kString},
+                 Attribute{"Year", ValueType::kInt},
+                 Attribute{"Place", ValueType::kInt}});
 }
 
 TEST(AttributeGraphTest, SelfReachability) {

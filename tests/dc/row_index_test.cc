@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -157,33 +156,20 @@ TEST(ConstraintRowIndexTest, FallsBackWithoutCrossTupleEquality) {
   }
 }
 
-/// A value from a tiny domain, so joins, groups and nulls collide often:
-/// ints, doubles equal to them (`1` vs `1.0`), strings and, when
-/// `irregular`, rarely a NaN or an integer a double cannot hold (equality
-/// is not transitive there). Join keys stay regular: the index buckets
-/// them by `Value::Hash` exactly like `FindViolations`' hash join.
-Value RandomValue(Rng* rng, bool irregular) {
-  if (irregular && rng->UniformUint64(30) == 0) {
-    return rng->Bernoulli(0.5) ? Value(std::numeric_limits<double>::quiet_NaN())
-                               : Value(std::int64_t{9007199254740993});
+/// A null or a value of `type` from a tiny domain, so joins, groups and
+/// nulls collide often. The int and double domains overlap: 1 vs 1.0,
+/// int 2^53 vs 2^53 + 1 vs double 2^53, and -0.0 vs int 0, so the
+/// int-vs-double predicates meet equal and nearly equal pairs.
+Value RandomValue(Rng* rng, ValueType type) {
+  if (rng->UniformUint64(5) == 0) return Value::Null();
+  const std::size_t pick = rng->UniformUint64(4);
+  if (type == ValueType::kInt) {
+    constexpr std::int64_t kInts[] = {0, 1, 9007199254740992,
+                                      9007199254740993};
+    return Value(kInts[pick]);
   }
-  switch (rng->UniformUint64(10)) {
-    case 0:
-    case 1:
-      return Value::Null();
-    case 2:
-    case 3:
-    case 4:
-      return Value(static_cast<int>(rng->UniformUint64(3)));
-    case 5:
-    case 6:
-      return Value(static_cast<double>(rng->UniformUint64(3)));
-    case 7:
-    case 8:
-      return Value(rng->Bernoulli(0.5) ? "x" : "y");
-    default:
-      return rng->Bernoulli(0.5) ? Value(0.5) : Value(9007199254740992.0);
-  }
+  constexpr double kDoubles[] = {-0.0, 1.0, 9007199254740992.0, 0.5};
+  return Value(kDoubles[pick]);
 }
 
 TEST(ConstraintRowIndexTest, SeededDifferentialAgainstScan) {
@@ -191,11 +177,13 @@ TEST(ConstraintRowIndexTest, SeededDifferentialAgainstScan) {
                        Attribute{"B", ValueType::kInt},
                        Attribute{"C", ValueType::kInt},
                        Attribute{"D", ValueType::kInt},
-                       Attribute{"E", ValueType::kInt}});
-  // Join keys use A and B only; the other columns feed the residuals.
-  constexpr std::size_t kFirstNonKey = 2;
+                       Attribute{"E", ValueType::kInt},
+                       Attribute{"F", ValueType::kDouble},
+                       Attribute{"G", ValueType::kDouble}});
   // 0, 1 and 2 residual predicates; symmetric and asymmetric keys; the
-  // counted shape with shared and with distinct sides.
+  // counted shape with shared and with distinct sides, over ints and
+  // over doubles; and int-vs-double predicates, which are residuals
+  // compared by value.
   const std::vector<std::string> texts = {
       "!(t1.A == t2.A)",
       "!(t1.A == t2.B)",
@@ -207,6 +195,11 @@ TEST(ConstraintRowIndexTest, SeededDifferentialAgainstScan) {
       "!(t1.A == t2.A & t1.C != t2.C & t1.D != t2.D)",
       "!(t1.A == t2.B & t1.C != t2.D & t1.E <= t2.E)",
       "!(t1.C != t2.D)",
+      "!(t1.F == t2.G & t1.C != t2.D)",
+      "!(t1.A == t2.B & t1.F != t2.G)",
+      "!(t1.A == t2.F)",
+      "!(t1.A == t2.A & t1.C != t2.F)",
+      "!(t1.A == t2.F & t1.B == t2.B & t1.C != t2.D)",
   };
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     for (const std::string& text : texts) {
@@ -217,8 +210,8 @@ TEST(ConstraintRowIndexTest, SeededDifferentialAgainstScan) {
       const std::size_t num_rows = 3 + rng.UniformUint64(8);
       for (std::size_t r = 0; r < num_rows; ++r) {
         std::vector<Value> row;
-        for (std::size_t c = 0; c < schema.size(); ++c) {
-          row.push_back(RandomValue(&rng, c >= kFirstNonKey));
+        for (const Attribute& attribute : schema.attributes()) {
+          row.push_back(RandomValue(&rng, attribute.type));
         }
         ASSERT_TRUE(table.AppendRow(std::move(row)).ok());
       }
@@ -228,7 +221,7 @@ TEST(ConstraintRowIndexTest, SeededDifferentialAgainstScan) {
       for (int write = 0; write < 60; ++write) {
         const CellRef cell{rng.UniformUint64(num_rows),
                            rng.UniformUint64(schema.size())};
-        table.Set(cell, RandomValue(&rng, cell.col >= kFirstNonKey));
+        table.Set(cell, RandomValue(&rng, schema.attribute(cell.col).type));
         if (index.IsKeyColumn(cell.col)) index.Rekey(cell.row);
         ExpectIndexMatchesScan(table, *dc, 0, index,
                                context + " write " + std::to_string(write));
@@ -236,6 +229,28 @@ TEST(ConstraintRowIndexTest, SeededDifferentialAgainstScan) {
       }
     }
   }
+}
+
+TEST(ConstraintRowIndexTest, IntAgainstDoubleEqualityComparesExactValues) {
+  const Schema schema({Attribute{"Key", ValueType::kInt},
+                       Attribute{"Other", ValueType::kDouble}});
+  auto dc = ParseDc("!(t1.Key == t2.Other)", schema, "Mixed");
+  ASSERT_TRUE(dc.ok()) << dc.status().ToString();
+  Table table(schema);
+  // Row 0 joins row 1 (1 == 1.0); int 2^53 + 1 joins no double 2^53.
+  ASSERT_TRUE(table.AppendRow({Value(1), Value(5.0)}).ok());
+  ASSERT_TRUE(table.AppendRow({Value(7), Value(1.0)}).ok());
+  ASSERT_TRUE(
+      table.AppendRow({Value(std::int64_t{9007199254740993}), Value(3.0)})
+          .ok());
+  ASSERT_TRUE(table.AppendRow({Value(8), Value(9007199254740992.0)}).ok());
+  const std::vector<Violation> violations = FindViolations(table, DcSet({*dc}));
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].row1, 0u);
+  EXPECT_EQ(violations[0].row2, 1u);
+  ConstraintRowIndex index(&table, &*dc);
+  EXPECT_FALSE(index.uses_buckets());
+  ExpectIndexMatchesScan(table, *dc, 0, index, "mixed");
 }
 
 TEST(ConstraintRowIndexDeathTest, BucketProbesCheckTheRow) {

@@ -232,10 +232,32 @@ World SessionWorld(std::uint64_t seed) {
                std::move(generated.dcs)};
 }
 
+/// The world with its int Place column (the target of rule 4) retyped
+/// double, so the rule's counters run over doubles.
+World WithDoublePlace(const World& world) {
+  std::vector<Attribute> attributes = world.dirty.schema().attributes();
+  const std::size_t place = *world.dirty.schema().IndexOf("Place");
+  attributes[place].type = ValueType::kDouble;
+  Table table{Schema(std::move(attributes))};
+  for (std::size_t r = 0; r < world.dirty.num_rows(); ++r) {
+    std::vector<Value> row;
+    for (std::size_t c = 0; c < world.dirty.num_columns(); ++c) {
+      const Value& v = world.dirty.at(r, c);
+      row.push_back(c == place && !v.is_null()
+                        ? Value(static_cast<double>(v.as_int()))
+                        : v);
+    }
+    EXPECT_TRUE(table.AppendRow(std::move(row)).ok());
+  }
+  return World{std::move(table), world.dcs};
+}
+
 /// Drives a session over a copy of `dirty` through `rounds` random write
 /// sequences — nulls, swaps within a column, restores to the dirty
-/// value, int columns rewritten as equal doubles, and a NaN or the int
-/// 2^53+1 in a `!=` column (City, Country, Team) — and checks, after
+/// value, extreme numbers in numeric columns (ints 2^53 and 2^53 + 1,
+/// which one double cannot tell apart; ±0.0 and ±inf), and fresh strings
+/// in a `!=` column (City, Country, Team), where a NaN or an int is
+/// rejected — and checks, after
 /// each `RepairCodes`, that the bound table equals a one-shot `Repair`
 /// of the materialized input bit for bit, and that replaying the undo
 /// log in reverse through `SetCode` restores the input bit for bit.
@@ -275,19 +297,32 @@ void CheckSessionMatchesRepair(const RepairAlgorithm& alg,
         case 3:
           session->SetCode(cell, bound.Intern(dirty.at(cell)));
           break;
-        case 4:
-          if (bound.at(cell).is_int()) {
-            session->SetCode(cell, bound.Intern(static_cast<double>(
-                                       bound.at(cell).as_int())));
+        case 4: {
+          constexpr double kInf = std::numeric_limits<double>::infinity();
+          constexpr double kDoubles[] = {0.0, -0.0, kInf, -kInf};
+          const ValueType type = schema.attribute(cell.col).type;
+          if (type == ValueType::kInt) {
+            session->SetCode(cell, bound.Intern(Value(std::int64_t{
+                                       (1LL << 53) + rng.Bernoulli(0.5)})));
+          } else if (type == ValueType::kDouble) {
+            session->SetCode(
+                cell, bound.Intern(Value(kDoubles[rng.UniformUint64(4)])));
           }
           break;
+        }
         default: {
           const CellRef neq{cell.row, neq_cols[rng.UniformUint64(3)]};
-          session->SetCode(
-              neq, bound.Intern(
-                       rng.Bernoulli(0.5)
-                           ? Value(std::numeric_limits<double>::quiet_NaN())
-                           : Value(std::int64_t{(1LL << 53) + 1})));
+          EXPECT_FALSE(
+              bound.CheckValue(neq.col, Value(std::int64_t{(1LL << 53) + 1}))
+                  .ok());
+          EXPECT_FALSE(
+              bound
+                  .CheckValue(neq.col,
+                              Value(std::numeric_limits<double>::quiet_NaN()))
+                  .ok());
+          session->SetCode(neq, bound.Intern(Value(
+                                    "fresh " +
+                                    std::to_string(rng.UniformUint64(3)))));
           break;
         }
       }
@@ -312,6 +347,12 @@ TEST_P(RuleRepairSessionTest, MatchesRepairOnEveryRound) {
   const World world = SessionWorld(GetParam());
   CheckSessionMatchesRepair(*MakeAlgorithm1(), world.dcs, world.dirty,
                             GetParam());
+}
+
+TEST_P(RuleRepairSessionTest, DoubleColumnMatchesRepair) {
+  const World world = WithDoublePlace(SessionWorld(GetParam()));
+  CheckSessionMatchesRepair(*MakeAlgorithm1(), world.dcs, world.dirty,
+                            GetParam() + 4000);
 }
 
 TEST_P(RuleRepairSessionTest, MultiPassMatchesRepair) {

@@ -110,6 +110,38 @@ TEST(CsvReadTest, MixedIntAndDoubleColumnInfersDouble) {
   EXPECT_EQ(table->schema().attribute(0).type, ValueType::kDouble);
 }
 
+TEST(CsvReadTest, NaNInADoubleColumnFailsInEveryRowOrder) {
+  // One double column holding {2.5, 1.5, nan, 2.5, 1.5} in three row
+  // orders. A NaN is not a value, so every order fails the same way.
+  for (const char* csv : {"A\n2.5\n1.5\nnan\n2.5\n1.5\n",
+                          "A\nnan\n2.5\n1.5\n2.5\n1.5\n",
+                          "A\n2.5\n1.5\n2.5\n1.5\nNaN\n"}) {
+    const auto table = ReadCsv(csv);
+    ASSERT_FALSE(table.ok()) << csv;
+    EXPECT_EQ(table.status().code(), StatusCode::kParseError);
+    EXPECT_NE(table.status().message().find("NaN"), std::string::npos);
+  }
+  // Without inference the cells are strings, and "nan" is one.
+  CsvOptions strings;
+  strings.infer_types = false;
+  const auto table = ReadCsv("A\n2.5\nnan\n", strings);
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ(table->at(1, 0), Value("nan"));
+}
+
+TEST(CsvWriteTest, DoublesRoundTripExactlyAndStayDouble) {
+  auto table = ReadCsv("A,B\n0.1,1\n1e300,2\n-0.0,3\ninf,4\n");
+  ASSERT_TRUE(table.ok()) << table.status();
+  table->Set(0, 0, Value(1.0 / 3.0));
+  table->Set(1, 0, Value(9007199254740992.0));
+  const auto reloaded = ReadCsv(WriteCsv(*table));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+  EXPECT_EQ(reloaded->schema(), table->schema());
+  for (std::size_t r = 0; r < table->num_rows(); ++r) {
+    EXPECT_TRUE(ExactlyEqual(reloaded->at(r, 0), table->at(r, 0))) << r;
+  }
+}
+
 TEST(CsvReadTest, NullsDoNotBlockIntInference) {
   // Note the two-column layout: a lone empty line would be skipped as a
   // blank record, but ",x" rows carry an explicit null first field.

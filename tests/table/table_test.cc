@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -125,10 +125,40 @@ TEST(TableTest, FingerprintDistinguishesNullFromEmpty) {
 
 TEST(TableTest, FingerprintDistinguishesTypeOfSameRendering) {
   Table a(Schema::AllStrings({"A"}));
-  Table b(Schema::AllStrings({"A"}));
+  Table b(Schema({Attribute{"A", ValueType::kInt}}));
   EXPECT_TRUE(a.AppendRow({Value("1")}).ok());
   EXPECT_TRUE(b.AppendRow({Value(1)}).ok());
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+}
+
+TEST(TableTest, AppendRowRejectsValuesOutsideTheColumnType) {
+  Table t(Schema({Attribute{"S", ValueType::kString},
+                  Attribute{"I", ValueType::kInt},
+                  Attribute{"D", ValueType::kDouble}}));
+  EXPECT_TRUE(t.AppendRow({Value("a"), Value(1), Value(1.5)}).ok());
+  EXPECT_TRUE(
+      t.AppendRow({Value::Null(), Value::Null(), Value::Null()}).ok());
+  // An int in a double column, a double in an int column, a number in a
+  // string column, a NaN: each fails and appends nothing.
+  for (const std::vector<Value>& row :
+       {std::vector<Value>{Value("a"), Value(1), Value(2)},
+        std::vector<Value>{Value("a"), Value(1.0), Value(1.5)},
+        std::vector<Value>{Value(7), Value(1), Value(1.5)},
+        std::vector<Value>{Value("a"), Value(1),
+                           Value(std::numeric_limits<double>::quiet_NaN())}}) {
+    const Status status = t.AppendRow(row);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  }
+  EXPECT_EQ(t.num_rows(), 2u);
+  EXPECT_TRUE(t.CheckValue(2, Value(-0.0)).ok());
+  EXPECT_FALSE(t.CheckValue(1, Value(2.0)).ok());
+}
+
+TEST(TableDeathTest, SetOfAWrongTypeAborts) {
+  Table t = SmallTable();
+  EXPECT_DEATH(t.Set(0, 1, Value("two")), "Check failed");
+  EXPECT_DEATH(t.Set(0, 1, Value(2.0)), "Check failed");
+  EXPECT_DEATH(t.SetCode(0, 1, t.code(0, 0)), "Check failed");
 }
 
 TEST(TableTest, FingerprintPositionKeyedNotJustValueKeyed) {
@@ -166,56 +196,55 @@ TEST(TableDictionaryTest, CopySetLeavesOriginalUntouched) {
   EXPECT_TRUE(copy.SharesDictionary(original));
   copy.Set(1, 0, Value("brand new"));  // clones the shared dictionary
   EXPECT_FALSE(copy.SharesDictionary(original));
-  copy.Set(2, 1, Value(3.5));
+  copy.Set(2, 1, Value(35));
 
   EXPECT_EQ(original, SmallTable());
   EXPECT_EQ(original.dictionary().size(), dictionary_size);
   EXPECT_EQ(original.at(1, 0), Value("y"));
   EXPECT_TRUE(original.at(2, 1).is_null());
-  EXPECT_EQ(original.num_doubles(1), 0u);
   EXPECT_EQ(original.Fingerprint(), fingerprint);
   EXPECT_EQ(original.Fingerprint(), SmallTable().Fingerprint());
 
   EXPECT_EQ(copy.at(0, 0), Value("y"));
   EXPECT_EQ(copy.at(1, 0), Value("brand new"));
-  EXPECT_EQ(copy.num_doubles(1), 1u);
+  EXPECT_EQ(copy.at(2, 1), Value(35));
   // The clone keeps every code, so codes read before it still decode.
   EXPECT_EQ(copy.code(0, 0), original.code(1, 0));
   EXPECT_NE(copy.Fingerprint(), original.Fingerprint());
 }
 
-TEST(TableDictionaryTest, CodesSeparateValuesThatCompareEqual) {
-  const double nan_a = std::numeric_limits<double>::quiet_NaN();
-  double nan_b = nan_a;
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &nan_b, sizeof(bits));
-  bits ^= 1;  // another payload
-  std::memcpy(&nan_b, &bits, sizeof(bits));
-
-  Table t(Schema::AllStrings({"A"}));
-  for (const Value& v :
-       {Value(1), Value(1.0), Value(0.0), Value(-0.0), Value(""),
-        Value::Null(), Value(nan_a), Value(nan_b)}) {
-    ASSERT_TRUE(t.AppendRow({v}).ok());
-  }
-  const auto code = [&](std::size_t row) { return t.code(row, 0); };
-  EXPECT_EQ(t.at(0, 0), t.at(1, 0));  // 1 == 1.0 ...
-  EXPECT_NE(code(0), code(1));        // ... but their bytes differ
-  EXPECT_EQ(t.at(2, 0), t.at(3, 0));  // +0.0 == -0.0
-  EXPECT_NE(code(2), code(3));
-  EXPECT_NE(code(4), code(5));  // "" vs null
-  EXPECT_EQ(code(5), kNullCode);
-  EXPECT_NE(code(6), code(7));  // NaN payloads
-  EXPECT_EQ(t.num_doubles(0), 5u);  // 1.0, both zeros, both NaNs
-
-  const ValueDictionary& dict = t.dictionary();
-  EXPECT_TRUE(dict.SameValue(code(0), code(1)));
-  EXPECT_TRUE(dict.SameValue(code(2), code(3)));
-  EXPECT_FALSE(dict.SameValue(code(4), code(5)));
-  // Interning an equal-bytes value finds the existing code.
-  EXPECT_EQ(t.Intern(Value(-0.0)), code(3));
-  EXPECT_EQ(t.Intern(Value(nan_b)), code(7));
+TEST(TableDictionaryTest, EqualCodesAreEqualValuesInOneColumn) {
+  Table t(Schema({Attribute{"D", ValueType::kDouble},
+                  Attribute{"I", ValueType::kInt},
+                  Attribute{"S", ValueType::kString}}));
+  ASSERT_TRUE(t.AppendRow({Value(1.0), Value(1), Value("")}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(0.0), Value(2), Value::Null()}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(-0.0), Value(1), Value("")}).ok());
+  const auto code = [&](std::size_t row, std::size_t col) {
+    return t.code(row, col);
+  };
+  // -0.0 is interned as +0.0: one value, one code.
+  EXPECT_EQ(code(1, 0), code(2, 0));
+  EXPECT_FALSE(std::signbit(t.at(2, 0).as_double()));
+  EXPECT_EQ(t.Intern(Value(-0.0)), code(1, 0));
+  // 1 == 1.0, but the int and double columns keep their own codes.
+  EXPECT_EQ(t.at(0, 0), t.at(0, 1));
+  EXPECT_NE(code(0, 0), code(0, 1));
+  EXPECT_TRUE(MixesIntAndDouble(t.schema(), 0, 1));
+  EXPECT_FALSE(MixesIntAndDouble(t.schema(), 1, 1));
+  EXPECT_FALSE(MixesIntAndDouble(t.schema(), 1, 2));
+  EXPECT_EQ(code(0, 1), code(2, 1));
+  // "" and null stay apart.
+  EXPECT_EQ(code(0, 2), code(2, 2));
+  EXPECT_NE(code(0, 2), kNullCode);
+  EXPECT_EQ(code(1, 2), kNullCode);
   EXPECT_EQ(t.Intern(Value::Null()), kNullCode);
+}
+
+TEST(TableDictionaryDeathTest, InterningANaNAborts) {
+  Table t(Schema({Attribute{"D", ValueType::kDouble}}));
+  EXPECT_DEATH(t.Intern(Value(std::numeric_limits<double>::quiet_NaN())),
+               "NaN");
 }
 
 TEST(TableDictionaryTest, ReferenceSurvivesSetOfAnotherCell) {
@@ -232,17 +261,18 @@ TEST(TableDictionaryTest, ReferenceSurvivesSetOfAnotherCell) {
 }
 
 TEST(TableDictionaryTest, EqualityAcrossDictionariesComparesValues) {
-  Table a(Schema::AllStrings({"A"}));
-  Table b(Schema::AllStrings({"A"}));
-  ASSERT_TRUE(a.AppendRow({Value(1)}).ok());
-  ASSERT_TRUE(b.AppendRow({Value(1.0)}).ok());
+  const Schema schema({Attribute{"A", ValueType::kDouble}});
+  Table a(schema);
+  Table b(schema);
+  ASSERT_TRUE(a.AppendRow({Value(0.0)}).ok());
+  ASSERT_TRUE(b.AppendRow({Value(-0.0)}).ok());
   EXPECT_FALSE(a.SharesDictionary(b));
-  EXPECT_EQ(a, b);  // `Value::operator==`: 1 == 1.0
-  EXPECT_NE(a.Fingerprint(), b.Fingerprint());  // content bytes differ
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());  // both hold +0.0
   Table c = a;
-  c.SetCode(0, 0, c.Intern(Value(1.0)));
-  EXPECT_EQ(c, a);
-  EXPECT_EQ(c.Fingerprint(), b.Fingerprint());
+  c.SetCode(0, 0, c.Intern(Value(2.5)));
+  EXPECT_NE(c, b);
+  EXPECT_NE(c.Fingerprint(), b.Fingerprint());
 }
 
 TEST(CellRefTest, OrderingAndEquality) {
